@@ -212,7 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify_all(args.filter, args.report)
         if args.command == "fuzz":
-            params = Params(args.addr_width, args.data_width)
+            try:
+                params = Params(args.addr_width, args.data_width)
+            except ValueError as exc:
+                raise SystemExit2(str(exc))
             return cmd_fuzz(args.seed, args.cycles, params,
                             reset_storm=args.reset_storm, report_path=args.report)
         if args.command == "list":

@@ -6,13 +6,97 @@ array, plus one final edge to clear the internal init flag; client
 accesses are ignored during that whole sweep.  Reads are registered and
 return the pre-edge memory content, so a read and a write to the same
 address in the same cycle yields the old word.
+
+The array is a :class:`Memory`, a persistent 32-way radix trie over the
+address bits: 5 bits per level, the top level taking the remainder
+(path copying as in Driscoll, Sarnak, Sleator & Tarjan, "Making Data
+Structures Persistent", 1989; the branching factor as in Bagwell, "Ideal
+Hash Trees", 2001).  The power-on array is one shared node per level.  A
+client write, like each edge of the zeroing sweep, copies the
+``ceil(addr_width / 5)`` tuples of at most 32 entries on one root-to-leaf
+path and shares the rest, so an edge costs O(addr_width) rather than
+O(2^addr_width).  For ``addr_width <= 5`` the trie is one flat tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain
 
-from .signals import Level, Params, Word, word_to_index
+from .signals import Level, Params, Word
+
+_BITS = 5
+_MASK = (1 << _BITS) - 1
+
+
+class Memory(Sequence):
+    """Immutable array of words; :meth:`set` returns an updated copy.
+
+    Memories with the same contents are equal and hash equal, whatever
+    order of writes produced them.
+    """
+
+    __slots__ = ("_len", "_shifts", "_root")
+
+    def __init__(self, size: int, shifts: tuple[int, ...], root: tuple) -> None:
+        self._len, self._shifts, self._root = size, shifts, root
+
+    @classmethod
+    def filled(cls, addr_width: int, word: Word) -> "Memory":
+        """``2**addr_width`` copies of ``word``, sharing one node per level."""
+        top_shift = _BITS * ((addr_width - 1) // _BITS)
+        shifts = tuple(range(top_shift, -1, -_BITS))
+        node = word
+        for _ in shifts[1:]:
+            node = (node,) * (1 << _BITS)
+        return cls(1 << addr_width, shifts, (node,) * (1 << (addr_width - top_shift)))
+
+    def _index(self, i: int) -> int:
+        if not -self._len <= i < self._len:
+            raise IndexError(f"memory index {i} out of range for {self._len} words")
+        return i % self._len
+
+    def __getitem__(self, i: int) -> Word:
+        i = self._index(i)
+        node = self._root
+        for shift in self._shifts:
+            node = node[i >> shift & _MASK]
+        return node
+
+    def set(self, i: int, word: Word) -> "Memory":
+        """A copy with word ``i`` replaced; only the nodes on its path are new."""
+        i = self._index(i)
+        path, node = [], self._root
+        for shift in self._shifts:
+            k = i >> shift & _MASK
+            path.append((node, k))
+            node = node[k]
+        for node, k in reversed(path):
+            copy = list(node)
+            copy[k] = word
+            word = tuple(copy)
+        return Memory(self._len, self._shifts, word)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Word]:
+        words = iter(self._root)
+        for _ in self._shifts[1:]:
+            words = chain.from_iterable(words)
+        return words
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Memory):
+            return NotImplemented
+        return self._len == other._len and self._root == other._root
+
+    def __hash__(self) -> int:
+        return hash((self._len, self._root))
+
+    def __repr__(self) -> str:
+        return f"Memory({self._len} words)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +111,7 @@ class RamInputs:
 
 @dataclass(frozen=True, slots=True)
 class RamState:
-    memory: tuple[Word, ...]
+    memory: Memory
     count: int
     reset_done_internal: bool
     rd_data_reg: Word
@@ -37,7 +121,7 @@ def ram_reset(params: Params) -> RamState:
     """Power-on state: all-zero memory, idle sweep counter, zero read register."""
     zero = params.zero_data()
     return RamState(
-        memory=(zero,) * params.ram_depth(),
+        memory=Memory.filled(params.addr_width, zero),
         count=0,
         reset_done_internal=False,
         rd_data_reg=zero,
@@ -51,27 +135,18 @@ def ram_step(state: RamState, inp: RamInputs, params: Params) -> tuple[RamState,
     is low only the init flag is set; the zeroing sweep itself runs on the
     subsequent edges with ``rst_n`` high.
     """
+    memory, count, rd_data = state.memory, state.count, state.rd_data_reg
     if not inp.rst_n:
-        new = replace(state, reset_done_internal=True)
-        return new, new.rd_data_reg
+        return RamState(memory, count, True, rd_data), rd_data
 
-    depth = params.ram_depth()
     if state.reset_done_internal:
-        if state.count < depth:
-            memory = list(state.memory)
-            memory[state.count] = params.zero_data()
-            new = RamState(tuple(memory), state.count + 1, True, state.rd_data_reg)
-        else:
-            new = replace(state, count=0, reset_done_internal=False)
-        return new, new.rd_data_reg
+        if count < len(memory):
+            memory = memory.set(count, params.zero_data())
+            return RamState(memory, count + 1, True, rd_data), rd_data
+        return RamState(memory, 0, False, rd_data), rd_data
 
-    memory = state.memory
-    rd_data = state.rd_data_reg
     if inp.rd_en:
-        rd_data = state.memory[word_to_index(inp.rd_addr)]
+        rd_data = memory[inp.rd_addr.value]
     if inp.wr_en:
-        mem = list(memory)
-        mem[word_to_index(inp.wr_addr)] = inp.wr_data
-        memory = tuple(mem)
-    new = RamState(memory, state.count, False, rd_data)
-    return new, rd_data
+        memory = memory.set(inp.wr_addr.value, inp.wr_data)
+    return RamState(memory, count, False, rd_data), rd_data

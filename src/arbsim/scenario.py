@@ -133,7 +133,10 @@ def parse_scenario(text: str) -> Scenario:
             )
             if not m:
                 raise ScenarioParseError(f"bad params line: {line!r}", line_no)
-            params = Params(int(m.group(1)), int(m.group(2)), m.group(3) == "1")
+            try:
+                params = Params(int(m.group(1)), int(m.group(2)), m.group(3) == "1")
+            except ValueError as exc:
+                raise ScenarioParseError(str(exc), line_no) from exc
             continue
 
         if line.startswith("clock "):

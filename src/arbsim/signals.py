@@ -7,6 +7,7 @@ parses from a binary string such as ``"1010"``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 Level = bool
@@ -33,9 +34,11 @@ class Word:
                 f"value {self.value} out of range for width {self.width}"
             )
 
-    @classmethod
-    def zeros(cls, width: int) -> "Word":
-        return cls(width, 0)
+    @staticmethod
+    @functools.cache
+    def zeros(width: int) -> "Word":
+        """The all-zero word of ``width`` bits, one shared instance per width."""
+        return Word(width, 0)
 
     @property
     def bits(self) -> tuple[Level, ...]:

@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, reports, waveform export, fuzz."""
 
+import pytest
+
 from arbsim.cli import main
 
 from vcd_reader import read_vcd
@@ -56,6 +58,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--file", str(scn))
         assert code == 2
         assert "line 3" in err
+
+    def test_zero_width_params_is_usage_error_with_line(self, capsys, tmp_path):
+        scn = tmp_path / "narrow.scn"
+        scn.write_text("scenario x\nparams addr=0 data=8 registered=0\nrun 100\n")
+        code, _, err = run_cli(capsys, "run", "--file", str(scn))
+        assert code == 2
+        assert err.startswith("arbsim: error:") and err.count("\n") == 1
+        assert "line 2" in err and "addr_width" in err
 
     def test_registered_override(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--builtin", "tc07", "--registered", "1")
@@ -127,6 +137,14 @@ class TestFuzz:
         code, _, err = run_cli(capsys, "fuzz", "--seed", "1", "--cycles", "0")
         assert code == 2
         assert "cycles" in err
+
+    @pytest.mark.parametrize("flag", ["--addr-width", "--data-width"])
+    def test_zero_width_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--cycles", "10", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("arbsim: error:") and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in err
 
     def test_reset_storm_mode(self, capsys):
         code, out, _ = run_cli(

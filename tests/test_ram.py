@@ -215,3 +215,65 @@ def test_determinism():
             outs.append(rd)
         runs.append((outs, state))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("addr_width", [1, 5, 6, 10, 11, 13])
+def test_reference_model_equivalence_across_trie_levels(addr_width):
+    # Both sides of each 5-bit trie-level boundary.
+    params = Params(addr_width, 8)
+    rng = random.Random(addr_width)
+    state = swept(params)
+    ref = MapRam(params)
+    for step in range(2_000 if addr_width <= 6 else 300):
+        inp = random_ram_inputs(rng, params)
+        state, rd = ram_step(state, inp, params)
+        assert rd.value == ref.step(inp), f"diverged at step {step}"
+    assert tuple(w.value for w in state.memory) == ref.dump()
+    assert len(state.memory) == params.ram_depth()
+    with pytest.raises(IndexError):
+        state.memory[params.ram_depth()]
+
+
+def write(state, params, addr, value):
+    inp = quiet(params, wr_en=HIGH, wr_addr=Word(params.addr_width, addr),
+                wr_data=Word(params.data_width, value))
+    return ram_step(state, inp, params)[0]
+
+
+@pytest.mark.parametrize("addr_width", [4, 13])
+def test_write_leaves_old_memory_unchanged(addr_width):
+    params = Params(addr_width, 8)
+    old = write(swept(params), params, 3, 0x5A)
+    before = tuple(old.memory)
+    new = write(old, params, 3, 0xC3)
+    new = write(new, params, params.ram_depth() - 1, 0x11)
+    assert tuple(old.memory) == before
+    assert old.memory[3] == Word(8, 0x5A) and new.memory[3] == Word(8, 0xC3)
+    assert old.memory[params.ram_depth() - 1] == params.zero_data()
+
+
+@pytest.mark.parametrize("addr_width", [4, 13])
+def test_equal_contents_from_different_write_orders(addr_width):
+    params = Params(addr_width, 8)
+    top = params.ram_depth() - 1
+    writes = [(0, 7), (top, 9), (33 % params.ram_depth(), 1), (0, 2)]
+    a = b = swept(params)
+    for addr, value in writes:
+        a = write(a, params, addr, value)
+    for addr, value in [writes[2], writes[1], writes[3]]:
+        b = write(b, params, addr, value)
+    assert a.memory == b.memory
+    assert hash(a.memory) == hash(b.memory)
+    assert a.memory != write(b, params, top, 8).memory
+
+
+def test_wide_memory_is_not_allocated():
+    params = Params(32, 8)
+    state = ram_reset(params)
+    assert len(state.memory) == 2**32
+    top = Word(32, 2**32 - 1)
+    state, _ = ram_step(
+        state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=Word(8, 0xA5)), params
+    )
+    _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top), params)
+    assert rd == Word(8, 0xA5)
