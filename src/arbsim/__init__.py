@@ -22,7 +22,7 @@ from .scenario import (
     parse_scenario,
     render_scenario,
 )
-from .signals import HIGH, LOW, Level, Params, Word, parse_word, word_to_index
+from .signals import HIGH, LOW, Level, Params, Word, parse_word
 from .system import SystemState, system_new, system_step
 from .trace import (
     AssertionReport,
@@ -73,7 +73,6 @@ __all__ = [
     "run_scenario",
     "system_new",
     "system_step",
-    "word_to_index",
     "write_table",
     "write_vcd",
 ]

@@ -97,6 +97,44 @@ class ArbiterState:
     reset_count: int
     reset_done: Level
 
+    def drive(self) -> RamDrive:
+        """The bundle that the latched request registers drive into the RAM."""
+        return RamDrive(
+            self.temp_rd_en, self.temp_wr_en, self.temp_rd_addr, self.temp_wr_addr,
+            self.temp_wr_data,
+        )
+
+
+# Every pin, in VCD/TSV column order: (name, direction, role, trace.TraceRow
+# attribute path).  Direction "in" and "out" are the top-level pins; a
+# "probe" is an internal signal.  The role sets the width (Params.width) and
+# the rendering: a "level" is one bit, "addr"/"data" a Word, "state" a
+# STATE_CODES bus.
+PINS: tuple[tuple[str, str, str, str], ...] = (
+    ("RST_N", "in", "level", "inputs.rst_n"),
+    ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),
+    ("WR_EN_C1", "in", "level", "inputs.wr_en_c1"),
+    ("RDADDR_C1", "in", "addr", "inputs.rdaddr_c1"),
+    ("WRADDR_C1", "in", "addr", "inputs.wraddr_c1"),
+    ("WRDATA_C1", "in", "data", "inputs.wrdata_c1"),
+    ("REQUEST_C2", "in", "level", "inputs.request_c2"),
+    ("RD_NOT_WRITE_C2", "in", "level", "inputs.rd_not_write_c2"),
+    ("ADDR_C2", "in", "addr", "inputs.addr_c2"),
+    ("DATAIN_C2", "in", "data", "inputs.datain_c2"),
+    ("RDDATA_C1", "out", "data", "outputs.rddata_c1"),
+    ("DATAOUT_C2", "out", "data", "outputs.dataout_c2"),
+    ("ACK_C2", "out", "level", "outputs.ack_c2"),
+    ("RST_DONE", "out", "level", "outputs.rst_done"),
+    ("RD_EN", "probe", "level", "drive.rd_en"),
+    ("WR_EN", "probe", "level", "drive.wr_en"),
+    ("RD_ADDR", "probe", "addr", "drive.rd_addr"),
+    ("WR_ADDR", "probe", "addr", "drive.wr_addr"),
+    ("WR_DATA", "probe", "data", "drive.wr_data"),
+    ("READ_STATE", "probe", "state", "read_state"),
+    ("WRITE_STATE", "probe", "state", "write_state"),
+    ("ADDR_CLASH", "probe", "level", "addr_clash"),
+)
+
 
 def arbiter_reset(params: Params) -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
@@ -271,8 +309,7 @@ def arbiter_step(
         reset_count=reset_count,
         reset_done=reset_done,
     )
-    drive = RamDrive(temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data)
-    return new, drive
+    return new, new.drive()
 
 
 def resolve_outputs(

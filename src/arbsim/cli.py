@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import sys
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace
+from typing import IO
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
@@ -35,10 +37,7 @@ class RunConfig:
     file: str | None = None
     vcd_path: str | None = None
     table_path: str | None = None
-    report_path: str | None = None
     registered_override: bool | None = None
-    seed: int | None = None
-    cycles: int | None = None
 
 
 def _load_scenario(config: RunConfig) -> Scenario:
@@ -69,6 +68,16 @@ class SystemExit2(Exception):
     """Usage-level failure: message on stderr, exit status 2."""
 
 
+def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
+    """Open an output file up front, so that a bad path fails before any work."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write output file: {exc}")
+
+
 def _print_report(name: str, report: AssertionReport) -> None:
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
@@ -79,17 +88,14 @@ def _print_report(name: str, report: AssertionReport) -> None:
 
 def cmd_run(config: RunConfig) -> int:
     scenario = _load_scenario(config)
-    trace = run_scenario(scenario)
-    report = check_assertions(trace, scenario)
-    if config.vcd_path:
-        with open(config.vcd_path, "w", encoding="ascii") as fh:
-            write_vcd(trace, fh)
-    if config.table_path:
-        if config.table_path == "-":
-            write_table(trace, sys.stdout)
-        else:
-            with open(config.table_path, "w", encoding="ascii") as fh:
-                write_table(trace, fh)
+    table_path = None if config.table_path == "-" else config.table_path
+    with _open_output(config.vcd_path) as vcd, _open_output(table_path) as table:
+        trace = run_scenario(scenario)
+        report = check_assertions(trace, scenario)
+        if vcd:
+            write_vcd(trace, vcd)
+        if config.table_path:
+            write_table(trace, table or sys.stdout)
     _print_report(scenario.name, report)
     return 0 if report.passed else 1
 
@@ -113,19 +119,18 @@ def _verify_lines(name_filter: str | None) -> tuple[list[str], bool]:
 
 
 def cmd_verify_all(name_filter: str | None = None, report_path: str | None = None) -> int:
-    lines, all_ok = _verify_lines(name_filter)
-    if not lines:
-        print(f"no scenarios match filter {name_filter!r}", file=sys.stderr)
-        return 2
-    header = "scenario\tmode\tstatus\tassertions"
-    body = "\n".join([header] + lines) + "\n"
-    sys.stdout.write(body)
-    summary = f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n"
-    sys.stdout.write(summary)
-    if report_path:
-        with open(report_path, "w", encoding="ascii") as fh:
-            fh.write(body)
-            fh.write(summary)
+    with _open_output(report_path) as report:
+        lines, all_ok = _verify_lines(name_filter)
+        if not lines:
+            raise SystemExit2(f"no scenarios match filter {name_filter!r}")
+        header = "scenario\tmode\tstatus\tassertions"
+        body = "\n".join([header] + lines) + "\n"
+        sys.stdout.write(body)
+        summary = f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n"
+        sys.stdout.write(summary)
+        if report:
+            report.write(body)
+            report.write(summary)
     return 0 if all_ok else 1
 
 
@@ -138,19 +143,19 @@ def cmd_fuzz(
 ) -> int:
     if cycles < 1:
         raise SystemExit2("cycles must be >= 1")
-    result = run_fuzz(seed, cycles, params, reset_storm=reset_storm)
-    if result.ok:
-        line = f"OK\tseed={seed}\tcycles={cycles}\tviolations=0\n"
-    else:
-        v = result.violation
-        line = (
-            f"VIOLATION\tseed={seed}\tprefix={v.prefix_len}"
-            f"\tproperty={v.prop}\tdetail={v.detail}\n"
-        )
-    sys.stdout.write(line)
-    if report_path:
-        with open(report_path, "w", encoding="ascii") as fh:
-            fh.write(line)
+    with _open_output(report_path) as report:
+        result = run_fuzz(seed, cycles, params, reset_storm=reset_storm)
+        if result.ok:
+            line = f"OK\tseed={seed}\tcycles={cycles}\tviolations=0\n"
+        else:
+            v = result.violation
+            line = (
+                f"VIOLATION\tseed={seed}\tprefix={v.prefix_len}"
+                f"\tproperty={v.prop}\tdetail={v.detail}\n"
+            )
+        sys.stdout.write(line)
+        if report:
+            report.write(line)
     return 0 if result.ok else 1
 
 

@@ -148,11 +148,7 @@ def run_fuzz(
         pre = state.arbiter
         state, _ = system_step(state, inp)
         arb = state.arbiter
-        drive = RamDrive(
-            arb.temp_rd_en, arb.temp_wr_en, arb.temp_rd_addr, arb.temp_wr_addr,
-            arb.temp_wr_data,
-        )
-        bad = check_invariants(pre, inp, arb, drive)
+        bad = check_invariants(pre, inp, arb, arb.drive())
         if bad:
             prop, detail = bad[0]
             return FuzzResult(seed, cycles, Violation(cycle, cycle + 1, prop, detail))

@@ -26,27 +26,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .arbiter import PINS
 from .signals import Params, parse_word, WordParseError
 
-INPUT_PINS: dict[str, str] = {
-    "RST_N": "level",
-    "RD_EN_C1": "level",
-    "WR_EN_C1": "level",
-    "RDADDR_C1": "addr",
-    "WRADDR_C1": "addr",
-    "WRDATA_C1": "data",
-    "REQUEST_C2": "level",
-    "RD_NOT_WRITE_C2": "level",
-    "ADDR_C2": "addr",
-    "DATAIN_C2": "data",
-}
-
-OUTPUT_PINS: dict[str, str] = {
-    "RDDATA_C1": "data",
-    "DATAOUT_C2": "data",
-    "ACK_C2": "level",
-    "RST_DONE": "level",
-}
+# Pin name -> role ("level", "addr" or "data"), in PINS order.
+INPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "in"}
+OUTPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "out"}
 
 
 class ScenarioParseError(ValueError):
@@ -98,10 +83,6 @@ class Scenario:
         return -(-self.duration // self.clock_period)  # ceil division
 
 
-def _pin_width(pin: str, role: str, params: Params) -> int:
-    return {"level": 1, "addr": params.addr_width, "data": params.data_width}[role]
-
-
 _EVENT_RE = re.compile(r"@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
 _EXPECT_VALUE_RE = re.compile(r"expect\s+@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
 _EXPECT_WINDOW_RE = re.compile(r"expect\s+(pulses|quiet)\s+(\w+)\s+in\s+(-?\d+)\.\.(-?\d+)$")
@@ -111,7 +92,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario source text; raise ScenarioParseError with a line number."""
     name: str | None = None
     params: Params | None = None
-    clock = 100
+    clock: int | None = None
     events: list[Event] = []
     assertions: list[Assertion] = []
     duration: int | None = None
@@ -128,6 +109,8 @@ def parse_scenario(text: str) -> Scenario:
             continue
 
         if line.startswith("params "):
+            if params is not None:
+                raise ScenarioParseError("duplicate params line", line_no)
             m = re.fullmatch(
                 r"params\s+addr=(\d+)\s+data=(\d+)\s+registered=([01])", line
             )
@@ -140,6 +123,8 @@ def parse_scenario(text: str) -> Scenario:
             continue
 
         if line.startswith("clock "):
+            if clock is not None:
+                raise ScenarioParseError("duplicate clock line", line_no)
             m = re.fullmatch(r"clock\s+(\d+)", line)
             if not m or int(m.group(1)) <= 0:
                 raise ScenarioParseError(f"bad clock line: {line!r}", line_no)
@@ -171,7 +156,7 @@ def parse_scenario(text: str) -> Scenario:
                     f"event time {t} before previous event at {events[-1].time}",
                     line_no,
                 )
-            width = _pin_width(pin, INPUT_PINS[pin], params)
+            width = params.width(INPUT_PINS[pin])
             try:
                 parse_word(value, width)
             except WordParseError as exc:
@@ -189,7 +174,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioParseError(f"negative time {t}", line_no)
                 if pin not in OUTPUT_PINS:
                     raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
-                width = _pin_width(pin, OUTPUT_PINS[pin], params)
+                width = params.width(OUTPUT_PINS[pin])
                 if expected in ("high", "low"):
                     if width != 1:
                         raise ScenarioParseError(
@@ -210,7 +195,7 @@ def parse_scenario(text: str) -> Scenario:
                 start, end = int(m.group(3)), int(m.group(4))
                 if pin not in OUTPUT_PINS:
                     raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
-                if _pin_width(pin, OUTPUT_PINS[pin], params) != 1:
+                if params.width(OUTPUT_PINS[pin]) != 1:
                     raise ScenarioParseError(f"{kind} needs a 1-bit pin, got {pin}", line_no)
                 if start < 0 or end < start:
                     raise ScenarioParseError(f"bad window {start}..{end}", line_no)
@@ -226,6 +211,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("missing params line", 1)
     if duration is None:
         raise ScenarioParseError("missing run line", 1)
+    clock = 100 if clock is None else clock
     return Scenario(name, params, clock, tuple(events), tuple(assertions), duration)
 
 

@@ -40,11 +40,6 @@ class Word:
         """The all-zero word of ``width`` bits, one shared instance per width."""
         return Word(width, 0)
 
-    @property
-    def bits(self) -> tuple[Level, ...]:
-        """Levels of the word, most-significant first."""
-        return tuple(c == "1" for c in self.render())
-
     def render(self) -> str:
         return format(self.value, f"0{self.width}b")
 
@@ -69,11 +64,6 @@ def parse_word(text: str, width: int) -> Word:
     return Word(width, int(text, 2))
 
 
-def word_to_index(w: Word) -> int:
-    """Unsigned big-endian interpretation of a word, used as a memory index."""
-    return w.value
-
-
 @dataclass(frozen=True, slots=True)
 class Params:
     """Bus widths and the output-register option shared by all blocks."""
@@ -87,6 +77,15 @@ class Params:
             raise ValueError(f"addr_width must be >= 1, got {self.addr_width}")
         if self.data_width < 1:
             raise ValueError(f"data_width must be >= 1, got {self.data_width}")
+
+    def width(self, role: str) -> int:
+        """Bits of a pin with ``role``: "level", "addr", "data" or "state"."""
+        # Tested in this order because the width check runs on every edge.
+        if role == "addr":
+            return self.addr_width
+        if role == "data":
+            return self.data_width
+        return {"level": 1, "state": 3}[role]
 
     def ram_depth(self) -> int:
         return 1 << self.addr_width

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arbiter import (
+    PINS,
     ArbiterState,
     ClientInputs,
     ClientOutputs,
@@ -36,17 +37,15 @@ def system_new(params: Params) -> SystemState:
     return SystemState(params, arbiter_reset(params), ram_reset(params), 0)
 
 
+# (ClientInputs field, role) of every word input.
+_WORD_INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in" and r != "level"]
+
+
 def _check_widths(inp: ClientInputs, params: Params) -> None:
-    widths = (
-        (inp.rdaddr_c1.width, params.addr_width, "rdaddr_c1"),
-        (inp.wraddr_c1.width, params.addr_width, "wraddr_c1"),
-        (inp.addr_c2.width, params.addr_width, "addr_c2"),
-        (inp.wrdata_c1.width, params.data_width, "wrdata_c1"),
-        (inp.datain_c2.width, params.data_width, "datain_c2"),
-    )
-    for got, want, name in widths:
+    for field, role in _WORD_INPUTS:
+        got, want = getattr(inp, field).width, params.width(role)
         if got != want:
-            raise ValueError(f"{name} width {got} does not match params width {want}")
+            raise ValueError(f"{field} width {got} does not match params width {want}")
 
 
 def system_step(

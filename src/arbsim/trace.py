@@ -10,15 +10,10 @@ tab-separated table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, IO
 
-from .arbiter import (
-    STATE_CODES,
-    ChannelState,
-    ClientInputs,
-    ClientOutputs,
-    RamDrive,
-)
+from .arbiter import PINS, STATE_CODES, ChannelState, ClientInputs, ClientOutputs, RamDrive
 from .scenario import Assertion, Scenario
 from .signals import LOW, Level, Params, Word, parse_word
 from .system import SystemState, system_new, system_step
@@ -73,23 +68,13 @@ class AssertionReport:
         return [r for r in self.results if not r.passed]
 
 
-_EVENT_FIELDS = {
-    "RST_N": ("rst_n", "level"),
-    "RD_EN_C1": ("rd_en_c1", "level"),
-    "WR_EN_C1": ("wr_en_c1", "level"),
-    "RDADDR_C1": ("rdaddr_c1", "word"),
-    "WRADDR_C1": ("wraddr_c1", "word"),
-    "WRDATA_C1": ("wrdata_c1", "word"),
-    "REQUEST_C2": ("request_c2", "level"),
-    "RD_NOT_WRITE_C2": ("rd_not_write_c2", "level"),
-    "ADDR_C2": ("addr_c2", "word"),
-    "DATAIN_C2": ("datain_c2", "word"),
-}
+# Input pin name -> (ClientInputs field, role).
+_EVENT_FIELDS = {n: (p.split(".")[1], r) for n, d, r, p in PINS if d == "in"}
 
 
 def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
-    field, kind = _EVENT_FIELDS[pin]
-    if kind == "level":
+    field, role = _EVENT_FIELDS[pin]
+    if role == "level":
         return replace(inputs, **{field: value == "1"})
     return replace(inputs, **{field: parse_word(value, len(value))})
 
@@ -114,17 +99,13 @@ def run_scenario(s: Scenario) -> Trace:
             idx += 1
         state, out = system_step(state, inputs)
         arb = state.arbiter
-        drive = RamDrive(
-            arb.temp_rd_en, arb.temp_wr_en, arb.temp_rd_addr, arb.temp_wr_addr,
-            arb.temp_wr_data,
-        )
         rows.append(
             TraceRow(
                 cycle=cycle,
                 time=t,
                 inputs=inputs,
                 outputs=out,
-                drive=drive,
+                drive=arb.drive(),
                 read_state=arb.pr_read,
                 write_state=arb.pr_write,
                 addr_clash=arb.addr_clash,
@@ -133,17 +114,32 @@ def run_scenario(s: Scenario) -> Trace:
     return Trace(s.params, s.clock_period, tuple(rows))
 
 
-def _output_value(row: TraceRow, pin: str) -> str:
-    out = row.outputs
-    if pin == "RDDATA_C1":
-        return out.rddata_c1.render()
-    if pin == "DATAOUT_C2":
-        return out.dataout_c2.render()
-    if pin == "ACK_C2":
-        return "1" if out.ack_c2 else "0"
-    if pin == "RST_DONE":
-        return "1" if out.rst_done else "0"
-    raise KeyError(pin)
+# Rendering of a pin's value by role: levels as "0"/"1", words and channel
+# states as binary strings.  Channel states use the encoding in STATE_CODES.
+_RENDER: dict[str, Callable[[object], str]] = {
+    "level": ("0", "1").__getitem__,
+    "addr": Word.render,
+    "data": Word.render,
+    "state": STATE_CODES.__getitem__,
+}
+
+
+def _extractor(role: str, path: str) -> Callable[[TraceRow], str]:
+    get, render = attrgetter(path), _RENDER[role]
+    return lambda row: render(get(row))
+
+
+# Pin name -> function rendering that pin's value in a trace row.
+_EXTRACT = {name: _extractor(role, path) for name, _, role, path in PINS}
+
+# The exporters render a whole row at once: one attrgetter over every pin's
+# path, then one formatter per cell, with no per-cell function call layer.
+_ROW_VALUES = attrgetter(*(path for _, _, _, path in PINS))
+_ROW_RENDER = tuple(_RENDER[role] for _, _, role, _ in PINS)
+
+
+def _render_row(row: TraceRow) -> list[str]:
+    return [render(v) for render, v in zip(_ROW_RENDER, _ROW_VALUES(row))]
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
@@ -151,12 +147,13 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     results: list[AssertionResult] = []
     n = len(trace.rows)
     for a in s.assertions:
+        sample = _EXTRACT[a.pin]
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            observed = _output_value(trace.rows[k], a.pin)
+            observed = sample(trace.rows[k])
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
@@ -166,20 +163,18 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
             if ka >= n or kb >= n or kb < ka:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            values = [_output_value(trace.rows[i], a.pin) for i in range(ka, kb + 1)]
             if a.kind == "pulses":
                 rising = sum(
                     1
                     for i in range(max(ka, 1), kb + 1)
-                    if _output_value(trace.rows[i - 1], a.pin) == "0"
-                    and _output_value(trace.rows[i], a.pin) == "1"
+                    if sample(trace.rows[i - 1]) == "0" and sample(trace.rows[i]) == "1"
                 )
                 results.append(
                     AssertionResult(a, f"{rising} rising edge(s)", rising >= 1)
                 )
             else:  # quiet
                 highs = [
-                    trace.rows[ka + i].time for i, v in enumerate(values) if v == "1"
+                    row.time for row in trace.rows[ka : kb + 1] if sample(row) == "1"
                 ]
                 observed = f"high at t={highs[0]}" if highs else "low throughout"
                 results.append(AssertionResult(a, observed, not highs))
@@ -187,42 +182,10 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
 
 
 # ---------------------------------------------------------------------------
-# Signal schema shared by the VCD and table exporters.  Channel states are
-# exported as 3-bit buses using the encoding in arbiter.STATE_CODES.
+# Signal schema shared by the VCD and table exporters, in PINS order.
 
 def _signal_schema(params: Params) -> list[tuple[str, int, Callable[[TraceRow], str]]]:
-    a, d = params.addr_width, params.data_width
-
-    def lvl(get: Callable[[TraceRow], Level]) -> Callable[[TraceRow], str]:
-        return lambda r: "1" if get(r) else "0"
-
-    def word(get: Callable[[TraceRow], Word]) -> Callable[[TraceRow], str]:
-        return lambda r: get(r).render()
-
-    return [
-        ("RST_N", 1, lvl(lambda r: r.inputs.rst_n)),
-        ("RD_EN_C1", 1, lvl(lambda r: r.inputs.rd_en_c1)),
-        ("WR_EN_C1", 1, lvl(lambda r: r.inputs.wr_en_c1)),
-        ("RDADDR_C1", a, word(lambda r: r.inputs.rdaddr_c1)),
-        ("WRADDR_C1", a, word(lambda r: r.inputs.wraddr_c1)),
-        ("WRDATA_C1", d, word(lambda r: r.inputs.wrdata_c1)),
-        ("REQUEST_C2", 1, lvl(lambda r: r.inputs.request_c2)),
-        ("RD_NOT_WRITE_C2", 1, lvl(lambda r: r.inputs.rd_not_write_c2)),
-        ("ADDR_C2", a, word(lambda r: r.inputs.addr_c2)),
-        ("DATAIN_C2", d, word(lambda r: r.inputs.datain_c2)),
-        ("RDDATA_C1", d, word(lambda r: r.outputs.rddata_c1)),
-        ("DATAOUT_C2", d, word(lambda r: r.outputs.dataout_c2)),
-        ("ACK_C2", 1, lvl(lambda r: r.outputs.ack_c2)),
-        ("RST_DONE", 1, lvl(lambda r: r.outputs.rst_done)),
-        ("RD_EN", 1, lvl(lambda r: r.drive.rd_en)),
-        ("WR_EN", 1, lvl(lambda r: r.drive.wr_en)),
-        ("RD_ADDR", a, word(lambda r: r.drive.rd_addr)),
-        ("WR_ADDR", a, word(lambda r: r.drive.wr_addr)),
-        ("WR_DATA", d, word(lambda r: r.drive.wr_data)),
-        ("READ_STATE", 3, lambda r: STATE_CODES[r.read_state]),
-        ("WRITE_STATE", 3, lambda r: STATE_CODES[r.write_state]),
-        ("ADDR_CLASH", 1, lvl(lambda r: r.addr_clash)),
-    ]
+    return [(name, params.width(role), _EXTRACT[name]) for name, _, role, _ in PINS]
 
 
 def _vcd_ids(count: int) -> list[str]:
@@ -264,12 +227,13 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     sink.write("$end\n")
 
     for row in trace.rows:
-        changes = []
-        for i, ((name, width, extract), vid) in enumerate(zip(schema, ids)):
-            value = extract(row)
-            if value != current[i]:
-                current[i] = value
-                changes.append(record(vid, width, value))
+        values = _render_row(row)
+        changes = [
+            record(vid, width, value)
+            for (_, width, _), vid, value, old in zip(schema, ids, values, current)
+            if value != old
+        ]
+        current = values
         if changes:
             sink.write(f"#{row.time}\n")
             sink.writelines(changes)
@@ -280,6 +244,4 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     schema = _signal_schema(trace.params)
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _ in schema]) + "\n")
     for row in trace.rows:
-        cells = [str(row.cycle), str(row.time)]
-        cells += [extract(row) for _, _, extract in schema]
-        sink.write("\t".join(cells) + "\n")
+        sink.write("\t".join([str(row.cycle), str(row.time), *_render_row(row)]) + "\n")

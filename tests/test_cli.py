@@ -13,6 +13,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_fails_before(capsys, monkeypatch, work, *argv):
+    """The CLI rejects ``argv`` with one usage-error line and never calls ``work``."""
+    import arbsim.cli as cli_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} called before the output path was checked")
+
+    monkeypatch.setattr(cli_mod, work, must_not_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("arbsim: error:") and err.count("\n") == 1
+
+
 class TestRun:
     def test_builtin_with_vcd_export(self, capsys, tmp_path):
         out_path = tmp_path / "out.vcd"
@@ -67,6 +81,24 @@ class TestRun:
         assert err.startswith("arbsim: error:") and err.count("\n") == 1
         assert "line 2" in err and "addr_width" in err
 
+    def test_duplicate_params_line_is_usage_error_with_line(self, capsys, tmp_path):
+        scn = tmp_path / "twice.scn"
+        scn.write_text(
+            "scenario x\nparams addr=4 data=8 registered=0\n@100 WRADDR_C1 = 1010\n"
+            "params addr=2 data=8 registered=0\nrun 1000\n"
+        )
+        code, _, err = run_cli(capsys, "run", "--file", str(scn))
+        assert code == 2
+        assert err.startswith("arbsim: error:") and err.count("\n") == 1
+        assert "line 4" in err and "duplicate params line" in err
+
+    @pytest.mark.parametrize("flag", ["--vcd", "--table"])
+    def test_unwritable_output_fails_before_simulating(
+        self, capsys, monkeypatch, tmp_path, flag
+    ):
+        assert_fails_before(capsys, monkeypatch, "run_scenario",
+                            "run", "--builtin", "tc07", flag, str(tmp_path / "no" / "x"))
+
     def test_registered_override(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--builtin", "tc07", "--registered", "1")
         assert code == 0
@@ -91,11 +123,20 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--filter", "zzz*")
         assert code == 2
 
+    def test_filter_without_match_is_one_error_line(self, capsys):
+        _, out, err = run_cli(capsys, "verify", "--filter", "zzz*")
+        assert out == ""
+        assert err == "arbsim: error: no scenarios match filter 'zzz*'\n"
+
     def test_report_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert run_cli(capsys, "verify", "--report", str(a))[0] == 0
         assert run_cli(capsys, "verify", "--report", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
+        assert_fails_before(capsys, monkeypatch, "run_scenario",
+                            "verify", "--report", str(tmp_path / "no" / "r.tsv"))
 
     def test_corrupted_assertion_fails_naming_the_case(self, capsys, monkeypatch):
         import dataclasses
@@ -145,6 +186,11 @@ class TestFuzz:
         assert out == ""
         assert err.startswith("arbsim: error:") and err.count("\n") == 1
         assert flag[2:].replace("-", "_") in err
+
+    def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
+        assert_fails_before(capsys, monkeypatch, "run_fuzz",
+                            "fuzz", "--seed", "1", "--cycles", "10",
+                            "--report", str(tmp_path / "no" / "r.txt"))
 
     def test_reset_storm_mode(self, capsys):
         code, out, _ = run_cli(

@@ -110,6 +110,21 @@ class TestParseErrors:
             "illegal character", 3,
         )
 
+    def test_second_params_line(self):
+        # The earlier events were width-checked against the first params line.
+        self.check(
+            "scenario t\nparams addr=4 data=8 registered=0\n@100 WRADDR_C1 = 1010\n"
+            "params addr=2 data=8 registered=0\nrun 500\n",
+            "duplicate params line", 4,
+        )
+
+    def test_second_clock_line(self):
+        self.check(
+            "scenario t\nparams addr=4 data=8 registered=0\nclock 50\n@100 RST_N = 1\n"
+            "clock 20\nrun 500\n",
+            "duplicate clock line", 5,
+        )
+
 
 def test_render_parse_round_trip_builtin_corpus():
     for s in builtin_scenarios():

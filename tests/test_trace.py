@@ -1,5 +1,6 @@
 """Trace recorder, assertion checker, and waveform exporters."""
 
+import dataclasses
 import io
 
 import pytest
@@ -14,6 +15,7 @@ from arbsim import (
     write_table,
     write_vcd,
 )
+from arbsim.arbiter import PINS, ClientInputs, ClientOutputs, RamDrive
 from arbsim.trace import _signal_schema
 
 from vcd_reader import read_vcd
@@ -177,3 +179,30 @@ class TestTable:
         row = sink.getvalue().splitlines()[-1].split("\t")
         for cell in row[2:]:
             assert set(cell) <= {"0", "1"}, cell
+
+
+class TestPinTable:
+    """arbiter.PINS is the one list of pins: it must match the dataclasses."""
+
+    @staticmethod
+    def paths(direction, prefix=""):
+        return [p for _, d, _, p in PINS if d == direction and p.startswith(prefix)]
+
+    @staticmethod
+    def declared(cls, prefix):
+        return [prefix + f.name for f in dataclasses.fields(cls)]
+
+    def test_inputs_are_the_client_input_fields_in_order(self):
+        assert self.paths("in") == self.declared(ClientInputs, "inputs.")
+
+    def test_outputs_are_the_client_output_fields(self):
+        assert self.paths("out") == self.declared(ClientOutputs, "outputs.")
+
+    def test_drive_probes_are_the_ram_drive_fields(self):
+        assert self.paths("probe", "drive.") == self.declared(RamDrive, "drive.")
+
+    def test_table_header_is_pins_order(self):
+        sink = io.StringIO()
+        write_table(run_scenario(builtin_by_name("tc01")), sink)
+        header = sink.getvalue().split("\n", 1)[0].split("\t")
+        assert header == ["cycle", "time_ns"] + [name for name, _, _, _ in PINS]
