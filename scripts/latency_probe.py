@@ -10,7 +10,6 @@ from arbsim import (
     LOW,
     ClientInputs,
     Params,
-    Word,
     system_new,
     system_step,
 )
@@ -35,8 +34,8 @@ def sweep_edges(params):
 def read_latency(params, state):
     import dataclasses
 
-    addr = Word(params.addr_width, params.ram_depth() - 1)
-    data = Word(params.data_width, (1 << params.data_width) - 3)
+    addr = params.ram_depth() - 1
+    data = (1 << params.data_width) - 3
     write = dataclasses.replace(
         quiet(params), wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data
     )
@@ -57,8 +56,8 @@ def ack_cadence(params, state, rd_not_write):
         quiet(params),
         request_c2=HIGH,
         rd_not_write_c2=rd_not_write,
-        addr_c2=Word(params.addr_width, 1),
-        datain_c2=Word(params.data_width, 1),
+        addr_c2=1,
+        datain_c2=1,
     )
     acks = []
     for _ in range(12):

@@ -6,7 +6,8 @@ plus a read-not-write selector, so it can hold at most one channel at a
 time.  Granted requests are latched into drive registers that feed the RAM.
 When the latched read and write addresses collide with both enables high,
 the in-flight write data is captured and forwarded to the reading client
-instead of the stale memory word.
+instead of the stale memory word.  Every bus is a plain ``int`` of its
+:class:`Params` width.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .signals import HIGH, LOW, Level, Params, Word
+from .signals import HIGH, LOW, Level, Params
 
 
 class ChannelState(enum.Enum):
@@ -44,18 +45,17 @@ class ClientInputs:
     rst_n: Level
     rd_en_c1: Level
     wr_en_c1: Level
-    rdaddr_c1: Word
-    wraddr_c1: Word
-    wrdata_c1: Word
+    rdaddr_c1: int
+    wraddr_c1: int
+    wrdata_c1: int
     request_c2: Level
     rd_not_write_c2: Level
-    addr_c2: Word
-    datain_c2: Word
+    addr_c2: int
+    datain_c2: int
 
     @classmethod
     def quiet(cls, params: Params, rst_n: Level = HIGH) -> "ClientInputs":
-        za, zd = params.zero_addr(), params.zero_data()
-        return cls(rst_n, LOW, LOW, za, za, zd, LOW, LOW, za, zd)
+        return cls(rst_n, LOW, LOW, 0, 0, 0, LOW, LOW, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,15 +64,15 @@ class RamDrive:
 
     rd_en: Level
     wr_en: Level
-    rd_addr: Word
-    wr_addr: Word
-    wr_data: Word
+    rd_addr: int
+    wr_addr: int
+    wr_data: int
 
 
 @dataclass(frozen=True, slots=True)
 class ClientOutputs:
-    rddata_c1: Word
-    dataout_c2: Word
+    rddata_c1: int
+    dataout_c2: int
     ack_c2: Level
     rst_done: Level
 
@@ -83,12 +83,12 @@ class ArbiterState:
     pr_write: ChannelState
     temp_rd_en: Level
     temp_wr_en: Level
-    temp_rd_addr: Word
-    temp_wr_addr: Word
-    temp_wr_data: Word
-    temp_rd_data: Word    # clash bypass capture
-    temp_rd_data1: Word   # bypass value delayed one cycle (registered mode)
-    temp_rd_data2: Word   # RAM output delayed one cycle (registered mode)
+    temp_rd_addr: int
+    temp_wr_addr: int
+    temp_wr_data: int
+    temp_rd_data: int     # clash bypass capture
+    temp_rd_data1: int    # bypass value delayed one cycle (registered mode)
+    temp_rd_data2: int    # RAM output delayed one cycle (registered mode)
     temp_ack: Level
     temp_ack1: Level
     temp_wr: Level
@@ -108,8 +108,8 @@ class ArbiterState:
 # Every pin, in VCD/TSV column order: (name, direction, role, trace.TraceRow
 # attribute path).  Direction "in" and "out" are the top-level pins; a
 # "probe" is an internal signal.  The role sets the width (Params.width) and
-# the rendering: a "level" is one bit, "addr"/"data" a Word, "state" a
-# STATE_CODES bus.
+# the rendering: a "level" is one bit, "addr"/"data" a binary bus of that
+# width, "state" a STATE_CODES bus.
 PINS: tuple[tuple[str, str, str, str], ...] = (
     ("RST_N", "in", "level", "inputs.rst_n"),
     ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),
@@ -138,18 +138,17 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 
 def arbiter_reset(params: Params) -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
-    za, zd = params.zero_addr(), params.zero_data()
     return ArbiterState(
         pr_read=ChannelState.RESET,
         pr_write=ChannelState.RESET,
         temp_rd_en=LOW,
         temp_wr_en=LOW,
-        temp_rd_addr=za,
-        temp_wr_addr=za,
-        temp_wr_data=zd,
-        temp_rd_data=zd,
-        temp_rd_data1=zd,
-        temp_rd_data2=zd,
+        temp_rd_addr=0,
+        temp_wr_addr=0,
+        temp_wr_data=0,
+        temp_rd_data=0,
+        temp_rd_data1=0,
+        temp_rd_data2=0,
         temp_ack=LOW,
         temp_ack1=LOW,
         temp_wr=LOW,
@@ -202,14 +201,14 @@ def fsm_next(
 
 
 def detect_clash(
-    temp_rd_en: Level, temp_wr_en: Level, temp_rd_addr: Word, temp_wr_addr: Word
+    temp_rd_en: Level, temp_wr_en: Level, temp_rd_addr: int, temp_wr_addr: int
 ) -> Level:
-    """High iff both latched enables are high and the addresses match bit for bit."""
+    """High iff both latched enables are high and the addresses are equal."""
     return temp_rd_en and temp_wr_en and temp_rd_addr == temp_wr_addr
 
 
 def arbiter_step(
-    state: ArbiterState, inp: ClientInputs, ram_rd_data: Word, params: Params
+    state: ArbiterState, inp: ClientInputs, ram_rd_data: int, params: Params
 ) -> tuple[ArbiterState, RamDrive]:
     """Advance the arbiter by one rising clock edge.
 
@@ -228,8 +227,6 @@ def arbiter_step(
 
     Returns the post-edge state and the drive bundle seen by the RAM.
     """
-    za, zd = params.zero_addr(), params.zero_data()
-
     # Delay registers capture pre-edge values; this is what makes the
     # registered output an exact one-cycle shift of the unregistered one.
     addr_clash_d = state.addr_clash
@@ -243,7 +240,7 @@ def arbiter_step(
     temp_rd_en, temp_rd_addr = state.temp_rd_en, state.temp_rd_addr
     temp_ack = state.temp_ack
     if nx_read in (ChannelState.IDLE, ChannelState.RESET):
-        temp_rd_en, temp_rd_addr = LOW, za
+        temp_rd_en, temp_rd_addr = LOW, 0
     elif nx_read is ChannelState.CLIENT1_READ:
         temp_rd_en, temp_rd_addr = inp.rd_en_c1, inp.rdaddr_c1
     elif nx_read is ChannelState.CLIENT2_READ:
@@ -254,7 +251,7 @@ def arbiter_step(
     temp_wr_data = state.temp_wr_data
     temp_wr = state.temp_wr
     if nx_write in (ChannelState.IDLE, ChannelState.RESET):
-        temp_wr_en, temp_wr_addr, temp_wr_data = LOW, za, zd
+        temp_wr_en, temp_wr_addr, temp_wr_data = LOW, 0, 0
     elif nx_write is ChannelState.CLIENT1_WRITE:
         temp_wr_en, temp_wr_addr, temp_wr_data = (
             inp.wr_en_c1,
@@ -286,9 +283,9 @@ def arbiter_step(
         temp_ack = LOW
 
     if not inp.rst_n:
-        temp_rd_data = zd
-        temp_rd_data1 = zd
-        temp_rd_data2 = zd
+        temp_rd_data = 0
+        temp_rd_data1 = 0
+        temp_rd_data2 = 0
 
     new = ArbiterState(
         pr_read=nx_read,
@@ -313,7 +310,7 @@ def arbiter_step(
 
 
 def resolve_outputs(
-    state: ArbiterState, ram_rd_data: Word, params: Params
+    state: ArbiterState, ram_rd_data: int, params: Params
 ) -> ClientOutputs:
     """Combinational output mux over the post-edge arbiter registers.
 

@@ -10,6 +10,8 @@ starvation.
 
 from __future__ import annotations
 
+import functools
+
 from .scenario import Scenario, parse_scenario
 
 _CORPUS_TEXT: tuple[str, ...] = (
@@ -773,13 +775,18 @@ def builtin_scenarios() -> list[Scenario]:
     return [parse_scenario(text) for text in _CORPUS_TEXT]
 
 
+@functools.cache
+def _builtin_index() -> dict[str, Scenario]:
+    """Name -> builtin scenario in corpus order, parsed once; scenarios are frozen."""
+    return {s.name: s for s in builtin_scenarios()}
+
+
 def builtin_by_name(name: str) -> Scenario:
     """Look up a builtin by full name or unique prefix (e.g. ``tc07``)."""
-    scenarios = builtin_scenarios()
-    for s in scenarios:
-        if s.name == name:
-            return s
-    matches = [s for s in scenarios if s.name.startswith(name)]
+    index = _builtin_index()
+    if name in index:
+        return index[name]
+    matches = [s for s in index.values() if s.name.startswith(name)]
     if len(matches) == 1:
         return matches[0]
     if not matches:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .arbiter import ArbiterState, ChannelState, ClientInputs, RamDrive
-from .signals import HIGH, LOW, Params, Word
+from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
 
 _READ_STATES = {
@@ -49,7 +49,7 @@ class FuzzResult:
 
 
 def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> ClientInputs:
-    word = lambda w: Word(w, rng.getrandbits(w))
+    word = rng.getrandbits
     bit = lambda: rng.random() < 0.5
     return ClientInputs(
         rst_n=rst_n,
@@ -66,7 +66,8 @@ def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> Cli
 
 
 def check_invariants(
-    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, drive: RamDrive
+    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, drive: RamDrive,
+    params: Params,
 ) -> list[tuple[str, str]]:
     """Return (property, detail) pairs for every invariant violated this edge."""
     bad: list[tuple[str, str]] = []
@@ -103,10 +104,11 @@ def check_invariants(
         if post.temp_rd_addr != post.temp_wr_addr:
             bad.append(("clash-flag", "clash high with distinct addresses"))
         if post.temp_rd_data != post.temp_wr_data:
+            w = params.data_width
             bad.append(
                 (
                     "clash-bypass",
-                    f"bypass={post.temp_rd_data} write={post.temp_wr_data}",
+                    f"bypass={post.temp_rd_data:0{w}b} write={post.temp_wr_data:0{w}b}",
                 )
             )
 
@@ -148,7 +150,7 @@ def run_fuzz(
         pre = state.arbiter
         state, _ = system_step(state, inp)
         arb = state.arbiter
-        bad = check_invariants(pre, inp, arb, arb.drive())
+        bad = check_invariants(pre, inp, arb, arb.drive(), params)
         if bad:
             prop, detail = bad[0]
             return FuzzResult(seed, cycles, Violation(cycle, cycle + 1, prop, detail))

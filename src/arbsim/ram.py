@@ -5,7 +5,8 @@ pin is released the block spends one edge per memory word zeroing the
 array, plus one final edge to clear the internal init flag; client
 accesses are ignored during that whole sweep.  Reads are registered and
 return the pre-edge memory content, so a read and a write to the same
-address in the same cycle yields the old word.
+address in the same cycle yields the old word.  Addresses and words are
+plain ints of the widths given by :class:`Params`.
 
 The array is a :class:`Memory`, a persistent 32-way radix trie over the
 address bits: 5 bits per level, the top level taking the remainder
@@ -24,7 +25,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .signals import Level, Params, Word
+from .signals import Level, Params
 
 _BITS = 5
 _MASK = (1 << _BITS) - 1
@@ -43,7 +44,7 @@ class Memory(Sequence):
         self._len, self._shifts, self._root = size, shifts, root
 
     @classmethod
-    def filled(cls, addr_width: int, word: Word) -> "Memory":
+    def filled(cls, addr_width: int, word: int) -> "Memory":
         """``2**addr_width`` copies of ``word``, sharing one node per level."""
         top_shift = _BITS * ((addr_width - 1) // _BITS)
         shifts = tuple(range(top_shift, -1, -_BITS))
@@ -57,14 +58,14 @@ class Memory(Sequence):
             raise IndexError(f"memory index {i} out of range for {self._len} words")
         return i % self._len
 
-    def __getitem__(self, i: int) -> Word:
+    def __getitem__(self, i: int) -> int:
         i = self._index(i)
         node = self._root
         for shift in self._shifts:
             node = node[i >> shift & _MASK]
         return node
 
-    def set(self, i: int, word: Word) -> "Memory":
+    def set(self, i: int, word: int) -> "Memory":
         """A copy with word ``i`` replaced; only the nodes on its path are new."""
         i = self._index(i)
         path, node = [], self._root
@@ -81,7 +82,7 @@ class Memory(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self) -> Iterator[Word]:
+    def __iter__(self) -> Iterator[int]:
         words = iter(self._root)
         for _ in self._shifts[1:]:
             words = chain.from_iterable(words)
@@ -104,9 +105,9 @@ class RamInputs:
     rst_n: Level
     rd_en: Level
     wr_en: Level
-    rd_addr: Word
-    wr_addr: Word
-    wr_data: Word
+    rd_addr: int
+    wr_addr: int
+    wr_data: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,21 +115,20 @@ class RamState:
     memory: Memory
     count: int
     reset_done_internal: bool
-    rd_data_reg: Word
+    rd_data_reg: int
 
 
 def ram_reset(params: Params) -> RamState:
     """Power-on state: all-zero memory, idle sweep counter, zero read register."""
-    zero = params.zero_data()
     return RamState(
-        memory=Memory.filled(params.addr_width, zero),
+        memory=Memory.filled(params.addr_width, 0),
         count=0,
         reset_done_internal=False,
-        rd_data_reg=zero,
+        rd_data_reg=0,
     )
 
 
-def ram_step(state: RamState, inp: RamInputs, params: Params) -> tuple[RamState, Word]:
+def ram_step(state: RamState, inp: RamInputs, params: Params) -> tuple[RamState, int]:
     """Advance the RAM by one rising clock edge.
 
     Returns the new state and the registered read output.  While ``rst_n``
@@ -141,12 +141,12 @@ def ram_step(state: RamState, inp: RamInputs, params: Params) -> tuple[RamState,
 
     if state.reset_done_internal:
         if count < len(memory):
-            memory = memory.set(count, params.zero_data())
+            memory = memory.set(count, 0)
             return RamState(memory, count + 1, True, rd_data), rd_data
         return RamState(memory, 0, False, rd_data), rd_data
 
     if inp.rd_en:
-        rd_data = memory[inp.rd_addr.value]
+        rd_data = memory[inp.rd_addr]
     if inp.wr_en:
-        memory = memory.set(inp.wr_addr.value, inp.wr_data)
+        memory = memory.set(inp.wr_addr, inp.wr_data)
     return RamState(memory, count, False, rd_data), rd_data

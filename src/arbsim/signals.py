@@ -1,13 +1,13 @@
 """Bit-exact words, logic levels, and the shared width configuration.
 
 Logic is strictly two-valued: a level is a plain ``bool`` (``HIGH``/``LOW``).
-A :class:`Word` is an immutable fixed-width bus value that renders to and
-parses from a binary string such as ``"1010"``.
+Inside the kernel a bus value is a plain ``int`` of its :class:`Params` width.
+A :class:`Word`, the scenario-text form of a bus value, is an immutable
+fixed-width word that renders to and parses from a binary string ("1010").
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 Level = bool
@@ -34,17 +34,8 @@ class Word:
                 f"value {self.value} out of range for width {self.width}"
             )
 
-    @staticmethod
-    @functools.cache
-    def zeros(width: int) -> "Word":
-        """The all-zero word of ``width`` bits, one shared instance per width."""
-        return Word(width, 0)
-
     def render(self) -> str:
         return format(self.value, f"0{self.width}b")
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def parse_word(text: str, width: int) -> Word:
@@ -89,9 +80,3 @@ class Params:
 
     def ram_depth(self) -> int:
         return 1 << self.addr_width
-
-    def zero_addr(self) -> Word:
-        return Word.zeros(self.addr_width)
-
-    def zero_data(self) -> Word:
-        return Word.zeros(self.data_width)

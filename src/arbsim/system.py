@@ -21,7 +21,7 @@ from .arbiter import (
     resolve_outputs,
 )
 from .ram import RamInputs, RamState, ram_reset, ram_step
-from .signals import Params, Word
+from .signals import Params
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +43,9 @@ _WORD_INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in" and r !
 
 def _check_widths(inp: ClientInputs, params: Params) -> None:
     for field, role in _WORD_INPUTS:
-        got, want = getattr(inp, field).width, params.width(role)
-        if got != want:
-            raise ValueError(f"{field} width {got} does not match params width {want}")
+        v = getattr(inp, field)
+        if not (type(v) is int and 0 <= v < 1 << params.width(role)):
+            raise ValueError(f"{field} = {v!r} does not fit params width {params.width(role)}")
 
 
 def system_step(
@@ -61,7 +61,7 @@ def system_step(
     """
     params = state.params
     _check_widths(inp, params)
-    pre_rd_data: Word = state.ram.rd_data_reg
+    pre_rd_data: int = state.ram.rd_data_reg
     arb, drive = arbiter_step(state.arbiter, inp, pre_rd_data, params)
     ram_in = RamInputs(
         rst_n=inp.rst_n,

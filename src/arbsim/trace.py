@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, IO
+from typing import Callable, IO, Iterator
 
 from .arbiter import PINS, STATE_CODES, ChannelState, ClientInputs, ClientOutputs, RamDrive
 from .scenario import Assertion, Scenario
-from .signals import LOW, Level, Params, Word, parse_word
+from .signals import LOW, Level, Params, parse_word
 from .system import SystemState, system_new, system_step
 
 
@@ -76,7 +76,7 @@ def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
     field, role = _EVENT_FIELDS[pin]
     if role == "level":
         return replace(inputs, **{field: value == "1"})
-    return replace(inputs, **{field: parse_word(value, len(value))})
+    return replace(inputs, **{field: parse_word(value, len(value)).value})
 
 
 def run_scenario(s: Scenario) -> Trace:
@@ -114,40 +114,50 @@ def run_scenario(s: Scenario) -> Trace:
     return Trace(s.params, s.clock_period, tuple(rows))
 
 
-# Rendering of a pin's value by role: levels as "0"/"1", words and channel
-# states as binary strings.  Channel states use the encoding in STATE_CODES.
-_RENDER: dict[str, Callable[[object], str]] = {
-    "level": ("0", "1").__getitem__,
-    "addr": Word.render,
-    "data": Word.render,
-    "state": STATE_CODES.__getitem__,
-}
+def _renderers(params: Params) -> list[Callable[[object], str]]:
+    """One renderer per pin, in PINS order: levels as "0"/"1", address and
+    data buses as binary strings of their width, channel states by
+    STATE_CODES."""
+    by_role = {
+        "level": ("0", "1").__getitem__,
+        "addr": f"{{:0{params.addr_width}b}}".format,
+        "data": f"{{:0{params.data_width}b}}".format,
+        "state": STATE_CODES.__getitem__,
+    }
+    return [by_role[role] for _, _, role, _ in PINS]
 
 
-def _extractor(role: str, path: str) -> Callable[[TraceRow], str]:
-    get, render = attrgetter(path), _RENDER[role]
+def _extractor(path: str, render: Callable[[object], str]) -> Callable[[TraceRow], str]:
+    get = attrgetter(path)
     return lambda row: render(get(row))
 
 
-# Pin name -> function rendering that pin's value in a trace row.
-_EXTRACT = {name: _extractor(role, path) for name, _, role, path in PINS}
+def _signal_schema(params: Params) -> list[tuple[str, int, Callable[[TraceRow], str]]]:
+    """(name, width, render that pin of a row) of every pin, in PINS order."""
+    return [
+        (name, params.width(role), _extractor(path, render))
+        for (name, _, role, path), render in zip(PINS, _renderers(params))
+    ]
+
 
 # The exporters render a whole row at once: one attrgetter over every pin's
 # path, then one formatter per cell, with no per-cell function call layer.
 _ROW_VALUES = attrgetter(*(path for _, _, _, path in PINS))
-_ROW_RENDER = tuple(_RENDER[role] for _, _, role, _ in PINS)
 
 
-def _render_row(row: TraceRow) -> list[str]:
-    return [render(v) for render, v in zip(_ROW_RENDER, _ROW_VALUES(row))]
+def _rendered_rows(trace: Trace) -> Iterator[list[str]]:
+    renders = _renderers(trace.params)
+    for row in trace.rows:
+        yield [render(v) for render, v in zip(renders, _ROW_VALUES(row))]
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
     n = len(trace.rows)
+    extract = {name: ex for name, _, ex in _signal_schema(trace.params)}
     for a in s.assertions:
-        sample = _EXTRACT[a.pin]
+        sample = extract[a.pin]
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
@@ -179,13 +189,6 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
                 observed = f"high at t={highs[0]}" if highs else "low throughout"
                 results.append(AssertionResult(a, observed, not highs))
     return AssertionReport(tuple(results), all(r.passed for r in results))
-
-
-# ---------------------------------------------------------------------------
-# Signal schema shared by the VCD and table exporters, in PINS order.
-
-def _signal_schema(params: Params) -> list[tuple[str, int, Callable[[TraceRow], str]]]:
-    return [(name, params.width(role), _EXTRACT[name]) for name, _, role, _ in PINS]
 
 
 def _vcd_ids(count: int) -> list[str]:
@@ -226,8 +229,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
         sink.write(record(vid, width, value))
     sink.write("$end\n")
 
-    for row in trace.rows:
-        values = _render_row(row)
+    for row, values in zip(trace.rows, _rendered_rows(trace)):
         changes = [
             record(vid, width, value)
             for (_, width, _), vid, value, old in zip(schema, ids, values, current)
@@ -243,5 +245,5 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one row per cycle."""
     schema = _signal_schema(trace.params)
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _ in schema]) + "\n")
-    for row in trace.rows:
-        sink.write("\t".join([str(row.cycle), str(row.time), *_render_row(row)]) + "\n")
+    for row, values in zip(trace.rows, _rendered_rows(trace)):
+        sink.write("\t".join([str(row.cycle), str(row.time), *values]) + "\n")

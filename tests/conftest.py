@@ -15,7 +15,7 @@ def make_inputs(params, **kw):
     for name, value in kw.items():
         if isinstance(value, str):
             width = params.addr_width if "addr" in name else params.data_width
-            fields[name] = parse_word(value, width)
+            fields[name] = parse_word(value, width).value
         else:
             fields[name] = value
     import dataclasses

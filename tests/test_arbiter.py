@@ -1,5 +1,6 @@
 """Arbiter core: grant FSM transitions, temp-register datapath, ack cadence."""
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from arbsim import (
     LOW,
     ChannelState,
     Params,
-    Word,
     arbiter_reset,
     arbiter_step,
     detect_clash,
@@ -116,21 +116,21 @@ class TestFsmTransitions:
 
 class TestDetectClash:
     def test_both_enables_same_address(self):
-        a = parse_word("1010", 4)
+        a = parse_word("1010", 4).value
         assert detect_clash(HIGH, HIGH, a, a)
 
     def test_write_disabled(self):
-        a = parse_word("1010", 4)
+        a = parse_word("1010", 4).value
         assert not detect_clash(HIGH, LOW, a, a)
 
     def test_distinct_addresses(self):
-        assert not detect_clash(HIGH, HIGH, parse_word("1010", 4), parse_word("1001", 4))
+        assert not detect_clash(HIGH, HIGH, parse_word("1010", 4).value, parse_word("1001", 4).value)
 
 
 def idle_arbiter(params=PARAMS):
     """Arbiter that has finished its init sweep and sits idle."""
     state = arbiter_reset(params)
-    zero = params.zero_data()
+    zero = 0
     state, _ = arbiter_step(state, make_inputs(params, rst_n=LOW), zero, params)
     for _ in range(params.ram_depth() + 1):
         state, _ = arbiter_step(state, make_inputs(params), zero, params)
@@ -143,10 +143,10 @@ class TestArbiterStep:
     def test_client1_write_drives_ram(self):
         state = idle_arbiter()
         inp = make_inputs(PARAMS, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10100011")
-        state, drive = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
+        state, drive = arbiter_step(state, inp, 0, PARAMS)
         assert drive.wr_en == HIGH
-        assert drive.wr_addr == parse_word("1010", 4)
-        assert drive.wr_data == parse_word("10100011", 8)
+        assert drive.wr_addr == parse_word("1010", 4).value
+        assert drive.wr_data == parse_word("10100011", 8).value
         assert state.pr_write == C1W
 
     def test_client2_write_request_drives_ram_and_sets_ack_reg(self):
@@ -155,10 +155,10 @@ class TestArbiterStep:
             PARAMS, request_c2=HIGH, rd_not_write_c2=LOW, addr_c2="1110",
             datain_c2="11100011",
         )
-        state, drive = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
+        state, drive = arbiter_step(state, inp, 0, PARAMS)
         assert drive.wr_en == HIGH
-        assert drive.wr_addr == parse_word("1110", 4)
-        assert drive.wr_data == parse_word("11100011", 8)
+        assert drive.wr_addr == parse_word("1110", 4).value
+        assert drive.wr_data == parse_word("11100011", 8).value
         assert state.temp_wr == HIGH
 
     def test_same_address_read_write_raises_clash_and_captures_data(self):
@@ -167,19 +167,19 @@ class TestArbiterStep:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, drive = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
+        state, drive = arbiter_step(state, inp, 0, PARAMS)
         assert state.addr_clash == HIGH
-        assert state.temp_rd_data == parse_word("10111011", 8)
+        assert state.temp_rd_data == parse_word("10111011", 8).value
         assert drive.rd_en and drive.wr_en
 
     def test_idle_channels_clear_their_drive(self):
         state = idle_arbiter()
         inp = make_inputs(PARAMS, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10100011")
-        state, _ = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
-        state, drive = arbiter_step(state, make_inputs(PARAMS), PARAMS.zero_data(), PARAMS)
+        state, _ = arbiter_step(state, inp, 0, PARAMS)
+        state, drive = arbiter_step(state, make_inputs(PARAMS), 0, PARAMS)
         assert drive.wr_en == LOW
-        assert drive.wr_addr == PARAMS.zero_addr()
-        assert drive.wr_data == PARAMS.zero_data()
+        assert drive.wr_addr == 0
+        assert drive.wr_data == 0
 
     def test_reset_clears_data_registers_and_enables(self):
         state = idle_arbiter()
@@ -187,24 +187,24 @@ class TestArbiterStep:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, _ = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
+        state, _ = arbiter_step(state, inp, 0, PARAMS)
         state, drive = arbiter_step(
-            state, make_inputs(PARAMS, rst_n=LOW), PARAMS.zero_data(), PARAMS
+            state, make_inputs(PARAMS, rst_n=LOW), 0, PARAMS
         )
         assert state.pr_read == R and state.pr_write == R
-        assert state.temp_rd_data == PARAMS.zero_data()
-        assert state.temp_rd_data1 == PARAMS.zero_data()
-        assert state.temp_rd_data2 == PARAMS.zero_data()
+        assert state.temp_rd_data == 0
+        assert state.temp_rd_data1 == 0
+        assert state.temp_rd_data2 == 0
         assert drive.rd_en == LOW and drive.wr_en == LOW
 
     def test_enables_stay_low_during_whole_sweep(self):
         state = idle_arbiter()
         busy = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
         state, _ = arbiter_step(
-            state, make_inputs(PARAMS, rst_n=LOW, rd_en_c1=HIGH), PARAMS.zero_data(), PARAMS
+            state, make_inputs(PARAMS, rst_n=LOW, rd_en_c1=HIGH), 0, PARAMS
         )
         for _ in range(PARAMS.ram_depth() + 1):
-            state, drive = arbiter_step(state, busy, PARAMS.zero_data(), PARAMS)
+            state, drive = arbiter_step(state, busy, 0, PARAMS)
             if state.pr_read == R:
                 assert drive.rd_en == LOW and drive.wr_en == LOW
 
@@ -212,7 +212,7 @@ class TestArbiterStep:
 def ack_series(inp, cycles=12):
     """ACK_C2 levels over consecutive edges of constant stimulus."""
     state = idle_arbiter()
-    zero = PARAMS.zero_data()
+    zero = 0
     acks = []
     for _ in range(cycles):
         state, _ = arbiter_step(state, inp, zero, PARAMS)
@@ -250,23 +250,23 @@ class TestResolveOutputs:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, _ = arbiter_step(state, inp, PARAMS.zero_data(), PARAMS)
-        out = resolve_outputs(state, parse_word("10100011", 8), PARAMS)
-        assert out.rddata_c1 == parse_word("10111011", 8)
-        assert out.dataout_c2 == parse_word("10111011", 8)
+        state, _ = arbiter_step(state, inp, 0, PARAMS)
+        out = resolve_outputs(state, parse_word("10100011", 8).value, PARAMS)
+        assert out.rddata_c1 == parse_word("10111011", 8).value
+        assert out.dataout_c2 == parse_word("10111011", 8).value
 
     def test_unregistered_clash_low_returns_ram_data(self):
         state = idle_arbiter()
-        out = resolve_outputs(state, parse_word("10100011", 8), PARAMS)
-        assert out.rddata_c1 == parse_word("10100011", 8)
-        assert out.dataout_c2 == parse_word("10100011", 8)
+        out = resolve_outputs(state, parse_word("10100011", 8).value, PARAMS)
+        assert out.rddata_c1 == parse_word("10100011", 8).value
+        assert out.dataout_c2 == parse_word("10100011", 8).value
 
     def test_rst_done_follows_reset_register(self):
         params = PARAMS
         state = arbiter_reset(params)
-        assert resolve_outputs(state, params.zero_data(), params).rst_done == LOW
+        assert resolve_outputs(state, 0, params).rst_done == LOW
         state = idle_arbiter()
-        assert resolve_outputs(state, params.zero_data(), params).rst_done == HIGH
+        assert resolve_outputs(state, 0, params).rst_done == HIGH
 
 
 @settings(deadline=None, max_examples=120)
@@ -275,12 +275,25 @@ def test_structural_invariants_under_random_stimulus(seed, cycles):
     params = Params(3, 6)
     rng = random.Random(seed)
     state = idle_arbiter(params)
-    zero = params.zero_data()
+    zero = 0
     for _ in range(cycles):
         inp = random_inputs(rng, params)
         pre = state
         state, drive = arbiter_step(state, inp, zero, params)
-        assert check_invariants(pre, inp, state, drive) == []
+        assert check_invariants(pre, inp, state, drive, params) == []
+
+
+def test_clash_bypass_violation_detail_is_zero_padded_binary():
+    # A bypass register that disagrees with the in-flight write data is
+    # reported with both words rendered at the data width.
+    idle = idle_arbiter()
+    post = dataclasses.replace(
+        idle, temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
+        temp_wr_addr=0b1010, temp_wr_data=0b10100011, temp_rd_data=0b00000101,
+        addr_clash=HIGH,
+    )
+    bad = check_invariants(idle, make_inputs(PARAMS), post, post.drive(), PARAMS)
+    assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
 
 
 @settings(deadline=None, max_examples=60)
@@ -293,12 +306,12 @@ def test_registered_mode_is_unregistered_delayed_one_cycle(seed):
     reg = Params(3, 6, registered_output=True)
     rng = random.Random(seed)
     state = idle_arbiter(params)
-    prev_word = params.zero_data()
+    prev_word = 0
     unreg_series, reg_series = [], []
     for _ in range(60):
         inp = random_inputs(rng, params)
         state, _ = arbiter_step(state, inp, prev_word, params)
-        cur_word = Word(params.data_width, rng.getrandbits(params.data_width))
+        cur_word = rng.getrandbits(params.data_width)
         unreg_series.append(resolve_outputs(state, cur_word, unreg).rddata_c1)
         reg_series.append(resolve_outputs(state, cur_word, reg).rddata_c1)
         prev_word = cur_word

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbsim import HIGH, LOW, Params, RamInputs, Word, parse_word, ram_reset, ram_step
+from arbsim import HIGH, LOW, Params, RamInputs, parse_word, ram_reset, ram_step
 
 
 def quiet(params, rst_n=HIGH, **kw):
@@ -14,9 +14,9 @@ def quiet(params, rst_n=HIGH, **kw):
         rst_n=rst_n,
         rd_en=LOW,
         wr_en=LOW,
-        rd_addr=params.zero_addr(),
-        wr_addr=params.zero_addr(),
-        wr_data=params.zero_data(),
+        rd_addr=0,
+        wr_addr=0,
+        wr_data=0,
     )
     base.update(kw)
     return RamInputs(**base)
@@ -42,9 +42,9 @@ class MapRam:
 
     def step(self, inp):
         if inp.rd_en:
-            self.rd = self.mem.get(inp.rd_addr.value, 0)
+            self.rd = self.mem.get(inp.rd_addr, 0)
         if inp.wr_en:
-            self.mem[inp.wr_addr.value] = inp.wr_data.value
+            self.mem[inp.wr_addr] = inp.wr_data
         return self.rd
 
     def dump(self):
@@ -57,17 +57,17 @@ class TestReset:
         params = Params(4, 8)
         state = ram_reset(params)
         assert len(state.memory) == 16
-        assert all(w == Word(8, 0) for w in state.memory)
+        assert all(w == 0 for w in state.memory)
         assert state.count == 0
         assert not state.reset_done_internal
 
     def test_power_on_state_small_widths(self):
         state = ram_reset(Params(2, 4))
         assert len(state.memory) == 4
-        assert all(w == Word(4, 0) for w in state.memory)
+        assert all(w == 0 for w in state.memory)
 
     def test_read_register_starts_zero(self):
-        assert ram_reset(Params(4, 8)).rd_data_reg == Word(8, 0)
+        assert ram_reset(Params(4, 8)).rd_data_reg == 0
 
 
 @pytest.mark.parametrize("addr_width", [2, 4, 6])
@@ -82,7 +82,7 @@ def test_sweep_takes_depth_plus_one_edges(addr_width):
     state, _ = ram_step(state, quiet(params), params)
     assert not state.reset_done_internal
     assert state.count == 0
-    assert all(w == params.zero_data() for w in state.memory)
+    assert all(w == 0 for w in state.memory)
 
 
 def test_writes_during_sweep_are_ignored():
@@ -92,14 +92,14 @@ def test_writes_during_sweep_are_ignored():
     poke = quiet(
         params,
         wr_en=HIGH,
-        wr_addr=parse_word("0011", 4),
-        wr_data=parse_word("11111111", 8),
+        wr_addr=parse_word("0011", 4).value,
+        wr_data=parse_word("11111111", 8).value,
     )
     for _ in range(params.ram_depth() + 1):
         state, _ = ram_step(state, poke, params)
-    assert all(w == params.zero_data() for w in state.memory)
+    assert all(w == 0 for w in state.memory)
     state, _ = ram_step(state, poke, params)
-    assert state.memory[3] == parse_word("11111111", 8)
+    assert state.memory[3] == parse_word("11111111", 8).value
 
 
 class TestAccess:
@@ -108,48 +108,48 @@ class TestAccess:
         state = swept(params)
         state, _ = ram_step(
             state,
-            quiet(params, wr_en=HIGH, wr_addr=parse_word("1101", 4),
-                  wr_data=parse_word("11100111", 8)),
+            quiet(params, wr_en=HIGH, wr_addr=parse_word("1101", 4).value,
+                  wr_data=parse_word("11100111", 8).value),
             params,
         )
         state, rd = ram_step(
-            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("1101", 4)), params
+            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("1101", 4).value), params
         )
-        assert rd == parse_word("11100111", 8)
+        assert rd == parse_word("11100111", 8).value
 
     def test_read_of_never_written_address_is_zero(self):
         params = Params(4, 8)
         state = swept(params)
         _, rd = ram_step(
-            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("0111", 4)), params
+            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("0111", 4).value), params
         )
-        assert rd == parse_word("00000000", 8)
+        assert rd == parse_word("00000000", 8).value
 
     def test_simultaneous_read_write_distinct_addresses(self):
         params = Params(4, 8)
         state = swept(params)
         state, _ = ram_step(
             state,
-            quiet(params, wr_en=HIGH, wr_addr=parse_word("1011", 4),
-                  wr_data=parse_word("10111001", 8)),
+            quiet(params, wr_en=HIGH, wr_addr=parse_word("1011", 4).value,
+                  wr_data=parse_word("10111001", 8).value),
             params,
         )
         _, rd = ram_step(
             state,
-            quiet(params, rd_en=HIGH, rd_addr=parse_word("1011", 4),
-                  wr_en=HIGH, wr_addr=parse_word("1000", 4),
-                  wr_data=parse_word("10011111", 8)),
+            quiet(params, rd_en=HIGH, rd_addr=parse_word("1011", 4).value,
+                  wr_en=HIGH, wr_addr=parse_word("1000", 4).value,
+                  wr_data=parse_word("10011111", 8).value),
             params,
         )
-        assert rd == parse_word("10111001", 8)
+        assert rd == parse_word("10111001", 8).value
 
     def test_same_cycle_same_address_reads_old_value(self):
         # Two-cycle trace: land O at address A, then read A while writing D.
         params = Params(4, 8)
         state = swept(params)
-        addr = parse_word("1010", 4)
-        old = parse_word("01010101", 8)
-        new = parse_word("10111011", 8)
+        addr = parse_word("1010", 4).value
+        old = parse_word("01010101", 8).value
+        new = parse_word("10111011", 8).value
         state, _ = ram_step(
             state, quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=old), params
         )
@@ -169,9 +169,9 @@ def random_ram_inputs(rng, params):
         params,
         rd_en=rng.random() < 0.6,
         wr_en=rng.random() < 0.6,
-        rd_addr=Word(params.addr_width, rng.getrandbits(params.addr_width)),
-        wr_addr=Word(params.addr_width, rng.getrandbits(params.addr_width)),
-        wr_data=Word(params.data_width, rng.getrandbits(params.data_width)),
+        rd_addr=rng.getrandbits(params.addr_width),
+        wr_addr=rng.getrandbits(params.addr_width),
+        wr_data=rng.getrandbits(params.data_width),
     )
 
 
@@ -185,8 +185,8 @@ def test_reference_model_equivalence_long_run(seed):
         inp = random_ram_inputs(rng, params)
         state, rd = ram_step(state, inp, params)
         expected = ref.step(inp)
-        assert rd.value == expected, f"diverged at step {step}"
-    assert tuple(w.value for w in state.memory) == ref.dump()
+        assert rd == expected, f"diverged at step {step}"
+    assert tuple(state.memory) == ref.dump()
 
 
 @settings(deadline=None, max_examples=50)
@@ -199,8 +199,8 @@ def test_reference_model_equivalence_property(seed, steps):
     for _ in range(steps):
         inp = random_ram_inputs(rng, params)
         state, rd = ram_step(state, inp, params)
-        assert rd.value == ref.step(inp)
-    assert tuple(w.value for w in state.memory) == ref.dump()
+        assert rd == ref.step(inp)
+    assert tuple(state.memory) == ref.dump()
 
 
 def test_determinism():
@@ -227,16 +227,15 @@ def test_reference_model_equivalence_across_trie_levels(addr_width):
     for step in range(2_000 if addr_width <= 6 else 300):
         inp = random_ram_inputs(rng, params)
         state, rd = ram_step(state, inp, params)
-        assert rd.value == ref.step(inp), f"diverged at step {step}"
-    assert tuple(w.value for w in state.memory) == ref.dump()
+        assert rd == ref.step(inp), f"diverged at step {step}"
+    assert tuple(state.memory) == ref.dump()
     assert len(state.memory) == params.ram_depth()
     with pytest.raises(IndexError):
         state.memory[params.ram_depth()]
 
 
 def write(state, params, addr, value):
-    inp = quiet(params, wr_en=HIGH, wr_addr=Word(params.addr_width, addr),
-                wr_data=Word(params.data_width, value))
+    inp = quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=value)
     return ram_step(state, inp, params)[0]
 
 
@@ -248,8 +247,8 @@ def test_write_leaves_old_memory_unchanged(addr_width):
     new = write(old, params, 3, 0xC3)
     new = write(new, params, params.ram_depth() - 1, 0x11)
     assert tuple(old.memory) == before
-    assert old.memory[3] == Word(8, 0x5A) and new.memory[3] == Word(8, 0xC3)
-    assert old.memory[params.ram_depth() - 1] == params.zero_data()
+    assert old.memory[3] == 0x5A and new.memory[3] == 0xC3
+    assert old.memory[params.ram_depth() - 1] == 0
 
 
 @pytest.mark.parametrize("addr_width", [4, 13])
@@ -271,9 +270,9 @@ def test_wide_memory_is_not_allocated():
     params = Params(32, 8)
     state = ram_reset(params)
     assert len(state.memory) == 2**32
-    top = Word(32, 2**32 - 1)
+    top = 2**32 - 1
     state, _ = ram_step(
-        state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=Word(8, 0xA5)), params
+        state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=0xA5), params
     )
     _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top), params)
-    assert rd == Word(8, 0xA5)
+    assert rd == 0xA5

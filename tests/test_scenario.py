@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arbsim import ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
+from arbsim import corpus
 from arbsim.scenario import INPUT_PINS
 
 GOOD = """\
@@ -214,6 +215,22 @@ class TestCorpus:
         at_5300 = {(e.pin, e.value) for e in s.events if e.time == 5300}
         assert ("RDADDR_C1", "1011") in at_5300
         assert ("WRDATA_C1", "10011111") in at_5300
+
+    def test_lookup_after_the_first_parses_nothing(self, monkeypatch):
+        builtin_by_name("tc07")
+        calls = []
+        monkeypatch.setattr(corpus, "parse_scenario", lambda text: calls.append(text))
+        assert builtin_by_name("tc07-c1-rw-same-addr").name.startswith("tc07")
+        with pytest.raises(KeyError) as unknown:
+            builtin_by_name("tc99")
+        with pytest.raises(KeyError) as ambiguous:
+            builtin_by_name("ram")
+        assert calls == []
+        assert unknown.value.args[0] == "unknown scenario 'tc99'"
+        assert ambiguous.value.args[0] == (
+            "ambiguous scenario 'ram': ram-01-write, ram-02-read, ram-03-read-write"
+        )
+        assert len(builtin_scenarios()) == 37 and len(calls) == 37
 
     def test_prefix_lookup(self):
         assert builtin_by_name("tc22").name == "tc22-both-read-same"

@@ -1,0 +1,44 @@
+"""The scripts under scripts/ run against the current package and print what they did."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_latency_probe_table():
+    result = run_script("latency_probe.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "addr_width  sweep_edges  rd_lag_unreg  rd_lag_reg  ack_write      ack_read",
+        "         2            5             0           1  101010101010  010010010010",
+        "         4           17             0           1  101010101010  010010010010",
+        "         6           65             0           1  101010101010  010010010010",
+    ]
+
+
+def test_fuzz_campaign_short_run_passes():
+    result = run_script("fuzz_campaign.py", "--seeds", "1", "--cycles", "50")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith("seed 0: OK (50 cycles)")
+
+
+def test_export_waveforms_writes_vcd_and_tsv_per_case(tmp_path):
+    result = run_script("export_waveforms.py", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 74
+    assert sum(name.endswith(".vcd") for name in files) == 37

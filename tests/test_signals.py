@@ -70,14 +70,6 @@ class TestParams:
         assert Params(2, 4).ram_depth() == 4
         assert Params(6, 8).ram_depth() == 64
 
-    def test_zero_words_are_shared_per_width(self):
-        params = Params(4, 8)
-        assert params.zero_addr() is Word.zeros(4) is Params(4, 2).zero_addr()
-        assert params.zero_data() is Word.zeros(8)
-        assert params.zero_data() == Word(8, 0)
-        with pytest.raises(ValueError):
-            Word.zeros(0)
-
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError):
             Params(0, 8)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from arbsim import (
     system_new,
     system_step,
 )
-from arbsim.fuzz import random_inputs
+from arbsim.arbiter import PINS
+from arbsim.fuzz import random_inputs, run_fuzz
 
 from conftest import fresh_system, make_inputs
 
@@ -34,7 +37,7 @@ class TestSystemNew:
         params = Params(4, 8)
         state = system_new(params)
         assert state.cycle == 0
-        assert all(w == params.zero_data() for w in state.ram.memory)
+        assert all(w == 0 for w in state.ram.memory)
         assert state.arbiter.pr_read == ChannelState.RESET
         assert state.arbiter.pr_write == ChannelState.RESET
 
@@ -48,19 +51,28 @@ class TestSystemNew:
         params = Params(4, 8)
         state = system_new(params)
         state, out = system_step(state, make_inputs(params, rst_n=LOW))
-        assert out.rddata_c1 == params.zero_data()
-        assert out.dataout_c2 == params.zero_data()
+        assert out.rddata_c1 == 0
+        assert out.dataout_c2 == 0
         assert out.ack_c2 == LOW
         assert out.rst_done == LOW
 
     def test_width_mismatch_rejected_before_stepping(self):
+        # A word input must be an int that fits its width; anything else,
+        # including a Word, a binary string or a bool, is a ValueError that
+        # names the field, never a TypeError from inside the kernel.
         params = Params(4, 8)
         state = system_new(params)
-        bad = dataclasses.replace(
-            make_inputs(params), rdaddr_c1=Word(3, 0)
-        )
-        with pytest.raises(ValueError, match="rdaddr_c1"):
-            system_step(state, bad)
+        for field, value in [
+            ("rdaddr_c1", 16),
+            ("rdaddr_c1", -1),
+            ("wrdata_c1", 256),
+            ("addr_c2", Word(4, 0)),
+            ("datain_c2", "00000000"),
+            ("wraddr_c1", True),
+        ]:
+            bad = dataclasses.replace(make_inputs(params), **{field: value})
+            with pytest.raises(ValueError, match=field):
+                system_step(state, bad)
 
 
 class TestRoundTrips:
@@ -74,7 +86,7 @@ class TestRoundTrips:
         state, out = run_cycles(
             state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2
         )
-        assert out.rddata_c1 == parse_word("10100011", 8)
+        assert out.rddata_c1 == parse_word("10100011", 8).value
 
     def test_client2_write_then_read_with_acks(self, params):
         state = fresh_system(params)
@@ -91,7 +103,7 @@ class TestRoundTrips:
         for _ in range(6):
             state, out = system_step(state, read)
             read_acks.append(out.ack_c2)
-        assert out.dataout_c2 == parse_word("11100011", 8)
+        assert out.dataout_c2 == parse_word("11100011", 8).value
         assert any(write_acks) and any(read_acks)
 
     def test_clash_bypass_delivers_in_flight_write(self, params):
@@ -106,7 +118,7 @@ class TestRoundTrips:
             wr_en_c1=HIGH, wraddr_c1="1001", wrdata_c1="10100011",
         )
         state, out = system_step(state, clash)
-        assert out.rddata_c1 == parse_word("10100011", 8)  # never the stale word
+        assert out.rddata_c1 == parse_word("10100011", 8).value  # never the stale word
         assert state.arbiter.addr_clash == HIGH
 
     def test_reset_midrun_wipes_memory(self, params):
@@ -116,17 +128,17 @@ class TestRoundTrips:
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10101111"),
             3,
         )
-        assert state.ram.memory[0b1010] == parse_word("10101111", 8)
+        assert state.ram.memory[0b1010] == parse_word("10101111", 8).value
         state, _ = run_cycles(state, make_inputs(params, rst_n=LOW), 2)
         state, out = run_cycles(
             state, make_inputs(params), params.ram_depth() + 1
         )
         assert out.rst_done == HIGH
-        assert all(w == params.zero_data() for w in state.ram.memory)
+        assert all(w == 0 for w in state.ram.memory)
         state, out = run_cycles(
             state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2
         )
-        assert out.rddata_c1 == params.zero_data()
+        assert out.rddata_c1 == 0
 
 
 def rise_after_release(params):
@@ -153,7 +165,7 @@ def test_rst_done_rises_depth_plus_one_edges_after_release(addr_width):
     params = Params(addr_width, 8)
     edges, state = rise_after_release(params)
     assert edges == params.ram_depth() + 1
-    assert all(w == params.zero_data() for w in state.ram.memory)
+    assert all(w == 0 for w in state.ram.memory)
     assert not state.ram.reset_done_internal
 
 
@@ -174,15 +186,15 @@ class TestReadLatency:
         params, state = self.prepared(registered=False)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
         _, out = system_step(state, read)
-        assert out.rddata_c1 == parse_word("11011011", 8)
+        assert out.rddata_c1 == parse_word("11011011", 8).value
 
     def test_registered_data_valid_one_edge_later(self):
         params, state = self.prepared(registered=True)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
         state, out = system_step(state, read)
-        assert out.rddata_c1 == params.zero_data()
+        assert out.rddata_c1 == 0
         _, out = system_step(state, read)
-        assert out.rddata_c1 == parse_word("11011011", 8)
+        assert out.rddata_c1 == parse_word("11011011", 8).value
 
 
 def test_registered_timeline_is_unregistered_shifted_by_one():
@@ -202,6 +214,49 @@ def test_registered_timeline_is_unregistered_shifted_by_one():
     unreg = timeline(unreg_params)
     reg = timeline(reg_params)
     assert reg[1:] == unreg[:-1]
+
+
+# (object path, role) of every bus register and output that the kernel keeps.
+WORD_FIELDS = [
+    (f"arbiter.{name}", role)
+    for name, role in [
+        ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
+        ("temp_rd_data", "data"), ("temp_rd_data1", "data"), ("temp_rd_data2", "data"),
+    ]
+] + [
+    (path, role) for _, d, role, path in PINS if d != "in" and role in ("addr", "data")
+] + [("ram.rd_data_reg", "data")]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_kernel_words_are_ints_within_their_width(seed, registered):
+    params = Params(3, 6, registered_output=registered)
+    rng = random.Random(seed)
+    state = system_new(params)
+    for _ in range(80):
+        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+        state, out = system_step(state, inp)
+        view = SimpleNamespace(
+            arbiter=state.arbiter, ram=state.ram, outputs=out, drive=state.arbiter.drive()
+        )
+        for path, role in WORD_FIELDS:
+            v = attrgetter(path)(view)
+            assert type(v) is int and 0 <= v < 1 << params.width(role), (path, v)
+        assert all(type(w) is int and 0 <= w < 1 << 6 for w in state.ram.memory)
+
+
+def test_kernel_builds_no_word(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"Word built inside the kernel: {self.width}, {self.value}")
+
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    params = Params(4, 8)
+    assert run_fuzz(0, 500, params, reset_storm=True).ok
+    rng = random.Random(3)
+    state = system_new(params)
+    for _ in range(200):
+        state, _ = system_step(state, random_inputs(rng, params, rst_n=rng.random() >= 0.05))
 
 
 def test_determinism_identical_stimulus_identical_states():
@@ -245,9 +300,9 @@ def test_write_read_round_trip_any_client_pair(seed, writer, reader, gap):
     if reader == "c1":
         rd = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1=addr.render())
         state, out = run_cycles(state, rd, 3)
-        assert out.rddata_c1 == data
+        assert out.rddata_c1 == data.value
     else:
         rd = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH,
                          addr_c2=addr.render())
         state, out = run_cycles(state, rd, 3)
-        assert out.dataout_c2 == data
+        assert out.dataout_c2 == data.value

@@ -27,8 +27,8 @@ class TestRunScenario:
         granted = [
             r for r in trace.rows
             if r.drive.wr_en
-            and r.drive.wr_addr == parse_word("1010", 4)
-            and r.drive.wr_data == parse_word("10100011", 8)
+            and r.drive.wr_addr == parse_word("1010", 4).value
+            and r.drive.wr_data == parse_word("10100011", 8).value
         ]
         assert granted, "write request never reached the RAM drive"
         assert min(r.time for r in granted) > 600
