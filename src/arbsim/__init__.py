@@ -5,7 +5,6 @@ from .arbiter import (
     ChannelState,
     ClientInputs,
     ClientOutputs,
-    RamDrive,
     arbiter_reset,
     arbiter_step,
     detect_clash,
@@ -48,7 +47,6 @@ __all__ = [
     "LOW",
     "Level",
     "Params",
-    "RamDrive",
     "RamInputs",
     "RamState",
     "Scenario",

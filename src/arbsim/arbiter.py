@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .ram import RamInputs
 from .signals import HIGH, LOW, Level, Params
 
 
@@ -59,17 +60,6 @@ class ClientInputs:
 
 
 @dataclass(frozen=True, slots=True)
-class RamDrive:
-    """Registered request bundle with which the arbiter stimulates the RAM."""
-
-    rd_en: Level
-    wr_en: Level
-    rd_addr: int
-    wr_addr: int
-    wr_data: int
-
-
-@dataclass(frozen=True, slots=True)
 class ClientOutputs:
     rddata_c1: int
     dataout_c2: int
@@ -97,19 +87,13 @@ class ArbiterState:
     reset_count: int
     reset_done: Level
 
-    def drive(self) -> RamDrive:
-        """The bundle that the latched request registers drive into the RAM."""
-        return RamDrive(
-            self.temp_rd_en, self.temp_wr_en, self.temp_rd_addr, self.temp_wr_addr,
-            self.temp_wr_data,
-        )
-
 
 # Every pin, in VCD/TSV column order: (name, direction, role, trace.TraceRow
 # attribute path).  Direction "in" and "out" are the top-level pins; a
-# "probe" is an internal signal.  The role sets the width (Params.width) and
-# the rendering: a "level" is one bit, "addr"/"data" a binary bus of that
-# width, "state" a STATE_CODES bus.
+# "probe" is an internal register of the arbiter: a drive register (the
+# RAM's inputs), a channel state or the clash flag.  The role sets the width
+# (Params.width) and the rendering: a "level" is one bit, "addr"/"data" a
+# binary bus of that width, "state" a STATE_CODES bus.
 PINS: tuple[tuple[str, str, str, str], ...] = (
     ("RST_N", "in", "level", "inputs.rst_n"),
     ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),
@@ -125,14 +109,14 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
     ("DATAOUT_C2", "out", "data", "outputs.dataout_c2"),
     ("ACK_C2", "out", "level", "outputs.ack_c2"),
     ("RST_DONE", "out", "level", "outputs.rst_done"),
-    ("RD_EN", "probe", "level", "drive.rd_en"),
-    ("WR_EN", "probe", "level", "drive.wr_en"),
-    ("RD_ADDR", "probe", "addr", "drive.rd_addr"),
-    ("WR_ADDR", "probe", "addr", "drive.wr_addr"),
-    ("WR_DATA", "probe", "data", "drive.wr_data"),
-    ("READ_STATE", "probe", "state", "read_state"),
-    ("WRITE_STATE", "probe", "state", "write_state"),
-    ("ADDR_CLASH", "probe", "level", "addr_clash"),
+    ("RD_EN", "probe", "level", "arbiter.temp_rd_en"),
+    ("WR_EN", "probe", "level", "arbiter.temp_wr_en"),
+    ("RD_ADDR", "probe", "addr", "arbiter.temp_rd_addr"),
+    ("WR_ADDR", "probe", "addr", "arbiter.temp_wr_addr"),
+    ("WR_DATA", "probe", "data", "arbiter.temp_wr_data"),
+    ("READ_STATE", "probe", "state", "arbiter.pr_read"),
+    ("WRITE_STATE", "probe", "state", "arbiter.pr_write"),
+    ("ADDR_CLASH", "probe", "level", "arbiter.addr_clash"),
 )
 
 
@@ -209,7 +193,7 @@ def detect_clash(
 
 def arbiter_step(
     state: ArbiterState, inp: ClientInputs, ram_rd_data: int, params: Params
-) -> tuple[ArbiterState, RamDrive]:
+) -> tuple[ArbiterState, RamInputs]:
     """Advance the arbiter by one rising clock edge.
 
     Update order within the edge:
@@ -225,7 +209,8 @@ def arbiter_step(
     5. the one-cycle-delay registers for registered-output mode capture the
        pre-edge clash flag, pre-edge bypass data, and the RAM read data.
 
-    Returns the post-edge state and the drive bundle seen by the RAM.
+    Returns the post-edge state and the RAM's inputs for this edge: the raw
+    reset pin and the just-latched drive registers.
     """
     # Delay registers capture pre-edge values; this is what makes the
     # registered output an exact one-cycle shift of the unregistered one.
@@ -306,7 +291,9 @@ def arbiter_step(
         reset_count=reset_count,
         reset_done=reset_done,
     )
-    return new, new.drive()
+    return new, RamInputs(
+        inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
+    )
 
 
 def resolve_outputs(

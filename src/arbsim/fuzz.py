@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arbiter import ArbiterState, ChannelState, ClientInputs, RamDrive
+from .arbiter import ArbiterState, ChannelState, ClientInputs
 from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
 
@@ -66,8 +66,7 @@ def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> Cli
 
 
 def check_invariants(
-    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, drive: RamDrive,
-    params: Params,
+    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, params: Params
 ) -> list[tuple[str, str]]:
     """Return (property, detail) pairs for every invariant violated this edge."""
     bad: list[tuple[str, str]] = []
@@ -112,7 +111,7 @@ def check_invariants(
                 )
             )
 
-    if rd is ChannelState.RESET and (drive.rd_en or drive.wr_en):
+    if rd is ChannelState.RESET and (post.temp_rd_en or post.temp_wr_en):
         bad.append(("reset-quiescence", "RAM enable asserted during reset"))
 
     return bad
@@ -149,8 +148,7 @@ def run_fuzz(
         inp = random_inputs(rng, params, rst_n=rst_n)
         pre = state.arbiter
         state, _ = system_step(state, inp)
-        arb = state.arbiter
-        bad = check_invariants(pre, inp, arb, arb.drive(), params)
+        bad = check_invariants(pre, inp, state.arbiter, params)
         if bad:
             prop, detail = bad[0]
             return FuzzResult(seed, cycles, Violation(cycle, cycle + 1, prop, detail))

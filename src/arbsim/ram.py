@@ -102,6 +102,9 @@ class Memory(Sequence):
 
 @dataclass(frozen=True, slots=True)
 class RamInputs:
+    """The RAM's pins for one edge: the reset pin and the arbiter's drive
+    registers, which ``arbiter_step`` builds once per edge."""
+
     rst_n: Level
     rd_en: Level
     wr_en: Level
@@ -128,7 +131,7 @@ def ram_reset(params: Params) -> RamState:
     )
 
 
-def ram_step(state: RamState, inp: RamInputs, params: Params) -> tuple[RamState, int]:
+def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
     """Advance the RAM by one rising clock edge.
 
     Returns the new state and the registered read output.  While ``rst_n``

@@ -20,7 +20,7 @@ from .arbiter import (
     arbiter_step,
     resolve_outputs,
 )
-from .ram import RamInputs, RamState, ram_reset, ram_step
+from .ram import RamState, ram_reset, ram_step
 from .signals import Params
 
 
@@ -37,14 +37,18 @@ def system_new(params: Params) -> SystemState:
     return SystemState(params, arbiter_reset(params), ram_reset(params), 0)
 
 
-# (ClientInputs field, role) of every word input.
-_WORD_INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in" and r != "level"]
+# (ClientInputs field, role) of every input pin.
+_INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
 
 
 def _check_widths(inp: ClientInputs, params: Params) -> None:
-    for field, role in _WORD_INPUTS:
+    """A level pin must be a bool; a bus, an int that fits its width."""
+    for field, role in _INPUTS:
         v = getattr(inp, field)
-        if not (type(v) is int and 0 <= v < 1 << params.width(role)):
+        if role == "level":
+            if type(v) is not bool:
+                raise ValueError(f"{field} = {v!r} is not a level (a bool)")
+        elif not (type(v) is int and 0 <= v < 1 << params.width(role)):
             raise ValueError(f"{field} = {v!r} does not fit params width {params.width(role)}")
 
 
@@ -53,24 +57,15 @@ def system_step(
 ) -> tuple[SystemState, ClientOutputs]:
     """Advance the whole system by one rising clock edge.
 
-    1. capture the RAM's current (pre-edge) registered read data;
-    2. step the arbiter with it, producing the new drive bundle;
-    3. step the RAM with that drive and the raw reset pin;
-    4. resolve the client outputs from the post-edge arbiter registers and
+    1. step the arbiter with the RAM's pre-edge registered read data; it
+       returns the RAM's inputs for this edge;
+    2. step the RAM with those inputs;
+    3. resolve the client outputs from the post-edge arbiter registers and
        the post-edge RAM read data.
     """
     params = state.params
     _check_widths(inp, params)
-    pre_rd_data: int = state.ram.rd_data_reg
-    arb, drive = arbiter_step(state.arbiter, inp, pre_rd_data, params)
-    ram_in = RamInputs(
-        rst_n=inp.rst_n,
-        rd_en=drive.rd_en,
-        wr_en=drive.wr_en,
-        rd_addr=drive.rd_addr,
-        wr_addr=drive.wr_addr,
-        wr_data=drive.wr_data,
-    )
-    ram, post_rd_data = ram_step(state.ram, ram_in, params)
+    arb, ram_in = arbiter_step(state.arbiter, inp, state.ram.rd_data_reg, params)
+    ram, post_rd_data = ram_step(state.ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, params)
     return SystemState(params, arb, ram, state.cycle + 1), out

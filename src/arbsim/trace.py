@@ -1,7 +1,8 @@
 """Per-cycle recording, assertion evaluation, and waveform export.
 
 A trace holds one row per rising clock edge: the inputs sampled at that
-edge and the post-edge outputs, RAM drive, channel states, and clash flag.
+edge, the post-edge outputs and the post-edge arbiter state, whose drive
+registers, channel states and clash flag are the probed signals.
 Rows are stamped with the edge time ``cycle * clock_period + clock_period/2``
 (the clock starts low).  Traces export to IEEE-1364-style VCD and to a
 tab-separated table.
@@ -13,9 +14,9 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, IO, Iterator
 
-from .arbiter import PINS, STATE_CODES, ChannelState, ClientInputs, ClientOutputs, RamDrive
+from .arbiter import PINS, STATE_CODES, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
-from .signals import LOW, Level, Params, parse_word
+from .signals import LOW, Params, parse_word
 from .system import SystemState, system_new, system_step
 
 
@@ -25,10 +26,7 @@ class TraceRow:
     time: int
     inputs: ClientInputs
     outputs: ClientOutputs
-    drive: RamDrive
-    read_state: ChannelState
-    write_state: ChannelState
-    addr_clash: Level
+    arbiter: ArbiterState
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,8 @@ class AssertionReport:
 
 # Input pin name -> (ClientInputs field, role).
 _EVENT_FIELDS = {n: (p.split(".")[1], r) for n, d, r, p in PINS if d == "in"}
+# Pin name -> its index in PINS.
+_PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
 
 
 def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
@@ -98,19 +98,7 @@ def run_scenario(s: Scenario) -> Trace:
             inputs = _apply_event(inputs, ev.pin, ev.value)
             idx += 1
         state, out = system_step(state, inputs)
-        arb = state.arbiter
-        rows.append(
-            TraceRow(
-                cycle=cycle,
-                time=t,
-                inputs=inputs,
-                outputs=out,
-                drive=arb.drive(),
-                read_state=arb.pr_read,
-                write_state=arb.pr_write,
-                addr_clash=arb.addr_clash,
-            )
-        )
+        rows.append(TraceRow(cycle, t, inputs, out, state.arbiter))
     return Trace(s.params, s.clock_period, tuple(rows))
 
 
@@ -155,9 +143,10 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
     n = len(trace.rows)
-    extract = {name: ex for name, _, ex in _signal_schema(trace.params)}
+    renders = _renderers(trace.params)
     for a in s.assertions:
-        sample = extract[a.pin]
+        i = _PIN_INDEX[a.pin]
+        sample = _extractor(PINS[i][3], renders[i])
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:

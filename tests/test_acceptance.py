@@ -138,7 +138,7 @@ def test_criterion_3_ram_oracle_equivalence(seed):
         ref = MapRam(params)
         for _ in range(10_000):
             inp = random_ram_inputs(rng, params)
-            state, rd = ram_step(state, inp, params)
+            state, rd = ram_step(state, inp)
             assert rd == ref.step(inp)
         assert tuple(state.memory) == ref.dump()
 

@@ -279,8 +279,8 @@ def test_structural_invariants_under_random_stimulus(seed, cycles):
     for _ in range(cycles):
         inp = random_inputs(rng, params)
         pre = state
-        state, drive = arbiter_step(state, inp, zero, params)
-        assert check_invariants(pre, inp, state, drive, params) == []
+        state, _ = arbiter_step(state, inp, zero, params)
+        assert check_invariants(pre, inp, state, params) == []
 
 
 def test_clash_bypass_violation_detail_is_zero_padded_binary():
@@ -292,7 +292,7 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
         temp_wr_addr=0b1010, temp_wr_data=0b10100011, temp_rd_data=0b00000101,
         addr_clash=HIGH,
     )
-    bad = check_invariants(idle, make_inputs(PARAMS), post, post.drive(), PARAMS)
+    bad = check_invariants(idle, make_inputs(PARAMS), post, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
 
 

@@ -25,9 +25,9 @@ def quiet(params, rst_n=HIGH, **kw):
 def swept(params):
     """RAM that has completed its post-release zeroing sweep."""
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW), params)
+    state, _ = ram_step(state, quiet(params, rst_n=LOW))
     for _ in range(params.ram_depth() + 1):
-        state, _ = ram_step(state, quiet(params), params)
+        state, _ = ram_step(state, quiet(params))
     assert not state.reset_done_internal
     return state
 
@@ -74,12 +74,12 @@ class TestReset:
 def test_sweep_takes_depth_plus_one_edges(addr_width):
     params = Params(addr_width, 8)
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW), params)
+    state, _ = ram_step(state, quiet(params, rst_n=LOW))
     assert state.reset_done_internal
     for edge in range(params.ram_depth()):
-        state, _ = ram_step(state, quiet(params), params)
+        state, _ = ram_step(state, quiet(params))
         assert state.reset_done_internal, f"flag dropped early at edge {edge}"
-    state, _ = ram_step(state, quiet(params), params)
+    state, _ = ram_step(state, quiet(params))
     assert not state.reset_done_internal
     assert state.count == 0
     assert all(w == 0 for w in state.memory)
@@ -88,7 +88,7 @@ def test_sweep_takes_depth_plus_one_edges(addr_width):
 def test_writes_during_sweep_are_ignored():
     params = Params(4, 8)
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW), params)
+    state, _ = ram_step(state, quiet(params, rst_n=LOW))
     poke = quiet(
         params,
         wr_en=HIGH,
@@ -96,9 +96,9 @@ def test_writes_during_sweep_are_ignored():
         wr_data=parse_word("11111111", 8).value,
     )
     for _ in range(params.ram_depth() + 1):
-        state, _ = ram_step(state, poke, params)
+        state, _ = ram_step(state, poke)
     assert all(w == 0 for w in state.memory)
-    state, _ = ram_step(state, poke, params)
+    state, _ = ram_step(state, poke)
     assert state.memory[3] == parse_word("11111111", 8).value
 
 
@@ -110,10 +110,9 @@ class TestAccess:
             state,
             quiet(params, wr_en=HIGH, wr_addr=parse_word("1101", 4).value,
                   wr_data=parse_word("11100111", 8).value),
-            params,
         )
         state, rd = ram_step(
-            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("1101", 4).value), params
+            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("1101", 4).value)
         )
         assert rd == parse_word("11100111", 8).value
 
@@ -121,7 +120,7 @@ class TestAccess:
         params = Params(4, 8)
         state = swept(params)
         _, rd = ram_step(
-            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("0111", 4).value), params
+            state, quiet(params, rd_en=HIGH, rd_addr=parse_word("0111", 4).value)
         )
         assert rd == parse_word("00000000", 8).value
 
@@ -132,14 +131,12 @@ class TestAccess:
             state,
             quiet(params, wr_en=HIGH, wr_addr=parse_word("1011", 4).value,
                   wr_data=parse_word("10111001", 8).value),
-            params,
         )
         _, rd = ram_step(
             state,
             quiet(params, rd_en=HIGH, rd_addr=parse_word("1011", 4).value,
                   wr_en=HIGH, wr_addr=parse_word("1000", 4).value,
                   wr_data=parse_word("10011111", 8).value),
-            params,
         )
         assert rd == parse_word("10111001", 8).value
 
@@ -151,16 +148,15 @@ class TestAccess:
         old = parse_word("01010101", 8).value
         new = parse_word("10111011", 8).value
         state, _ = ram_step(
-            state, quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=old), params
+            state, quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=old)
         )
         state, rd = ram_step(
             state,
             quiet(params, rd_en=HIGH, rd_addr=addr, wr_en=HIGH, wr_addr=addr,
                   wr_data=new),
-            params,
         )
         assert rd == old
-        _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=addr), params)
+        _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=addr))
         assert rd == new
 
 
@@ -183,7 +179,7 @@ def test_reference_model_equivalence_long_run(seed):
     ref = MapRam(params)
     for step in range(10_000):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp, params)
+        state, rd = ram_step(state, inp)
         expected = ref.step(inp)
         assert rd == expected, f"diverged at step {step}"
     assert tuple(state.memory) == ref.dump()
@@ -198,7 +194,7 @@ def test_reference_model_equivalence_property(seed, steps):
     ref = MapRam(params)
     for _ in range(steps):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp, params)
+        state, rd = ram_step(state, inp)
         assert rd == ref.step(inp)
     assert tuple(state.memory) == ref.dump()
 
@@ -211,7 +207,7 @@ def test_determinism():
         state = swept(params)
         outs = []
         for _ in range(500):
-            state, rd = ram_step(state, random_ram_inputs(rng, params), params)
+            state, rd = ram_step(state, random_ram_inputs(rng, params))
             outs.append(rd)
         runs.append((outs, state))
     assert runs[0] == runs[1]
@@ -226,7 +222,7 @@ def test_reference_model_equivalence_across_trie_levels(addr_width):
     ref = MapRam(params)
     for step in range(2_000 if addr_width <= 6 else 300):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp, params)
+        state, rd = ram_step(state, inp)
         assert rd == ref.step(inp), f"diverged at step {step}"
     assert tuple(state.memory) == ref.dump()
     assert len(state.memory) == params.ram_depth()
@@ -236,7 +232,7 @@ def test_reference_model_equivalence_across_trie_levels(addr_width):
 
 def write(state, params, addr, value):
     inp = quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=value)
-    return ram_step(state, inp, params)[0]
+    return ram_step(state, inp)[0]
 
 
 @pytest.mark.parametrize("addr_width", [4, 13])
@@ -272,7 +268,7 @@ def test_wide_memory_is_not_allocated():
     assert len(state.memory) == 2**32
     top = 2**32 - 1
     state, _ = ram_step(
-        state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=0xA5), params
+        state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=0xA5)
     )
-    _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top), params)
+    _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top))
     assert rd == 0xA5

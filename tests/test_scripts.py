@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run against the current package and print what they did."""
+"""The scripts under scripts/ and the benchmark's self-test run against the
+current package and print what they did."""
 
 import os
 import pathlib
@@ -8,13 +9,13 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, folder="scripts"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / folder / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -42,3 +43,11 @@ def test_export_waveforms_writes_vcd_and_tsv_per_case(tmp_path):
     files = sorted(p.name for p in tmp_path.iterdir())
     assert len(files) == 74
     assert sum(name.endswith(".vcd") for name in files) == 37
+
+
+def test_bench_selftest_passes():
+    # The benchmark instruments arbsim's layer functions by name; its
+    # self-test fails when a name it wraps moves or changes its signature.
+    result = run_script("selftest.py", folder="bench")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "selftest: PASS" in result.stdout

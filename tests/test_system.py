@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arbsim.system
 from arbsim import (
     HIGH,
     LOW,
     ChannelState,
     Params,
+    RamInputs,
     Word,
+    builtin_by_name,
     parse_word,
+    run_scenario,
     system_new,
     system_step,
 )
@@ -57,9 +61,10 @@ class TestSystemNew:
         assert out.rst_done == LOW
 
     def test_width_mismatch_rejected_before_stepping(self):
-        # A word input must be an int that fits its width; anything else,
-        # including a Word, a binary string or a bool, is a ValueError that
-        # names the field, never a TypeError from inside the kernel.
+        # A word input must be an int that fits its width and a level input a
+        # bool; anything else, including a Word, a binary string, a bool bus
+        # or an int level, is a ValueError that names the field, never a
+        # TypeError (or a truthy string) inside the kernel.
         params = Params(4, 8)
         state = system_new(params)
         for field, value in [
@@ -69,6 +74,9 @@ class TestSystemNew:
             ("addr_c2", Word(4, 0)),
             ("datain_c2", "00000000"),
             ("wraddr_c1", True),
+            ("rd_en_c1", "0"),
+            ("rst_n", 1),
+            ("request_c2", None),
         ]:
             bad = dataclasses.replace(make_inputs(params), **{field: value})
             with pytest.raises(ValueError, match=field):
@@ -237,9 +245,7 @@ def test_kernel_words_are_ints_within_their_width(seed, registered):
     for _ in range(80):
         inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
         state, out = system_step(state, inp)
-        view = SimpleNamespace(
-            arbiter=state.arbiter, ram=state.ram, outputs=out, drive=state.arbiter.drive()
-        )
+        view = SimpleNamespace(arbiter=state.arbiter, ram=state.ram, outputs=out)
         for path, role in WORD_FIELDS:
             v = attrgetter(path)(view)
             assert type(v) is int and 0 <= v < 1 << params.width(role), (path, v)
@@ -306,3 +312,30 @@ def test_write_read_round_trip_any_client_pair(seed, writer, reader, gap):
                          addr_c2=addr.render())
         state, out = run_cycles(state, rd, 3)
         assert out.dataout_c2 == data.value
+
+
+def test_ram_inputs_are_built_once_per_edge(monkeypatch):
+    # The RAM steps on the very RamInputs that the arbiter returned, and a
+    # trace row holds its edge's post-edge arbiter state, not a copy.
+    arbiter_step, ram_step = arbsim.system.arbiter_step, arbsim.system.ram_step
+    returned, received = [], []
+
+    def spy_arbiter(*args):
+        returned.append(arbiter_step(*args))
+        return returned[-1]
+
+    def spy_ram(*args):
+        received.append(args[1])
+        return ram_step(*args)
+
+    monkeypatch.setattr(arbsim.system, "arbiter_step", spy_arbiter)
+    monkeypatch.setattr(arbsim.system, "ram_step", spy_ram)
+    trace = run_scenario(builtin_by_name("tc07"))
+    assert len(returned) == len(received) == len(trace.rows) > 0
+    for (post, ram_in), got, row in zip(returned, received, trace.rows):
+        assert got is ram_in
+        assert row.arbiter is post
+        assert ram_in == RamInputs(
+            row.inputs.rst_n, post.temp_rd_en, post.temp_wr_en, post.temp_rd_addr,
+            post.temp_wr_addr, post.temp_wr_data,
+        )

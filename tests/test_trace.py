@@ -15,7 +15,8 @@ from arbsim import (
     write_table,
     write_vcd,
 )
-from arbsim.arbiter import PINS, ClientInputs, ClientOutputs, RamDrive
+from arbsim.arbiter import PINS, ClientInputs, ClientOutputs
+from arbsim.ram import RamInputs
 from arbsim.trace import _signal_schema
 
 from vcd_reader import read_vcd
@@ -26,9 +27,9 @@ class TestRunScenario:
         trace = run_scenario(builtin_by_name("tc01"))
         granted = [
             r for r in trace.rows
-            if r.drive.wr_en
-            and r.drive.wr_addr == parse_word("1010", 4).value
-            and r.drive.wr_data == parse_word("10100011", 8).value
+            if r.arbiter.temp_wr_en
+            and r.arbiter.temp_wr_addr == parse_word("1010", 4).value
+            and r.arbiter.temp_wr_data == parse_word("10100011", 8).value
         ]
         assert granted, "write request never reached the RAM drive"
         assert min(r.time for r in granted) > 600
@@ -40,7 +41,7 @@ class TestRunScenario:
 
     def test_tc07_records_the_clash_window(self):
         trace = run_scenario(builtin_by_name("tc07"))
-        clash_times = [r.time for r in trace.rows if r.addr_clash]
+        clash_times = [r.time for r in trace.rows if r.arbiter.addr_clash]
         assert clash_times, "no clash recorded"
         assert min(clash_times) >= 2300
 
@@ -199,7 +200,10 @@ class TestPinTable:
         assert self.paths("out") == self.declared(ClientOutputs, "outputs.")
 
     def test_drive_probes_are_the_ram_drive_fields(self):
-        assert self.paths("probe", "drive.") == self.declared(RamDrive, "drive.")
+        # The RAM's inputs after the reset pin are the arbiter's drive registers.
+        declared = self.declared(RamInputs, "arbiter.temp_")
+        assert declared[0] == "arbiter.temp_rst_n"
+        assert self.paths("probe", "arbiter.temp_") == declared[1:]
 
     def test_table_header_is_pins_order(self):
         sink = io.StringIO()
