@@ -32,16 +32,12 @@ def sweep_edges(params):
 
 
 def read_latency(params, state):
-    import dataclasses
-
     addr = params.ram_depth() - 1
     data = (1 << params.data_width) - 3
-    write = dataclasses.replace(
-        quiet(params), wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data
-    )
+    write = quiet(params)._replace(wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data)
     for _ in range(2):
         state, _ = system_step(state, write)
-    read = dataclasses.replace(quiet(params), rd_en_c1=HIGH, rdaddr_c1=addr)
+    read = quiet(params)._replace(rd_en_c1=HIGH, rdaddr_c1=addr)
     for lag in range(6):
         state, out = system_step(state, read)
         if out.rddata_c1 == data:
@@ -50,10 +46,7 @@ def read_latency(params, state):
 
 
 def ack_cadence(params, state, rd_not_write):
-    import dataclasses
-
-    req = dataclasses.replace(
-        quiet(params),
+    req = quiet(params)._replace(
         request_c2=HIGH,
         rd_not_write_c2=rd_not_write,
         addr_c2=1,

@@ -13,7 +13,7 @@ instead of the stale memory word.  Every bus is a plain ``int`` of its
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ram import RamInputs
 from .signals import HIGH, LOW, Level, Params
@@ -39,8 +39,12 @@ STATE_CODES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ClientInputs:
+# The records built on every edge (these three, RamInputs, RamState,
+# SystemState and TraceRow) are NamedTuples: a frozen dataclass sets each
+# field through object.__setattr__, which made building them the largest
+# cost of an edge outside the arbiter logic.  A NamedTuple equals any tuple
+# of the same values; tests/test_system.py pins the types the steps return.
+class ClientInputs(NamedTuple):
     """Per-cycle snapshot of every top-level input pin."""
 
     rst_n: Level
@@ -59,16 +63,14 @@ class ClientInputs:
         return cls(rst_n, LOW, LOW, 0, 0, 0, LOW, LOW, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class ClientOutputs:
+class ClientOutputs(NamedTuple):
     rddata_c1: int
     dataout_c2: int
     ack_c2: Level
     rst_done: Level
 
 
-@dataclass(frozen=True, slots=True)
-class ArbiterState:
+class ArbiterState(NamedTuple):
     pr_read: ChannelState
     pr_write: ChannelState
     temp_rd_en: Level

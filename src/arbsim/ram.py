@@ -22,8 +22,8 @@ O(2^addr_width).  For ``addr_width <= 5`` the trie is one flat tuple.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .signals import Level, Params
 
@@ -100,8 +100,7 @@ class Memory(Sequence):
         return f"Memory({self._len} words)"
 
 
-@dataclass(frozen=True, slots=True)
-class RamInputs:
+class RamInputs(NamedTuple):
     """The RAM's pins for one edge: the reset pin and the arbiter's drive
     registers, which ``arbiter_step`` builds once per edge."""
 
@@ -113,8 +112,7 @@ class RamInputs:
     wr_data: int
 
 
-@dataclass(frozen=True, slots=True)
-class RamState:
+class RamState(NamedTuple):
     memory: Memory
     count: int
     reset_done_internal: bool

@@ -9,7 +9,7 @@ system is a deterministic step function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arbiter import (
     PINS,
@@ -24,8 +24,7 @@ from .ram import RamState, ram_reset, ram_step
 from .signals import Params
 
 
-@dataclass(frozen=True, slots=True)
-class SystemState:
+class SystemState(NamedTuple):
     params: Params
     arbiter: ArbiterState
     ram: RamState

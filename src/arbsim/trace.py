@@ -10,9 +10,9 @@ tab-separated table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, IO, Iterator
+from typing import Callable, IO, Iterator, NamedTuple
 
 from .arbiter import PINS, STATE_CODES, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
@@ -20,8 +20,7 @@ from .signals import LOW, Params, parse_word
 from .system import SystemState, system_new, system_step
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     cycle: int
     time: int
     inputs: ClientInputs
@@ -75,8 +74,8 @@ _PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
 def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
     field, role = _EVENT_FIELDS[pin]
     if role == "level":
-        return replace(inputs, **{field: value == "1"})
-    return replace(inputs, **{field: parse_word(value, len(value)).value})
+        return inputs._replace(**{field: value == "1"})
+    return inputs._replace(**{field: parse_word(value, len(value)).value})
 
 
 def run_scenario(s: Scenario) -> Trace:

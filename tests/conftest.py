@@ -18,9 +18,7 @@ def make_inputs(params, **kw):
             fields[name] = parse_word(value, width).value
         else:
             fields[name] = value
-    import dataclasses
-
-    return dataclasses.replace(base, **fields)
+    return base._replace(**fields)
 
 
 def settle_reset(state, extra=0):

@@ -1,6 +1,5 @@
 """Arbiter core: grant FSM transitions, temp-register datapath, ack cadence."""
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -287,8 +286,8 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
     # A bypass register that disagrees with the in-flight write data is
     # reported with both words rendered at the data width.
     idle = idle_arbiter()
-    post = dataclasses.replace(
-        idle, temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
+    post = idle._replace(
+        temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
         temp_wr_addr=0b1010, temp_wr_data=0b10100011, temp_rd_data=0b00000101,
         addr_clash=HIGH,
     )

@@ -1,6 +1,5 @@
 """Composed system: round trips, clash bypass, reset sweep, latency constants."""
 
-import dataclasses
 import random
 from operator import attrgetter
 from types import SimpleNamespace
@@ -14,8 +13,13 @@ from arbsim import (
     HIGH,
     LOW,
     ChannelState,
+    ArbiterState,
+    ClientOutputs,
     Params,
     RamInputs,
+    RamState,
+    SystemState,
+    TraceRow,
     Word,
     builtin_by_name,
     parse_word,
@@ -78,7 +82,7 @@ class TestSystemNew:
             ("rst_n", 1),
             ("request_c2", None),
         ]:
-            bad = dataclasses.replace(make_inputs(params), **{field: value})
+            bad = make_inputs(params)._replace(**{field: value})
             with pytest.raises(ValueError, match=field):
                 system_step(state, bad)
 
@@ -339,3 +343,32 @@ def test_ram_inputs_are_built_once_per_edge(monkeypatch):
             row.inputs.rst_n, post.temp_rd_en, post.temp_wr_en, post.temp_rd_addr,
             post.temp_wr_addr, post.temp_wr_data,
         )
+
+
+@pytest.mark.parametrize("registered", [False, True])
+def test_steps_return_their_declared_record_types(monkeypatch, registered):
+    # The per-edge records are NamedTuples, which compare equal to any tuple
+    # with the same values; so equality alone cannot tell a step that
+    # returns a bare tuple or another record type.  Pin the exact types.
+    arbiter_step = arbsim.system.arbiter_step
+    ram_inputs = []
+
+    def spy_arbiter(*args):
+        result = arbiter_step(*args)
+        ram_inputs.append(result[1])
+        return result
+
+    monkeypatch.setattr(arbsim.system, "arbiter_step", spy_arbiter)
+    params = Params(3, 4, registered_output=registered)
+    rng = random.Random(11)
+    state = system_new(params)
+    for _ in range(300):
+        state, out = system_step(state, random_inputs(rng, params, rst_n=rng.random() >= 0.05))
+        assert type(state) is SystemState
+        assert type(out) is ClientOutputs
+        assert type(state.arbiter) is ArbiterState
+        assert type(state.ram) is RamState
+    assert len(ram_inputs) == 300
+    assert all(type(r) is RamInputs for r in ram_inputs)
+    rows = run_scenario(builtin_by_name("tc07")).rows
+    assert rows and all(type(row) is TraceRow for row in rows)

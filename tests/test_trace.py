@@ -1,6 +1,5 @@
 """Trace recorder, assertion checker, and waveform exporters."""
 
-import dataclasses
 import io
 
 import pytest
@@ -183,7 +182,7 @@ class TestTable:
 
 
 class TestPinTable:
-    """arbiter.PINS is the one list of pins: it must match the dataclasses."""
+    """arbiter.PINS is the one list of pins: it must match the record fields."""
 
     @staticmethod
     def paths(direction, prefix=""):
@@ -191,7 +190,7 @@ class TestPinTable:
 
     @staticmethod
     def declared(cls, prefix):
-        return [prefix + f.name for f in dataclasses.fields(cls)]
+        return [prefix + f for f in cls._fields]
 
     def test_inputs_are_the_client_input_fields_in_order(self):
         assert self.paths("in") == self.declared(ClientInputs, "inputs.")
