@@ -15,17 +15,13 @@ from arbsim import (
 )
 
 
-def quiet(params, rst_n=HIGH):
-    return ClientInputs.quiet(params, rst_n=rst_n)
-
-
 def sweep_edges(params):
     state = system_new(params)
     for _ in range(2):
-        state, _ = system_step(state, quiet(params, rst_n=LOW))
+        state, _ = system_step(state, ClientInputs.quiet(rst_n=LOW))
     edges = 0
     while True:
-        state, out = system_step(state, quiet(params))
+        state, out = system_step(state, ClientInputs.quiet())
         edges += 1
         if out.rst_done:
             return edges, state
@@ -34,10 +30,10 @@ def sweep_edges(params):
 def read_latency(params, state):
     addr = params.ram_depth() - 1
     data = (1 << params.data_width) - 3
-    write = quiet(params)._replace(wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data)
+    write = ClientInputs.quiet()._replace(wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data)
     for _ in range(2):
         state, _ = system_step(state, write)
-    read = quiet(params)._replace(rd_en_c1=HIGH, rdaddr_c1=addr)
+    read = ClientInputs.quiet()._replace(rd_en_c1=HIGH, rdaddr_c1=addr)
     for lag in range(6):
         state, out = system_step(state, read)
         if out.rddata_c1 == data:
@@ -45,8 +41,8 @@ def read_latency(params, state):
     return None
 
 
-def ack_cadence(params, state, rd_not_write):
-    req = quiet(params)._replace(
+def ack_cadence(state, rd_not_write):
+    req = ClientInputs.quiet()._replace(
         request_c2=HIGH,
         rd_not_write_c2=rd_not_write,
         addr_c2=1,
@@ -68,8 +64,8 @@ def main():
         lag_u = read_latency(unreg, settled)
         edges_r, settled_r = sweep_edges(reg)
         lag_r = read_latency(reg, settled_r)
-        wr_acks = ack_cadence(unreg, settled, rd_not_write=LOW)
-        rd_acks = ack_cadence(unreg, settled, rd_not_write=HIGH)
+        wr_acks = ack_cadence(settled, rd_not_write=LOW)
+        rd_acks = ack_cadence(settled, rd_not_write=HIGH)
         print(
             f"{width:>10}  {edges:>11}  {lag_u:>12}  {lag_r:>10}  {wr_acks}  {rd_acks}"
         )

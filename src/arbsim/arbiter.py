@@ -59,7 +59,7 @@ class ClientInputs(NamedTuple):
     datain_c2: int
 
     @classmethod
-    def quiet(cls, params: Params, rst_n: Level = HIGH) -> "ClientInputs":
+    def quiet(cls, rst_n: Level = HIGH) -> "ClientInputs":
         return cls(rst_n, LOW, LOW, 0, 0, 0, LOW, LOW, 0, 0)
 
 

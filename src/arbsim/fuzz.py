@@ -134,10 +134,10 @@ def run_fuzz(
     rng = random.Random(seed)
     state: SystemState = system_new(params)
 
-    quiet = ClientInputs.quiet(params, rst_n=LOW)
+    quiet = ClientInputs.quiet(rst_n=LOW)
     for _ in range(2):
         state, _ = system_step(state, quiet)
-    warm = ClientInputs.quiet(params, rst_n=HIGH)
+    warm = ClientInputs.quiet(rst_n=HIGH)
     for _ in range(params.ram_depth() + 2):
         state, _ = system_step(state, warm)
 

@@ -86,7 +86,7 @@ def run_scenario(s: Scenario) -> Trace:
     a later line on the same pin wins.
     """
     state: SystemState = system_new(s.params)
-    inputs = ClientInputs.quiet(s.params, rst_n=LOW)
+    inputs = ClientInputs.quiet(rst_n=LOW)
     half = s.clock_period // 2
     rows: list[TraceRow] = []
     idx = 0

@@ -10,7 +10,7 @@ def params():
 
 def make_inputs(params, **kw):
     """ClientInputs with keyword overrides; word fields accept binary strings."""
-    base = ClientInputs.quiet(params, rst_n=kw.pop("rst_n", HIGH))
+    base = ClientInputs.quiet(rst_n=kw.pop("rst_n", HIGH))
     fields = {}
     for name, value in kw.items():
         if isinstance(value, str):
@@ -24,10 +24,10 @@ def make_inputs(params, **kw):
 def settle_reset(state, extra=0):
     """Run the post-release init sweep: reset low two edges, then the sweep."""
     params = state.params
-    low = ClientInputs.quiet(params, rst_n=LOW)
+    low = ClientInputs.quiet(rst_n=LOW)
     for _ in range(2):
         state, _ = system_step(state, low)
-    idle = ClientInputs.quiet(params, rst_n=HIGH)
+    idle = ClientInputs.quiet(rst_n=HIGH)
     for _ in range(params.ram_depth() + 1 + extra):
         state, _ = system_step(state, idle)
     return state
