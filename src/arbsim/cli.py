@@ -21,7 +21,7 @@ import argparse
 import fnmatch
 import sys
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import IO
 
 from .corpus import builtin_by_name, builtin_scenarios
@@ -31,36 +31,24 @@ from .signals import Params
 from .trace import AssertionReport, check_assertions, run_scenario, write_table, write_vcd
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    builtin: str | None = None
-    file: str | None = None
-    vcd_path: str | None = None
-    table_path: str | None = None
-    registered_override: bool | None = None
-
-
-def _load_scenario(config: RunConfig) -> Scenario:
-    if config.builtin is not None:
+def _load_scenario(args: argparse.Namespace) -> Scenario:
+    if args.builtin is not None:
         try:
-            s = builtin_by_name(config.builtin)
+            s = builtin_by_name(args.builtin)
         except KeyError as exc:
             raise SystemExit2(str(exc.args[0]))
     else:
-        assert config.file is not None
         try:
-            with open(config.file, "r", encoding="utf-8") as fh:
+            with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise SystemExit2(f"cannot read scenario file: {exc}")
         try:
             s = parse_scenario(text)
         except ScenarioParseError as exc:
-            raise SystemExit2(f"{config.file}: {exc}")
-    if config.registered_override is not None:
-        s = replace(
-            s, params=replace(s.params, registered_output=config.registered_override)
-        )
+            raise SystemExit2(f"{args.file}: {exc}")
+    if args.registered is not None:
+        s = replace(s, params=replace(s.params, registered_output=bool(args.registered)))
     return s
 
 
@@ -86,15 +74,15 @@ def _print_report(name: str, report: AssertionReport) -> None:
     sys.stdout.write(f"{verdict}  {name}: {len(report.results)} assertion(s)\n")
 
 
-def cmd_run(config: RunConfig) -> int:
-    scenario = _load_scenario(config)
-    table_path = None if config.table_path == "-" else config.table_path
-    with _open_output(config.vcd_path) as vcd, _open_output(table_path) as table:
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    table_path = None if args.table == "-" else args.table
+    with _open_output(args.vcd) as vcd, _open_output(table_path) as table:
         trace = run_scenario(scenario)
         report = check_assertions(trace, scenario)
         if vcd:
             write_vcd(trace, vcd)
-        if config.table_path:
+        if args.table:
             write_table(trace, table or sys.stdout)
     _print_report(scenario.name, report)
     return 0 if report.passed else 1
@@ -205,15 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            registered = None if args.registered is None else bool(args.registered)
-            config = RunConfig(
-                builtin=args.builtin,
-                file=args.file,
-                vcd_path=args.vcd,
-                table_path=args.table,
-                registered_override=registered,
-            )
-            return cmd_run(config)
+            return cmd_run(args)
         if args.command == "verify":
             return cmd_verify_all(args.filter, args.report)
         if args.command == "fuzz":
