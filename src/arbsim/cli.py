@@ -11,8 +11,8 @@ Subcommands:
 * ``list``: show the builtin scenario names.
 
 Exit status is 0 exactly when every evaluated check passes; usage problems
-(unknown scenario, unreadable file, bad flag values) exit 2 with a
-diagnostic on stderr.
+(unknown scenario, unreadable file, bad flag values, an address width or a
+run length past its limit) exit 2 with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import IO
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
-from .scenario import Scenario, ScenarioParseError, parse_scenario
+from .scenario import MAX_ADDR_WIDTH, Scenario, ScenarioParseError, parse_scenario
 from .signals import Params
 from .trace import AssertionReport, check_assertions, run_scenario, write_table, write_vcd
 
@@ -131,6 +131,10 @@ def cmd_fuzz(
 ) -> int:
     if cycles < 1:
         raise SystemExit2("cycles must be >= 1")
+    if params.addr_width > MAX_ADDR_WIDTH:
+        raise SystemExit2(
+            f"addr_width {params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}"
+        )
     with _open_output(report_path) as report:
         result = run_fuzz(seed, cycles, params, reset_storm=reset_storm)
         if result.ok:

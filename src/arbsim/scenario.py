@@ -33,6 +33,15 @@ from .signals import Params, parse_word, WordParseError
 INPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "in"}
 OUTPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "out"}
 
+# Widest address bus that a scenario's params line or ``fuzz --addr-width``
+# accepts.  After reset the RAM zeroes one word per edge, so addr=20 is a
+# sweep of 2**20 + 1 (about 1M) edges before any client access.
+MAX_ADDR_WIDTH = 20
+# Most edges that a scenario's run line may ask for: twice the sweep at
+# MAX_ADDR_WIDTH.  The replay keeps every row, about 450 bytes each, so a
+# run at the cap peaks near 0.95 GB.
+MAX_EDGES = 1 << 21
+
 
 class ScenarioParseError(ValueError):
     def __init__(self, message: str, line_no: int):
@@ -120,6 +129,11 @@ def parse_scenario(text: str) -> Scenario:
                 params = Params(int(m.group(1)), int(m.group(2)), m.group(3) == "1")
             except ValueError as exc:
                 raise ScenarioParseError(str(exc), line_no) from exc
+            if params.addr_width > MAX_ADDR_WIDTH:
+                raise ScenarioParseError(
+                    f"addr={params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}",
+                    line_no,
+                )
             continue
 
         if line.startswith("clock "):
@@ -137,7 +151,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(f"bad run line: {line!r}", line_no)
             if duration is not None:
                 raise ScenarioParseError("duplicate run line", line_no)
-            duration = int(m.group(1))
+            duration, run_line = int(m.group(1)), line_no
             continue
 
         if line.startswith("@"):
@@ -212,7 +226,14 @@ def parse_scenario(text: str) -> Scenario:
     if duration is None:
         raise ScenarioParseError("missing run line", 1)
     clock = 100 if clock is None else clock
-    return Scenario(name, params, clock, tuple(events), tuple(assertions), duration)
+    s = Scenario(name, params, clock, tuple(events), tuple(assertions), duration)
+    if s.num_edges() > MAX_EDGES:
+        raise ScenarioParseError(
+            f"run {duration} at clock {clock} is {s.num_edges()} edges,"
+            f" more than the maximum {MAX_EDGES}",
+            run_line,
+        )
+    return s
 
 
 def render_scenario(s: Scenario) -> str:

@@ -92,6 +92,17 @@ class TestRun:
         assert err.startswith("arbsim: error:") and err.count("\n") == 1
         assert "line 4" in err and "duplicate params line" in err
 
+    @pytest.mark.parametrize("line", [
+        "params addr=21 data=8 registered=0\nrun 100\n",
+        "params addr=4 data=8 registered=0\nrun 1000000000000\n",
+    ])
+    def test_oversized_scenario_fails_before_simulating(
+        self, capsys, monkeypatch, tmp_path, line
+    ):
+        scn = tmp_path / "big.scn"
+        scn.write_text("scenario x\n" + line)
+        assert_fails_before(capsys, monkeypatch, "run_scenario", "run", "--file", str(scn))
+
     @pytest.mark.parametrize("flag", ["--vcd", "--table"])
     def test_unwritable_output_fails_before_simulating(
         self, capsys, monkeypatch, tmp_path, flag
@@ -186,6 +197,10 @@ class TestFuzz:
         assert out == ""
         assert err.startswith("arbsim: error:") and err.count("\n") == 1
         assert flag[2:].replace("-", "_") in err
+
+    def test_addr_width_past_the_cap_fails_before_simulating(self, capsys, monkeypatch):
+        assert_fails_before(capsys, monkeypatch, "run_fuzz",
+                            "fuzz", "--seed", "1", "--cycles", "10", "--addr-width", "21")
 
     def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
         assert_fails_before(capsys, monkeypatch, "run_fuzz",

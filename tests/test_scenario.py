@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from arbsim import ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
 from arbsim import corpus
-from arbsim.scenario import INPUT_PINS
+from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_EDGES
 
 GOOD = """\
 scenario smoke
@@ -125,6 +125,17 @@ class TestParseErrors:
             "clock 20\nrun 500\n",
             "duplicate clock line", 5,
         )
+
+    def test_addr_width_capped(self):
+        params = "params addr={} data=8 registered=0\n"
+        text = "scenario t\n" + params + "run 500\n"
+        assert parse_scenario(text.format(MAX_ADDR_WIDTH)).params.addr_width == MAX_ADDR_WIDTH
+        self.check(text.format(MAX_ADDR_WIDTH + 1), f"wider than the maximum {MAX_ADDR_WIDTH}", 2)
+
+    def test_run_length_capped(self):
+        text = "scenario t\nparams addr=4 data=8 registered=0\nclock 10\nrun {}\n# end\n"
+        assert parse_scenario(text.format(MAX_EDGES * 10)).num_edges() == MAX_EDGES
+        self.check(text.format(MAX_EDGES * 10 + 1), f"more than the maximum {MAX_EDGES}", 4)
 
 
 def test_render_parse_round_trip_builtin_corpus():
