@@ -127,8 +127,7 @@ class TestParseErrors:
         )
 
     def test_addr_width_capped(self):
-        params = "params addr={} data=8 registered=0\n"
-        text = "scenario t\n" + params + "run 500\n"
+        text = "scenario t\nparams addr={} data=8 registered=0\nrun 500\n"
         assert parse_scenario(text.format(MAX_ADDR_WIDTH)).params.addr_width == MAX_ADDR_WIDTH
         self.check(text.format(MAX_ADDR_WIDTH + 1), f"wider than the maximum {MAX_ADDR_WIDTH}", 2)
 

@@ -12,8 +12,8 @@ import arbsim.system
 from arbsim import (
     HIGH,
     LOW,
-    ChannelState,
     ArbiterState,
+    ChannelState,
     ClientOutputs,
     Params,
     RamInputs,
