@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Run the full random-stimulus property campaign (10 seeds x 10k cycles)."""
+"""Run the full random-stimulus property campaign (10 seeds x 10k cycles).
+
+Each seed is one ``arbsim fuzz`` run, so every line it prints, and every
+limit it checks, is the CLI's.  The first usage error stops the campaign.
+"""
 
 import argparse
 import time
 
-from arbsim.fuzz import run_fuzz
-from arbsim.signals import Params
+from arbsim.cli import main as arbsim
 
 
 def main():
@@ -17,17 +20,17 @@ def main():
     parser.add_argument("--reset-storm", action="store_true")
     args = parser.parse_args()
 
-    params = Params(args.addr_width, args.data_width)
+    flags = ["--cycles", str(args.cycles), "--addr-width", str(args.addr_width),
+             "--data-width", str(args.data_width)]
+    if args.reset_storm:
+        flags.append("--reset-storm")
     start = time.perf_counter()
     failures = 0
     for seed in range(args.seeds):
-        result = run_fuzz(seed, args.cycles, params, reset_storm=args.reset_storm)
-        if result.ok:
-            print(f"seed {seed}: OK ({args.cycles} cycles)")
-        else:
-            failures += 1
-            v = result.violation
-            print(f"seed {seed}: VIOLATION {v.prop} at prefix {v.prefix_len}: {v.detail}")
+        status = arbsim(["fuzz", "--seed", str(seed), *flags])
+        if status == 2:
+            raise SystemExit(2)
+        failures += status  # 1 when the seed found a violation
     elapsed = time.perf_counter() - start
     print(f"{args.seeds} seeds x {args.cycles} cycles in {elapsed:.2f}s, "
           f"{failures} failing seed(s)")

@@ -19,24 +19,17 @@ from .ram import RamInputs
 from .signals import HIGH, LOW, Level, Params
 
 
-class ChannelState(enum.Enum):
-    RESET = "reset"
-    IDLE = "idle"
-    CLIENT1_READ = "client1_read"
-    CLIENT2_READ = "client2_read"
-    CLIENT1_WRITE = "client1_write"
-    CLIENT2_WRITE = "client2_write"
+class ChannelState(enum.IntEnum):
+    """A grant channel's state.  Its value is the 3-bit code that the
+    waveform and table exports show, so a state also equals that int; the
+    kernel compares states with ``is``."""
 
-
-# 3-bit encoding used by the waveform/table exporters.
-STATE_CODES = {
-    ChannelState.RESET: "000",
-    ChannelState.IDLE: "001",
-    ChannelState.CLIENT1_READ: "010",
-    ChannelState.CLIENT2_READ: "011",
-    ChannelState.CLIENT1_WRITE: "100",
-    ChannelState.CLIENT2_WRITE: "101",
-}
+    RESET = 0
+    IDLE = 1
+    CLIENT1_READ = 2
+    CLIENT2_READ = 3
+    CLIENT1_WRITE = 4
+    CLIENT2_WRITE = 5
 
 
 # The records built on every edge (these three, RamInputs, RamState,
@@ -94,8 +87,8 @@ class ArbiterState(NamedTuple):
 # attribute path).  Direction "in" and "out" are the top-level pins; a
 # "probe" is an internal register of the arbiter: a drive register (the
 # RAM's inputs), a channel state or the clash flag.  The role sets the width
-# (Params.width) and the rendering: a "level" is one bit, "addr"/"data" a
-# binary bus of that width, "state" a STATE_CODES bus.
+# (Params.width); every pin exports as its value in binary at that width,
+# a channel state as its ChannelState code.
 PINS: tuple[tuple[str, str, str, str], ...] = (
     ("RST_N", "in", "level", "inputs.rst_n"),
     ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),
@@ -122,7 +115,7 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-def arbiter_reset(params: Params) -> ArbiterState:
+def arbiter_reset() -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
     return ArbiterState(
         pr_read=ChannelState.RESET,

@@ -11,14 +11,16 @@ Subcommands:
 * ``list``: show the builtin scenario names.
 
 Exit status is 0 exactly when every evaluated check passes; usage problems
-(unknown scenario, unreadable file, bad flag values, an address width or a
-run length past its limit) exit 2 with a diagnostic on stderr.
+(unknown scenario, unreadable file, bad flag values, a bus width or a run
+length past its limit, an output closed by its reader) exit 2 with a
+diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import fnmatch
+import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
@@ -26,7 +28,13 @@ from typing import IO
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
-from .scenario import MAX_ADDR_WIDTH, Scenario, ScenarioParseError, parse_scenario
+from .scenario import (
+    MAX_ADDR_WIDTH,
+    MAX_DATA_WIDTH,
+    Scenario,
+    ScenarioParseError,
+    parse_scenario,
+)
 from .signals import Params
 from .trace import AssertionReport, check_assertions, run_scenario, write_table, write_vcd
 
@@ -135,6 +143,10 @@ def cmd_fuzz(
         raise SystemExit2(
             f"addr_width {params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}"
         )
+    if params.data_width > MAX_DATA_WIDTH:
+        raise SystemExit2(
+            f"data_width {params.data_width} is wider than the maximum {MAX_DATA_WIDTH}"
+        )
     with _open_output(report_path) as report:
         result = run_fuzz(seed, cycles, params, reset_storm=reset_storm)
         if result.ok:
@@ -194,24 +206,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify_all(args.filter, args.report)
-        if args.command == "fuzz":
+            status = cmd_run(args)
+        elif args.command == "verify":
+            status = cmd_verify_all(args.filter, args.report)
+        elif args.command == "fuzz":
             try:
                 params = Params(args.addr_width, args.data_width)
             except ValueError as exc:
                 raise SystemExit2(str(exc))
-            return cmd_fuzz(args.seed, args.cycles, params,
-                            reset_storm=args.reset_storm, report_path=args.report)
-        if args.command == "list":
-            return cmd_list()
-        raise AssertionError(f"unhandled command {args.command}")
+            status = cmd_fuzz(args.seed, args.cycles, params,
+                              reset_storm=args.reset_storm, report_path=args.report)
+        elif args.command == "list":
+            status = cmd_list()
+        else:
+            raise AssertionError(f"unhandled command {args.command}")
+        # A write that fails on the final flush fails here, not at exit.
+        sys.stdout.flush()
+        return status
     except SystemExit2 as exc:
         print(f"arbsim: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # The reader of an output went away.  Point stdout at devnull so
+        # that the interpreter's own flush at exit finds nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"arbsim: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -73,7 +73,7 @@ def check_invariants(
     rd, wr = post.pr_read, post.pr_write
 
     if rd not in _READ_STATES or wr not in _WRITE_STATES:
-        bad.append(("channel-polarity", f"read={rd.value} write={wr.value}"))
+        bad.append(("channel-polarity", f"read={rd.name.lower()} write={wr.name.lower()}"))
 
     if rd is ChannelState.CLIENT2_READ and wr is ChannelState.CLIENT2_WRITE:
         bad.append(("client2-single-op", "client2 holds both channels"))
@@ -81,9 +81,9 @@ def check_invariants(
     out_of_reset = inp.rst_n and pre.pr_read is not ChannelState.RESET
     if out_of_reset:
         if inp.rd_en_c1 and rd is not ChannelState.CLIENT1_READ:
-            bad.append(("client1-read-preemption", f"read={rd.value}"))
+            bad.append(("client1-read-preemption", f"read={rd.name.lower()}"))
         if inp.wr_en_c1 and wr is not ChannelState.CLIENT1_WRITE:
-            bad.append(("client1-write-preemption", f"write={wr.value}"))
+            bad.append(("client1-write-preemption", f"write={wr.name.lower()}"))
         if rd is ChannelState.CLIENT2_READ and not (
             not inp.rd_en_c1 and inp.request_c2 and inp.rd_not_write_c2
         ):

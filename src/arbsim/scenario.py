@@ -37,6 +37,11 @@ OUTPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "
 # accepts.  After reset the RAM zeroes one word per edge, so addr=20 is a
 # sweep of 2**20 + 1 (about 1M) edges before any client access.
 MAX_ADDR_WIDTH = 20
+# Widest data bus that a scenario's params line or ``fuzz --data-width``
+# accepts.  Each of the five data pins is a cell of its width in every
+# exported row, so at both width caps a TSV row is 460 bytes plus its cycle
+# and time columns: about 1 GB for a table of MAX_EDGES rows.
+MAX_DATA_WIDTH = 64
 # Most edges that a scenario's run line may ask for: twice the sweep at
 # MAX_ADDR_WIDTH.  The replay keeps every row, about 450 bytes each, so a
 # run at the cap peaks near 0.95 GB.
@@ -132,6 +137,11 @@ def parse_scenario(text: str) -> Scenario:
             if params.addr_width > MAX_ADDR_WIDTH:
                 raise ScenarioParseError(
                     f"addr={params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}",
+                    line_no,
+                )
+            if params.data_width > MAX_DATA_WIDTH:
+                raise ScenarioParseError(
+                    f"data={params.data_width} is wider than the maximum {MAX_DATA_WIDTH}",
                     line_no,
                 )
             continue

@@ -28,12 +28,11 @@ class SystemState(NamedTuple):
     params: Params
     arbiter: ArbiterState
     ram: RamState
-    cycle: int
 
 
 def system_new(params: Params) -> SystemState:
-    """Both blocks at power-on, cycle counter at zero."""
-    return SystemState(params, arbiter_reset(params), ram_reset(params), 0)
+    """Both blocks at power-on."""
+    return SystemState(params, arbiter_reset(), ram_reset(params))
 
 
 # (ClientInputs field, role) of every input pin.
@@ -67,4 +66,4 @@ def system_step(
     arb, ram_in = arbiter_step(state.arbiter, inp, state.ram.rd_data_reg, params)
     ram, post_rd_data = ram_step(state.ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, params)
-    return SystemState(params, arb, ram, state.cycle + 1), out
+    return SystemState(params, arb, ram), out

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, IO, Iterator, NamedTuple
+from typing import IO, NamedTuple
 
-from .arbiter import PINS, STATE_CODES, ArbiterState, ClientInputs, ClientOutputs
+from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
 from .signals import LOW, Params, parse_word
 from .system import SystemState, system_new, system_step
@@ -101,61 +101,38 @@ def run_scenario(s: Scenario) -> Trace:
     return Trace(s.params, s.clock_period, tuple(rows))
 
 
-def _renderers(params: Params) -> list[Callable[[object], str]]:
-    """One renderer per pin, in PINS order: levels as "0"/"1", address and
-    data buses as binary strings of their width, channel states by
-    STATE_CODES."""
-    by_role = {
-        "level": ("0", "1").__getitem__,
-        "addr": f"{{:0{params.addr_width}b}}".format,
-        "data": f"{{:0{params.data_width}b}}".format,
-        "state": STATE_CODES.__getitem__,
-    }
-    return [by_role[role] for _, _, role, _ in PINS]
+def _pin_formats(params: Params) -> list[str]:
+    """The format of every pin, in PINS order: its value in binary at its
+    width.  A level is a bool and a channel state an int code, so one rule
+    covers every role."""
+    return [f"{{:0{params.width(role)}b}}" for _, _, role, _ in PINS]
 
 
-def _extractor(path: str, render: Callable[[object], str]) -> Callable[[TraceRow], str]:
-    get = attrgetter(path)
-    return lambda row: render(get(row))
-
-
-def _signal_schema(params: Params) -> list[tuple[str, int, Callable[[TraceRow], str]]]:
-    """(name, width, render that pin of a row) of every pin, in PINS order."""
-    return [
-        (name, params.width(role), _extractor(path, render))
-        for (name, _, role, path), render in zip(PINS, _renderers(params))
-    ]
-
-
-# The exporters render a whole row at once: one attrgetter over every pin's
-# path, then one formatter per cell, with no per-cell function call layer.
+# The exporters read a whole row at once: one attrgetter over every pin's
+# path, in PINS order.
 _ROW_VALUES = attrgetter(*(path for _, _, _, path in PINS))
-
-
-def _rendered_rows(trace: Trace) -> Iterator[list[str]]:
-    renders = _renderers(trace.params)
-    for row in trace.rows:
-        yield [render(v) for render, v in zip(renders, _ROW_VALUES(row))]
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
     n = len(trace.rows)
-    renders = _renderers(trace.params)
+    formats = _pin_formats(trace.params)
     for a in s.assertions:
         i = _PIN_INDEX[a.pin]
-        sample = _extractor(PINS[i][3], renders[i])
+        sample = attrgetter(PINS[i][3])
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            observed = sample(trace.rows[k])
+            observed = formats[i].format(sample(trace.rows[k]))
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
             # A window a..b covers the edges whose times lie inside [a, b].
+            # The parser allows pulses and quiet only on 1-bit pins, so the
+            # raw value is the level.
             ka = trace.edge_for_time(a.start)
             kb = trace.last_edge_at_or_before(a.end)
             if ka >= n or kb >= n or kb < ka:
@@ -164,23 +141,17 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
             if a.kind == "pulses":
                 rising = sum(
                     1
-                    for i in range(max(ka, 1), kb + 1)
-                    if sample(trace.rows[i - 1]) == "0" and sample(trace.rows[i]) == "1"
+                    for k in range(max(ka, 1), kb + 1)
+                    if not sample(trace.rows[k - 1]) and sample(trace.rows[k])
                 )
                 results.append(
                     AssertionResult(a, f"{rising} rising edge(s)", rising >= 1)
                 )
             else:  # quiet
-                highs = [
-                    row.time for row in trace.rows[ka : kb + 1] if sample(row) == "1"
-                ]
+                highs = [row.time for row in trace.rows[ka : kb + 1] if sample(row)]
                 observed = f"high at t={highs[0]}" if highs else "low throughout"
                 results.append(AssertionResult(a, observed, not highs))
     return AssertionReport(tuple(results), all(r.passed for r in results))
-
-
-def _vcd_ids(count: int) -> list[str]:
-    return [chr(33 + i) for i in range(count)]
 
 
 def write_vcd(trace: Trace, sink: IO[str]) -> None:
@@ -191,36 +162,33 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     row then contributes a ``#<time>`` section containing only the signals
     whose value differs from the previous row.
     """
-    schema = _signal_schema(trace.params)
-    ids = _vcd_ids(len(schema))
-
     sink.write("$timescale 1ns $end\n")
     sink.write("$scope module ram_arbiter $end\n")
-    for (name, width, _), vid in zip(schema, ids):
+    records = []  # per pin, the format of its value-change record
+    for i, ((name, _, role, _), fmt) in enumerate(zip(PINS, _pin_formats(trace.params))):
+        vid = chr(33 + i)
+        width = trace.params.width(role)
         if width == 1:
             sink.write(f"$var wire 1 {vid} {name} $end\n")
+            records.append(f"{fmt}{vid}\n")
         else:
             sink.write(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
+            records.append(f"b{fmt} {vid}\n")
     sink.write("$upscope $end\n")
     sink.write("$enddefinitions $end\n")
 
-    def record(vid: str, width: int, value: str) -> str:
-        if width == 1:
-            return f"{value}{vid}\n"
-        return f"b{value} {vid}\n"
-
-    # Power-on values: everything zero except the channel states, which
-    # start in reset (itself the all-zero code).
-    current = ["0" * width for (_, width, _) in schema]
+    # Power-on values: every pin 0, the channel states included (RESET is
+    # code 0).  A row's cells are compared raw and formatted only on a change.
+    current = (0,) * len(PINS)
     sink.write("$dumpvars\n")
-    for (name, width, _), vid, value in zip(schema, ids, current):
-        sink.write(record(vid, width, value))
+    sink.writelines(record.format(0) for record in records)
     sink.write("$end\n")
 
-    for row, values in zip(trace.rows, _rendered_rows(trace)):
+    for row in trace.rows:
+        values = _ROW_VALUES(row)
         changes = [
-            record(vid, width, value)
-            for (_, width, _), vid, value, old in zip(schema, ids, values, current)
+            record.format(value)
+            for record, value, old in zip(records, values, current)
             if value != old
         ]
         current = values
@@ -231,7 +199,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
 
 def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one row per cycle."""
-    schema = _signal_schema(trace.params)
-    sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _ in schema]) + "\n")
-    for row, values in zip(trace.rows, _rendered_rows(trace)):
-        sink.write("\t".join([str(row.cycle), str(row.time), *values]) + "\n")
+    sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
+    line = "\t".join(["{}", "{}", *_pin_formats(trace.params)]) + "\n"
+    for row in trace.rows:
+        sink.write(line.format(row.cycle, row.time, *_ROW_VALUES(row)))

@@ -6,7 +6,6 @@ per criterion.  Every value comparison is bit-exact.
 
 import contextlib
 import dataclasses
-import io
 import random
 import time
 
@@ -24,15 +23,13 @@ from arbsim import (
     run_scenario,
     system_new,
     system_step,
-    write_vcd,
 )
 from arbsim.cli import _verify_lines
 from arbsim.fuzz import random_inputs, run_fuzz
-from arbsim.trace import _signal_schema
 
 from conftest import fresh_system, make_inputs
 from test_ram import MapRam, random_ram_inputs, swept
-from vcd_reader import read_vcd
+from test_trace import assert_vcd_matches_table
 
 
 @contextlib.contextmanager
@@ -179,15 +176,7 @@ def test_criterion_5_property_campaign():
 def test_criterion_6_vcd_round_trip():
     with criterion(6, "VCD round trip, every builtin"):
         for s in builtin_scenarios():
-            trace = run_scenario(s)
-            sink = io.StringIO()
-            write_vcd(trace, sink)
-            vcd = read_vcd(sink.getvalue())
-            for name, width, extract in _signal_schema(trace.params):
-                for row in trace.rows:
-                    assert vcd.value_at(name, row.time) == extract(row), (
-                        f"{s.name}: {name} at t={row.time}"
-                    )
+            assert_vcd_matches_table(run_scenario(s), s.name)
 
 
 def test_criterion_7_verify_determinism():

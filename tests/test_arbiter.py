@@ -128,7 +128,7 @@ class TestDetectClash:
 
 def idle_arbiter(params=PARAMS):
     """Arbiter that has finished its init sweep and sits idle."""
-    state = arbiter_reset(params)
+    state = arbiter_reset()
     zero = 0
     state, _ = arbiter_step(state, make_inputs(params, rst_n=LOW), zero, params)
     for _ in range(params.ram_depth() + 1):
@@ -262,7 +262,7 @@ class TestResolveOutputs:
 
     def test_rst_done_follows_reset_register(self):
         params = PARAMS
-        state = arbiter_reset(params)
+        state = arbiter_reset()
         assert resolve_outputs(state, 0, params).rst_done == LOW
         state = idle_arbiter()
         assert resolve_outputs(state, 0, params).rst_done == HIGH
@@ -293,6 +293,20 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
     )
     bad = check_invariants(idle, make_inputs(PARAMS), post, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
+
+
+def test_violation_details_name_states_in_lower_case():
+    # A state's value is its 3-bit code; the details name the state instead.
+    idle = idle_arbiter()
+    inp = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
+    assert check_invariants(idle, inp, idle, PARAMS) == [
+        ("client1-read-preemption", "read=idle"),
+        ("client1-write-preemption", "write=idle"),
+    ]
+    swapped = idle._replace(pr_read=C1W, pr_write=C2R)
+    assert check_invariants(idle, make_inputs(PARAMS), swapped, PARAMS) == [
+        ("channel-polarity", "read=client1_write write=client2_read"),
+    ]
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,10 @@
 """Command-line front end: exit codes, reports, waveform export, fuzz."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from arbsim.cli import main
@@ -95,6 +100,7 @@ class TestRun:
     @pytest.mark.parametrize("line", [
         "params addr=21 data=8 registered=0\nrun 100\n",
         "params addr=4 data=8 registered=0\nrun 1000000000000\n",
+        "params addr=2 data=65 registered=0\nrun 100\n",
     ])
     def test_oversized_scenario_fails_before_simulating(
         self, capsys, monkeypatch, tmp_path, line
@@ -202,6 +208,10 @@ class TestFuzz:
         assert_fails_before(capsys, monkeypatch, "run_fuzz",
                             "fuzz", "--seed", "1", "--cycles", "10", "--addr-width", "21")
 
+    def test_data_width_past_the_cap_fails_before_simulating(self, capsys, monkeypatch):
+        assert_fails_before(capsys, monkeypatch, "run_fuzz",
+                            "fuzz", "--seed", "1", "--cycles", "10", "--data-width", "65")
+
     def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
         assert_fails_before(capsys, monkeypatch, "run_fuzz",
                             "fuzz", "--seed", "1", "--cycles", "10",
@@ -239,3 +249,24 @@ def test_list_names_every_builtin(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 37
     assert any(l.startswith("tc22-both-read-same") for l in lines)
+
+
+@pytest.mark.parametrize("argv", [["run", "--builtin", "tc07", "--table", "-"], ["list"]])
+def test_closed_stdout_is_one_error_line(argv):
+    # The reader of stdout is gone before the first write: the CLI exits 2
+    # with one error line, whether a write or the final flush hits the pipe.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from arbsim.cli import main; sys.exit(main())",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from arbsim import ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
 from arbsim import corpus
-from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_EDGES
+from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_DATA_WIDTH, MAX_EDGES
 
 GOOD = """\
 scenario smoke
@@ -130,6 +130,11 @@ class TestParseErrors:
         text = "scenario t\nparams addr={} data=8 registered=0\nrun 500\n"
         assert parse_scenario(text.format(MAX_ADDR_WIDTH)).params.addr_width == MAX_ADDR_WIDTH
         self.check(text.format(MAX_ADDR_WIDTH + 1), f"wider than the maximum {MAX_ADDR_WIDTH}", 2)
+
+    def test_data_width_capped(self):
+        text = "scenario t\nparams addr=4 data={} registered=0\nrun 500\n"
+        assert parse_scenario(text.format(MAX_DATA_WIDTH)).params.data_width == MAX_DATA_WIDTH
+        self.check(text.format(MAX_DATA_WIDTH + 1), f"wider than the maximum {MAX_DATA_WIDTH}", 2)
 
     def test_run_length_capped(self):
         text = "scenario t\nparams addr=4 data=8 registered=0\nclock 10\nrun {}\n# end\n"

@@ -34,7 +34,16 @@ def test_latency_probe_table():
 def test_fuzz_campaign_short_run_passes():
     result = run_script("fuzz_campaign.py", "--seeds", "1", "--cycles", "50")
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.startswith("seed 0: OK (50 cycles)")
+    assert result.stdout.startswith("OK\tseed=0\tcycles=50\tviolations=0\n")
+
+
+def test_fuzz_campaign_stops_at_a_width_past_the_cap():
+    # The campaign runs each seed through the CLI, so the CLI's address cap
+    # rejects the width before the first sweep edge.
+    result = run_script("fuzz_campaign.py", "--addr-width", "21")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
 
 
 def test_export_waveforms_writes_vcd_and_tsv_per_case(tmp_path):

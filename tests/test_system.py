@@ -44,7 +44,6 @@ class TestSystemNew:
     def test_power_on_default(self):
         params = Params(4, 8)
         state = system_new(params)
-        assert state.cycle == 0
         assert all(w == 0 for w in state.ram.memory)
         assert state.arbiter.pr_read == ChannelState.RESET
         assert state.arbiter.pr_write == ChannelState.RESET

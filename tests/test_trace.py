@@ -1,6 +1,7 @@
 """Trace recorder, assertion checker, and waveform exporters."""
 
 import io
+from operator import attrgetter
 
 import pytest
 
@@ -14,11 +15,31 @@ from arbsim import (
     write_table,
     write_vcd,
 )
-from arbsim.arbiter import PINS, ClientInputs, ClientOutputs
+from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
-from arbsim.trace import _signal_schema
 
 from vcd_reader import read_vcd
+
+
+def assert_vcd_matches_table(trace, label=""):
+    """Export a trace as VCD and as TSV, then check at every edge that each
+    pin's VCD width is its Params width, its VCD value is its TSV cell, and
+    that cell is the pin's value in binary."""
+    vcd_sink, tsv_sink = io.StringIO(), io.StringIO()
+    write_vcd(trace, vcd_sink)
+    write_table(trace, tsv_sink)
+    vcd = read_vcd(vcd_sink.getvalue())
+    header, *lines = [line.split("\t") for line in tsv_sink.getvalue().splitlines()]
+    assert header[2:] == [name for name, _, _, _ in PINS]
+    assert set(vcd.widths) == set(header[2:])
+    for name, _, role, _ in PINS:
+        assert vcd.widths[name] == trace.params.width(role), f"{label}: {name} width"
+    assert len(lines) == len(trace.rows)
+    for row, cells in zip(trace.rows, lines):
+        assert cells[:2] == [str(row.cycle), str(row.time)]
+        for (name, _, _, path), cell in zip(PINS, cells[2:]):
+            assert vcd.value_at(name, row.time) == cell, f"{label}: {name} at t={row.time}"
+            assert int(cell, 2) == attrgetter(path)(row), f"{label}: {name} at t={row.time}"
 
 
 class TestRunScenario:
@@ -128,18 +149,21 @@ class TestVcd:
 
     @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
     def test_round_trip_reconstructs_every_signal_timeline(self, name):
-        trace = run_scenario(builtin_by_name(name))
-        sink = io.StringIO()
-        write_vcd(trace, sink)
-        vcd = read_vcd(sink.getvalue())
-        schema = _signal_schema(trace.params)
-        assert set(vcd.widths) == {name for name, _, _ in schema}
-        for sig_name, width, extract in schema:
-            assert vcd.widths[sig_name] == width
-            for row in trace.rows:
-                assert vcd.value_at(sig_name, row.time) == extract(row), (
-                    f"{sig_name} at t={row.time}"
-                )
+        assert_vcd_matches_table(run_scenario(builtin_by_name(name)), name)
+
+    @pytest.mark.parametrize(
+        "state, code",
+        [
+            (ChannelState.RESET, "000"),
+            (ChannelState.IDLE, "001"),
+            (ChannelState.CLIENT1_READ, "010"),
+            (ChannelState.CLIENT2_READ, "011"),
+            (ChannelState.CLIENT1_WRITE, "100"),
+            (ChannelState.CLIENT2_WRITE, "101"),
+        ],
+    )
+    def test_channel_state_formats_to_its_readme_code(self, state, code):
+        assert f"{state:03b}" == code
 
     def test_change_only_encoding(self):
         trace = run_scenario(builtin_by_name("tc01"))
