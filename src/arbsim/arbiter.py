@@ -32,6 +32,13 @@ class ChannelState(enum.IntEnum):
     CLIENT2_WRITE = 5
 
 
+# The members as module names: on the per-edge path a global load costs
+# about a tenth of a ``ChannelState.X`` lookup through the enum metaclass.
+# The unpack fails at import if a member is added or removed, and
+# tests/test_arbiter.py checks that each name is bound to its own member.
+RESET, IDLE, CLIENT1_READ, CLIENT2_READ, CLIENT1_WRITE, CLIENT2_WRITE = ChannelState
+
+
 # The records built on every edge (these three, RamInputs, RamState,
 # SystemState and TraceRow) are NamedTuples: a frozen dataclass sets each
 # field through object.__setattr__, which made building them the largest
@@ -117,41 +124,23 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 
 def arbiter_reset() -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
-    return ArbiterState(
-        pr_read=ChannelState.RESET,
-        pr_write=ChannelState.RESET,
-        temp_rd_en=LOW,
-        temp_wr_en=LOW,
-        temp_rd_addr=0,
-        temp_wr_addr=0,
-        temp_wr_data=0,
-        temp_rd_data=0,
-        temp_rd_data1=0,
-        temp_rd_data2=0,
-        temp_ack=LOW,
-        temp_ack1=LOW,
-        temp_wr=LOW,
-        addr_clash=LOW,
-        addr_clash_d=LOW,
-        reset_count=0,
-        reset_done=LOW,
-    )
+    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, 0, 0, LOW, LOW, LOW, LOW, LOW, 0, LOW)
 
 
 def _read_grant(inp: ClientInputs) -> ChannelState:
     if inp.rd_en_c1:
-        return ChannelState.CLIENT1_READ
+        return CLIENT1_READ
     if inp.request_c2 and inp.rd_not_write_c2:
-        return ChannelState.CLIENT2_READ
-    return ChannelState.IDLE
+        return CLIENT2_READ
+    return IDLE
 
 
 def _write_grant(inp: ClientInputs) -> ChannelState:
     if inp.wr_en_c1:
-        return ChannelState.CLIENT1_WRITE
+        return CLIENT1_WRITE
     if inp.request_c2 and not inp.rd_not_write_c2:
-        return ChannelState.CLIENT2_WRITE
-    return ChannelState.IDLE
+        return CLIENT2_WRITE
+    return IDLE
 
 
 def fsm_next(
@@ -171,11 +160,11 @@ def fsm_next(
     selector, and otherwise idles.
     """
     if not inp.rst_n:
-        return ChannelState.RESET, ChannelState.RESET, 0, LOW
-    if pr_read is ChannelState.RESET or pr_write is ChannelState.RESET:
+        return RESET, RESET, 0, LOW
+    if pr_read is RESET or pr_write is RESET:
         if reset_count < params.ram_depth():
-            return ChannelState.RESET, ChannelState.RESET, reset_count + 1, LOW
-        return ChannelState.IDLE, ChannelState.IDLE, 0, HIGH
+            return RESET, RESET, reset_count + 1, LOW
+        return IDLE, IDLE, 0, HIGH
     return _read_grant(inp), _write_grant(inp), reset_count, HIGH
 
 
@@ -219,26 +208,26 @@ def arbiter_step(
 
     temp_rd_en, temp_rd_addr = state.temp_rd_en, state.temp_rd_addr
     temp_ack = state.temp_ack
-    if nx_read in (ChannelState.IDLE, ChannelState.RESET):
+    if nx_read is IDLE or nx_read is RESET:
         temp_rd_en, temp_rd_addr = LOW, 0
-    elif nx_read is ChannelState.CLIENT1_READ:
+    elif nx_read is CLIENT1_READ:
         temp_rd_en, temp_rd_addr = inp.rd_en_c1, inp.rdaddr_c1
-    elif nx_read is ChannelState.CLIENT2_READ:
+    elif nx_read is CLIENT2_READ:
         if not state.temp_ack:
             temp_rd_en, temp_rd_addr, temp_ack = HIGH, inp.addr_c2, HIGH
 
     temp_wr_en, temp_wr_addr = state.temp_wr_en, state.temp_wr_addr
     temp_wr_data = state.temp_wr_data
     temp_wr = state.temp_wr
-    if nx_write in (ChannelState.IDLE, ChannelState.RESET):
+    if nx_write is IDLE or nx_write is RESET:
         temp_wr_en, temp_wr_addr, temp_wr_data = LOW, 0, 0
-    elif nx_write is ChannelState.CLIENT1_WRITE:
+    elif nx_write is CLIENT1_WRITE:
         temp_wr_en, temp_wr_addr, temp_wr_data = (
             inp.wr_en_c1,
             inp.wraddr_c1,
             inp.wrdata_c1,
         )
-    elif nx_write is ChannelState.CLIENT2_WRITE:
+    elif nx_write is CLIENT2_WRITE:
         if not state.temp_wr:
             temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = (
                 HIGH,
@@ -267,24 +256,12 @@ def arbiter_step(
         temp_rd_data1 = 0
         temp_rd_data2 = 0
 
+    # Positional, in field order: building a 17-field record by keyword
+    # costs nearly three times as much.
     new = ArbiterState(
-        pr_read=nx_read,
-        pr_write=nx_write,
-        temp_rd_en=temp_rd_en,
-        temp_wr_en=temp_wr_en,
-        temp_rd_addr=temp_rd_addr,
-        temp_wr_addr=temp_wr_addr,
-        temp_wr_data=temp_wr_data,
-        temp_rd_data=temp_rd_data,
-        temp_rd_data1=temp_rd_data1,
-        temp_rd_data2=temp_rd_data2,
-        temp_ack=temp_ack,
-        temp_ack1=temp_ack1,
-        temp_wr=temp_wr,
-        addr_clash=addr_clash,
-        addr_clash_d=addr_clash_d,
-        reset_count=reset_count,
-        reset_done=reset_done,
+        nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
+        temp_wr_data, temp_rd_data, temp_rd_data1, temp_rd_data2, temp_ack,
+        temp_ack1, temp_wr, addr_clash, addr_clash_d, reset_count, reset_done,
     )
     return new, RamInputs(
         inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data

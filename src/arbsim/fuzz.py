@@ -11,22 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arbiter import ArbiterState, ChannelState, ClientInputs
+from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
+from .arbiter import ArbiterState, ClientInputs
 from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
 
-_READ_STATES = {
-    ChannelState.RESET,
-    ChannelState.IDLE,
-    ChannelState.CLIENT1_READ,
-    ChannelState.CLIENT2_READ,
-}
-_WRITE_STATES = {
-    ChannelState.RESET,
-    ChannelState.IDLE,
-    ChannelState.CLIENT1_WRITE,
-    ChannelState.CLIENT2_WRITE,
-}
+_READ_STATES = {RESET, IDLE, CLIENT1_READ, CLIENT2_READ}
+_WRITE_STATES = {RESET, IDLE, CLIENT1_WRITE, CLIENT2_WRITE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,19 +40,13 @@ class FuzzResult:
 
 
 def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> ClientInputs:
-    word = rng.getrandbits
-    bit = lambda: rng.random() < 0.5
+    # Positional, drawn in field order: a level is rand() < 0.5, a bus
+    # getrandbits of its width.  The order fixes every campaign's stimulus.
+    rand, word = rng.random, rng.getrandbits
+    a, d = params.addr_width, params.data_width
     return ClientInputs(
-        rst_n=rst_n,
-        rd_en_c1=bit(),
-        wr_en_c1=bit(),
-        rdaddr_c1=word(params.addr_width),
-        wraddr_c1=word(params.addr_width),
-        wrdata_c1=word(params.data_width),
-        request_c2=bit(),
-        rd_not_write_c2=bit(),
-        addr_c2=word(params.addr_width),
-        datain_c2=word(params.data_width),
+        rst_n, rand() < 0.5, rand() < 0.5, word(a), word(a), word(d),
+        rand() < 0.5, rand() < 0.5, word(a), word(d),
     )
 
 
@@ -75,25 +60,25 @@ def check_invariants(
     if rd not in _READ_STATES or wr not in _WRITE_STATES:
         bad.append(("channel-polarity", f"read={rd.name.lower()} write={wr.name.lower()}"))
 
-    if rd is ChannelState.CLIENT2_READ and wr is ChannelState.CLIENT2_WRITE:
+    if rd is CLIENT2_READ and wr is CLIENT2_WRITE:
         bad.append(("client2-single-op", "client2 holds both channels"))
 
-    out_of_reset = inp.rst_n and pre.pr_read is not ChannelState.RESET
+    out_of_reset = inp.rst_n and pre.pr_read is not RESET
     if out_of_reset:
-        if inp.rd_en_c1 and rd is not ChannelState.CLIENT1_READ:
+        if inp.rd_en_c1 and rd is not CLIENT1_READ:
             bad.append(("client1-read-preemption", f"read={rd.name.lower()}"))
-        if inp.wr_en_c1 and wr is not ChannelState.CLIENT1_WRITE:
+        if inp.wr_en_c1 and wr is not CLIENT1_WRITE:
             bad.append(("client1-write-preemption", f"write={wr.name.lower()}"))
-        if rd is ChannelState.CLIENT2_READ and not (
+        if rd is CLIENT2_READ and not (
             not inp.rd_en_c1 and inp.request_c2 and inp.rd_not_write_c2
         ):
             bad.append(("client2-read-admission", "granted without eligibility"))
-        if wr is ChannelState.CLIENT2_WRITE and not (
+        if wr is CLIENT2_WRITE and not (
             not inp.wr_en_c1 and inp.request_c2 and not inp.rd_not_write_c2
         ):
             bad.append(("client2-write-admission", "granted without eligibility"))
         if inp.rd_en_c1 and inp.wr_en_c1 and (
-            rd is ChannelState.CLIENT2_READ or wr is ChannelState.CLIENT2_WRITE
+            rd is CLIENT2_READ or wr is CLIENT2_WRITE
         ):
             bad.append(("client2-blocked", "client2 granted while client1 does both"))
 
@@ -111,7 +96,7 @@ def check_invariants(
                 )
             )
 
-    if rd is ChannelState.RESET and (post.temp_rd_en or post.temp_wr_en):
+    if rd is RESET and (post.temp_rd_en or post.temp_wr_en):
         bad.append(("reset-quiescence", "RAM enable asserted during reset"))
 
     return bad

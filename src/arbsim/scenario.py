@@ -46,6 +46,9 @@ MAX_DATA_WIDTH = 64
 # MAX_ADDR_WIDTH.  The replay keeps every row, about 450 bytes each, so a
 # run at the cap peaks near 0.95 GB.
 MAX_EDGES = 1 << 21
+# Latest time that a clock, run, @t or expect line may name: the largest
+# 64-bit VCD timestamp.  Its 19 digits bound a literal before int() sees it.
+MAX_TIME = (1 << 63) - 1
 
 
 class ScenarioParseError(ValueError):
@@ -97,9 +100,22 @@ class Scenario:
         return -(-self.duration // self.clock_period)  # ceil division
 
 
+_TIME_RE = re.compile(r"(-?)0*(\d{1,19})")
 _EVENT_RE = re.compile(r"@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
 _EXPECT_VALUE_RE = re.compile(r"expect\s+@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
 _EXPECT_WINDOW_RE = re.compile(r"expect\s+(pulses|quiet)\s+(\w+)\s+in\s+(-?\d+)\.\.(-?\d+)$")
+
+
+def _parse_time(text: str, line_no: int) -> int:
+    """A time literal, ``-?\\d+`` by its line's regex, as an int in 0..MAX_TIME."""
+    m = _TIME_RE.fullmatch(text)
+    if m is None or int(m[2]) > MAX_TIME:
+        shown = text if m else f"{text[:20]}... ({len(text)} characters)"
+        raise ScenarioParseError(f"time {shown} is out of range 0..{MAX_TIME}", line_no)
+    t = int(m[1] + m[2])
+    if t < 0:
+        raise ScenarioParseError(f"negative time {t}", line_no)
+    return t
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -150,9 +166,11 @@ def parse_scenario(text: str) -> Scenario:
             if clock is not None:
                 raise ScenarioParseError("duplicate clock line", line_no)
             m = re.fullmatch(r"clock\s+(\d+)", line)
-            if not m or int(m.group(1)) <= 0:
+            if not m:
                 raise ScenarioParseError(f"bad clock line: {line!r}", line_no)
-            clock = int(m.group(1))
+            clock = _parse_time(m.group(1), line_no)
+            if clock == 0:
+                raise ScenarioParseError(f"bad clock line: {line!r}", line_no)
             continue
 
         if line.startswith("run "):
@@ -161,7 +179,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(f"bad run line: {line!r}", line_no)
             if duration is not None:
                 raise ScenarioParseError("duplicate run line", line_no)
-            duration, run_line = int(m.group(1)), line_no
+            duration, run_line = _parse_time(m.group(1), line_no), line_no
             continue
 
         if line.startswith("@"):
@@ -170,9 +188,7 @@ def parse_scenario(text: str) -> Scenario:
             m = _EVENT_RE.fullmatch(line)
             if not m:
                 raise ScenarioParseError(f"bad event line: {line!r}", line_no)
-            t, pin, value = int(m.group(1)), m.group(2), m.group(3)
-            if t < 0:
-                raise ScenarioParseError(f"negative time {t}", line_no)
+            t, pin, value = _parse_time(m.group(1), line_no), m.group(2), m.group(3)
             if pin not in INPUT_PINS:
                 raise ScenarioParseError(f"unknown input pin {pin!r}", line_no)
             if events and t < events[-1].time:
@@ -193,9 +209,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError("expect before params line", line_no)
             m = _EXPECT_VALUE_RE.fullmatch(line)
             if m:
-                t, pin, expected = int(m.group(1)), m.group(2), m.group(3)
-                if t < 0:
-                    raise ScenarioParseError(f"negative time {t}", line_no)
+                t, pin, expected = _parse_time(m.group(1), line_no), m.group(2), m.group(3)
                 if pin not in OUTPUT_PINS:
                     raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
                 width = params.width(OUTPUT_PINS[pin])
@@ -216,7 +230,7 @@ def parse_scenario(text: str) -> Scenario:
             m = _EXPECT_WINDOW_RE.fullmatch(line)
             if m:
                 kind, pin = m.group(1), m.group(2)
-                start, end = int(m.group(3)), int(m.group(4))
+                start, end = _parse_time(m.group(3), line_no), _parse_time(m.group(4), line_no)
                 if pin not in OUTPUT_PINS:
                     raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
                 if params.width(OUTPUT_PINS[pin]) != 1:

@@ -17,6 +17,7 @@ from arbsim import (
     parse_word,
     resolve_outputs,
 )
+from arbsim import arbiter
 from arbsim.fuzz import check_invariants, random_inputs
 
 from conftest import make_inputs
@@ -33,6 +34,14 @@ PARAMS = Params(4, 8)
 
 def nxt(pr_read, pr_write, count=0, **kw):
     return fsm_next(pr_read, pr_write, make_inputs(PARAMS, **kw), count, PARAMS)
+
+
+def test_module_state_names_are_their_members():
+    # The kernel binds the members to module names by unpacking the enum in
+    # definition order; a reordered definition would bind a name to the
+    # wrong member without failing the unpack.
+    for member in ChannelState:
+        assert getattr(arbiter, member.name) is member
 
 
 class TestFsmTransitions:

@@ -109,6 +109,14 @@ class TestRun:
         scn.write_text("scenario x\n" + line)
         assert_fails_before(capsys, monkeypatch, "run_scenario", "run", "--file", str(scn))
 
+    def test_clock_of_5000_digits_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
+        # Past CPython's int-string limit: a bare int() would raise a plain
+        # ValueError and end in a traceback.
+        scn = tmp_path / "clock.scn"
+        scn.write_text("scenario x\nparams addr=4 data=8 registered=0\nclock 1"
+                       + "0" * 5000 + "\nrun 100\n")
+        assert_fails_before(capsys, monkeypatch, "run_scenario", "run", "--file", str(scn))
+
     @pytest.mark.parametrize("flag", ["--vcd", "--table"])
     def test_unwritable_output_fails_before_simulating(
         self, capsys, monkeypatch, tmp_path, flag

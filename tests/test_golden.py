@@ -2,7 +2,8 @@
 
 Every builtin case in both output modes must export the same VCD and TSV
 bytes, and a sample of the benchmark's ``fuzz-a4`` campaigns the same
-result, as when the file was recorded.  The file is only read here.
+result and the same simulated counts, as when the file was recorded.  The
+file is only read here.
 """
 
 import hashlib
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from arbsim import Params, builtin_scenarios, check_assertions, run_scenario
+from arbsim import ChannelState, Params, builtin_scenarios, check_assertions, run_scenario
+from arbsim import fuzz
 from arbsim.fuzz import run_fuzz
 from arbsim.trace import write_table, write_vcd
 
@@ -51,3 +53,41 @@ def test_fuzz_a4_campaign_results_are_identical(seed):
         "violation": None if v is None else [v.cycle, v.prefix_len, v.prop, v.detail],
     }
     assert got == GOLDEN["fuzz-a4"][str(seed)]["output"]
+
+
+@pytest.mark.parametrize("workload, campaign, params, cycles, reset_storm", [
+    ("fuzz-a4", 0, Params(4, 8), 2000, True),
+    ("fuzz-a4", 127, Params(4, 8), 2000, True),
+    ("wide-a13", 0, Params(13, 8), 4096, False),
+], ids=["fuzz-a4-0", "fuzz-a4-127", "wide-a13-0"])
+def test_fuzz_campaign_simulated_counts_are_identical(
+    monkeypatch, workload, campaign, params, cycles, reset_storm
+):
+    # Every recorded campaign ends with violation=None, so its result alone
+    # misses a stimulus or kernel change that breaks no invariant.  These
+    # counts, folded over each edge as the benchmark's trace counts them,
+    # catch it.
+    counts = dict.fromkeys(
+        ("system.steps", "ram.sweep_edges", "ram.reads", "ram.writes",
+         "arbiter.clashes", "arbiter.c2_grants"), 0)
+    step = fuzz.system_step
+
+    def counting(state, inp):
+        new, out = step(state, inp)
+        arb = new.arbiter  # its drive registers are this edge's RAM inputs
+        counts["system.steps"] += 1
+        if inp.rst_n and state.ram.reset_done_internal:
+            counts["ram.sweep_edges"] += 1
+        elif inp.rst_n:
+            counts["ram.reads"] += arb.temp_rd_en
+            counts["ram.writes"] += arb.temp_wr_en
+        counts["arbiter.clashes"] += arb.addr_clash
+        counts["arbiter.c2_grants"] += (arb.pr_read is ChannelState.CLIENT2_READ) + (
+            arb.pr_write is ChannelState.CLIENT2_WRITE
+        )
+        return new, out
+
+    monkeypatch.setattr(fuzz, "system_step", counting)
+    run_fuzz(campaign, cycles, params, reset_storm=reset_storm)
+    want = GOLDEN[workload][str(campaign)]["counts"]
+    assert counts == {k: want[k] for k in counts}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from arbsim import ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
 from arbsim import corpus
-from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_DATA_WIDTH, MAX_EDGES
+from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_DATA_WIDTH, MAX_EDGES, MAX_TIME
 
 GOOD = """\
 scenario smoke
@@ -140,6 +140,19 @@ class TestParseErrors:
         text = "scenario t\nparams addr=4 data=8 registered=0\nclock 10\nrun {}\n# end\n"
         assert parse_scenario(text.format(MAX_EDGES * 10)).num_edges() == MAX_EDGES
         self.check(text.format(MAX_EDGES * 10 + 1), f"more than the maximum {MAX_EDGES}", 4)
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ("clock {t}\nrun 100\n", 3),
+        (f"clock {1 << 62}\nrun {{t}}\n", 4),
+        ("@{t} RST_N = 1\nrun 100\n", 3),
+        ("expect @{t} RST_DONE = high\nrun 100\n", 3),
+        ("expect quiet ACK_C2 in {t}..{t}\nrun 100\n", 3),
+        ("expect pulses ACK_C2 in 0..{t}\nrun 100\n", 3),
+    ], ids=["clock", "run", "event", "expect-value", "window-start", "window-end"])
+    def test_time_literals_capped(self, lines, line_no):
+        text = "scenario t\nparams addr=4 data=8 registered=0\n" + lines
+        parse_scenario(text.format(t=MAX_TIME))
+        self.check(text.format(t=MAX_TIME + 1), f"out of range 0..{MAX_TIME}", line_no)
 
 
 def test_render_parse_round_trip_builtin_corpus():

@@ -367,6 +367,10 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
         assert type(out) is ClientOutputs
         assert type(state.arbiter) is ArbiterState
         assert type(state.ram) is RamState
+        # The kernel compares states with ``is``: a plain int code would
+        # equal its member and still match no branch.
+        assert type(state.arbiter.pr_read) is ChannelState
+        assert type(state.arbiter.pr_write) is ChannelState
     assert len(ram_inputs) == 300
     assert all(type(r) is RamInputs for r in ram_inputs)
     rows = run_scenario(builtin_by_name("tc07")).rows
