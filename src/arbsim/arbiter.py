@@ -256,8 +256,8 @@ def arbiter_step(
         temp_rd_data1 = 0
         temp_rd_data2 = 0
 
-    # Positional, in field order: building a 17-field record by keyword
-    # costs nearly three times as much.
+    # Positional, in field order: by keyword this 17-field record costs
+    # about twice as much to build.
     new = ArbiterState(
         nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
         temp_wr_data, temp_rd_data, temp_rd_data1, temp_rd_data2, temp_ack,

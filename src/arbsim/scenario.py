@@ -257,6 +257,15 @@ def parse_scenario(text: str) -> Scenario:
             f" more than the maximum {MAX_EDGES}",
             run_line,
         )
+    # Every edge's time is exported, and the last one lands half a clock
+    # after the last full period that the run starts.
+    last = (s.num_edges() - 1) * clock + clock // 2
+    if last > MAX_TIME:
+        raise ScenarioParseError(
+            f"run {duration} at clock {clock} stamps its last edge at {last},"
+            f" later than the maximum time {MAX_TIME}",
+            run_line,
+        )
     return s
 
 

@@ -141,6 +141,12 @@ class TestParseErrors:
         assert parse_scenario(text.format(MAX_EDGES * 10)).num_edges() == MAX_EDGES
         self.check(text.format(MAX_EDGES * 10 + 1), f"more than the maximum {MAX_EDGES}", 4)
 
+    def test_last_edge_time_capped(self):
+        # Both literals fit, but the second edge would be stamped at 1.5 clocks.
+        text = f"scenario t\nparams addr=4 data=8 registered=0\nclock {MAX_TIME - 1}\nrun {{}}\n"
+        assert parse_scenario(text.format(MAX_TIME - 1)).num_edges() == 1
+        self.check(text.format(MAX_TIME), f"later than the maximum time {MAX_TIME}", 4)
+
     @pytest.mark.parametrize("lines, line_no", [
         ("clock {t}\nrun 100\n", 3),
         (f"clock {1 << 62}\nrun {{t}}\n", 4),

@@ -46,6 +46,17 @@ def test_fuzz_campaign_stops_at_a_width_past_the_cap():
     assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
 
 
+def test_layer_timings_prints_one_positive_time_per_layer():
+    result = run_script("layer_timings.py")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert [row[0] for row in rows] == [
+        "system_step", "_check_widths", "arbiter_step", "fsm_next",
+        "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
+    ]
+    assert all(len(row) == 3 and float(row[1]) > 0 and row[2] == "us" for row in rows)
+
+
 def test_export_waveforms_writes_vcd_and_tsv_per_case(tmp_path):
     result = run_script("export_waveforms.py", "--out", str(tmp_path))
     assert result.returncode == 0, result.stderr
