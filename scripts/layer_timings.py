@@ -5,7 +5,10 @@ Records the inputs of one ``fuzz-a4`` campaign (seed 0, 2,000 cycles at
 addr 4, data 8, with reset storms) and replays every layer's calls over
 that fixed stream.  Each figure is the minimum over a few repeats of the
 stream's total time divided by its length, taken with the garbage
-collector off as timeit does, so it is one call's cost.  Takes no options:
+collector off as timeit does, so it is one call's cost.  The last row,
+``ram_sweep_a13``, is ``ram_step`` over the 8,193 zeroing-sweep edges of a
+power-on RAM at addr 13, which the addr-4 stream barely exercises.  Every
+layer is timed before anything is printed.  Takes no options:
 
     PYTHONPATH=src python3 scripts/layer_timings.py
 
@@ -14,7 +17,9 @@ Per-call times compare versions of the code on one host; the benchmark
 """
 
 import gc
+import os
 import random
+import sys
 import time
 from collections import deque
 from itertools import starmap
@@ -22,6 +27,7 @@ from itertools import starmap
 from arbsim import Params, arbiter, fuzz, ram, system
 
 PARAMS = Params(4, 8)
+SWEEP_PARAMS = Params(13, 8)
 CYCLES = 2000
 REPEATS = 5
 
@@ -66,6 +72,19 @@ def layer_calls(stream):
     return calls
 
 
+def sweep_calls():
+    """The ram_step arguments of every sweep edge of a power-on SWEEP_PARAMS RAM."""
+    reset = ram.RamInputs(False, False, False, 0, 0, 0)
+    state, _ = ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)
+    inp = reset._replace(rst_n=True)
+    calls = []
+    for _ in range(SWEEP_PARAMS.ram_depth() + 1):
+        calls.append((state, inp))
+        state, _ = ram.ram_step(state, inp)
+    assert not state.reset_done_internal
+    return calls
+
+
 def per_call_us(fn, args):
     # With the collector off, as timeit runs: its passes over the recorded
     # stream would otherwise land on whichever layer happens to allocate.
@@ -82,9 +101,22 @@ def per_call_us(fn, args):
 
 
 def main():
-    for fn, args in layer_calls(record_stream()).items():
-        print(f"{fn.__name__:<18}{per_call_us(fn, args):8.2f} us")
+    rows = [(fn.__name__, per_call_us(fn, args))
+            for fn, args in layer_calls(record_stream()).items()]
+    rows.append(("ram_sweep_a13", per_call_us(ram.ram_step, sweep_calls())))
+    try:
+        sys.stdout.write("".join(f"{name:<18}{us:8.2f} us\n" for name, us in rows))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # As arbsim does: point stdout at devnull so that the interpreter's
+        # flush at exit finds nothing to fail on, and exit 2 with one line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"layer_timings: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -31,6 +31,7 @@ from .fuzz import run_fuzz
 from .scenario import (
     MAX_ADDR_WIDTH,
     MAX_DATA_WIDTH,
+    MAX_EDGES,
     Scenario,
     ScenarioParseError,
     parse_scenario,
@@ -139,6 +140,8 @@ def cmd_fuzz(
 ) -> int:
     if cycles < 1:
         raise SystemExit2("cycles must be >= 1")
+    if cycles > MAX_EDGES:
+        raise SystemExit2(f"cycles {cycles} is more than the maximum {MAX_EDGES}")
     if params.addr_width > MAX_ADDR_WIDTH:
         raise SystemExit2(
             f"addr_width {params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}"

@@ -13,10 +13,12 @@ address bits: 5 bits per level, the top level taking the remainder
 (path copying as in Driscoll, Sarnak, Sleator & Tarjan, "Making Data
 Structures Persistent", 1989; the branching factor as in Bagwell, "Ideal
 Hash Trees", 2001).  The power-on array is one shared node per level.  A
-client write, like each edge of the zeroing sweep, copies the
-``ceil(addr_width / 5)`` tuples of at most 32 entries on one root-to-leaf
-path and shares the rest, so an edge costs O(addr_width) rather than
-O(2^addr_width).  For ``addr_width <= 5`` the trie is one flat tuple.
+client write, like each edge of the zeroing sweep that clears a nonzero
+word, copies the ``ceil(addr_width / 5)`` tuples of at most 32 entries on
+one root-to-leaf path and shares the rest, so an edge costs O(addr_width)
+rather than O(2^addr_width).  A sweep edge over a word that is already
+zero only reads it and copies nothing, so the power-on sweep costs one
+read per edge.  For ``addr_width <= 5`` the trie is one flat tuple.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
 
     if state.reset_done_internal:
         if count < len(memory):
-            memory = memory.set(count, 0)
+            if memory[count]:
+                memory = memory.set(count, 0)
             return RamState(memory, count + 1, True, rd_data), rd_data
         return RamState(memory, 0, False, rd_data), rd_data
 

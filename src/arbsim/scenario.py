@@ -42,9 +42,11 @@ MAX_ADDR_WIDTH = 20
 # exported row, so at both width caps a TSV row is 460 bytes plus its cycle
 # and time columns: about 1 GB for a table of MAX_EDGES rows.
 MAX_DATA_WIDTH = 64
-# Most edges that a scenario's run line may ask for: twice the sweep at
-# MAX_ADDR_WIDTH.  The replay keeps every row, about 450 bytes each, so a
-# run at the cap peaks near 0.95 GB.
+# Most edges that a scenario's run line, and most measured cycles that
+# ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  The
+# replay keeps every row, about 450 bytes each, so a run at the cap peaks
+# near 0.95 GB; a campaign keeps no rows and at the cap takes tens of
+# seconds rather than running until it is killed.
 MAX_EDGES = 1 << 21
 # Latest time that a clock, run, @t or expect line may name: the largest
 # 64-bit VCD timestamp.  Its 19 digits bound a literal before int() sees it.

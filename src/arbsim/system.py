@@ -41,6 +41,21 @@ _INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
 
 def _check_widths(inp: ClientInputs, params: Params) -> None:
     """A level pin must be a bool; a bus, an int that fits its width."""
+    # The check runs on every edge, so the common case is one unrolled
+    # expression; the loop over the pin table below only names the field.
+    (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
+     request_c2, rd_not_write_c2, addr_c2, datain_c2) = inp
+    addr_end, data_end = 1 << params.addr_width, 1 << params.data_width
+    if (
+        type(rst_n) is bool and type(rd_en_c1) is bool and type(wr_en_c1) is bool
+        and type(request_c2) is bool and type(rd_not_write_c2) is bool
+        and type(rdaddr_c1) is int and 0 <= rdaddr_c1 < addr_end
+        and type(wraddr_c1) is int and 0 <= wraddr_c1 < addr_end
+        and type(addr_c2) is int and 0 <= addr_c2 < addr_end
+        and type(wrdata_c1) is int and 0 <= wrdata_c1 < data_end
+        and type(datain_c2) is int and 0 <= datain_c2 < data_end
+    ):
+        return
     for field, role in _INPUTS:
         v = getattr(inp, field)
         if role == "level":

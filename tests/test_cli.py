@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from arbsim.cli import main
+from arbsim.scenario import MAX_EDGES
 
 from vcd_reader import read_vcd
 
@@ -219,6 +220,27 @@ class TestFuzz:
     def test_data_width_past_the_cap_fails_before_simulating(self, capsys, monkeypatch):
         assert_fails_before(capsys, monkeypatch, "run_fuzz",
                             "fuzz", "--seed", "1", "--cycles", "10", "--data-width", "65")
+
+    def test_cycles_past_the_cap_fails_before_simulating(self, capsys, monkeypatch):
+        assert_fails_before(capsys, monkeypatch, "run_fuzz",
+                            "fuzz", "--seed", "0", "--cycles", str(MAX_EDGES + 1))
+        assert_fails_before(capsys, monkeypatch, "run_fuzz",
+                            "fuzz", "--seed", "0", "--cycles", "1000000000000")
+
+    def test_cycles_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        import arbsim.cli as cli_mod
+        from arbsim.fuzz import FuzzResult
+
+        seen = []
+
+        def fake_run_fuzz(seed, cycles, params, reset_storm=False):
+            seen.append(cycles)
+            return FuzzResult(seed, cycles, None)
+
+        monkeypatch.setattr(cli_mod, "run_fuzz", fake_run_fuzz)
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "0", "--cycles", str(MAX_EDGES))
+        assert (code, err, seen) == (0, "", [MAX_EDGES])
+        assert out == f"OK\tseed=0\tcycles={MAX_EDGES}\tviolations=0\n"
 
     def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
         assert_fails_before(capsys, monkeypatch, "run_fuzz",

@@ -102,6 +102,56 @@ def test_writes_during_sweep_are_ignored():
     assert state.memory[3] == parse_word("11111111", 8).value
 
 
+class SweepEveryWordRam:
+    """Reference RAM that writes a zero over word ``count`` on every sweep
+    edge, whether or not that word is already zero."""
+
+    def __init__(self, params):
+        self.memory = [0] * params.ram_depth()
+        self.count = 0
+        self.reset_done_internal = False
+        self.rd_data_reg = 0
+
+    def step(self, inp):
+        if not inp.rst_n:
+            self.reset_done_internal = True
+        elif self.reset_done_internal:
+            if self.count < len(self.memory):
+                self.memory[self.count] = 0
+                self.count += 1
+            else:
+                self.count, self.reset_done_internal = 0, False
+        else:
+            if inp.rd_en:
+                self.rd_data_reg = self.memory[inp.rd_addr]
+            if inp.wr_en:
+                self.memory[inp.wr_addr] = inp.wr_data
+        return self.rd_data_reg
+
+
+@pytest.mark.parametrize("addr_width", [4, 6])
+def test_sweep_matches_a_ram_that_zeroes_every_word(addr_width):
+    # Writes dirty the memory between sweeps, and reset pulses cut sweeps
+    # off part-way, so sweep edges meet both zero and nonzero words.
+    params = Params(addr_width, 8)
+    rng = random.Random(addr_width)
+    state, ref = ram_reset(params), SweepEveryWordRam(params)
+    dirty_sweep_edges = interrupted = completed = 0
+    for step in range(20_000):
+        rst_n = rng.random() >= 1 / (2 * params.ram_depth())
+        inp = random_ram_inputs(rng, params)._replace(rst_n=rst_n)
+        if state.reset_done_internal and rst_n and state.count < len(state.memory):
+            dirty_sweep_edges += state.memory[state.count] != 0
+        interrupted += state.reset_done_internal and 0 < state.count and not rst_n
+        completed += state.reset_done_internal and state.count == len(state.memory) and rst_n
+        state, rd = ram_step(state, inp)
+        expected = ref.step(inp)
+        assert (tuple(state.memory), state.count, state.reset_done_internal,
+                state.rd_data_reg, rd) == (tuple(ref.memory), ref.count,
+                ref.reset_done_internal, ref.rd_data_reg, expected), f"step {step}"
+    assert dirty_sweep_edges and interrupted and completed
+
+
 class TestAccess:
     def test_write_then_read_back(self):
         params = Params(4, 8)

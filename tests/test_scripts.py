@@ -9,14 +9,14 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, folder="scripts"):
+def run_script(name, *args, folder="scripts", stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, str(ROOT / folder / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -53,8 +53,23 @@ def test_layer_timings_prints_one_positive_time_per_layer():
     assert [row[0] for row in rows] == [
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
+        "ram_sweep_a13",
     ]
     assert all(len(row) == 3 and float(row[1]) > 0 and row[2] == "us" for row in rows)
+
+
+def test_layer_timings_closed_stdout_is_one_error_line():
+    # The reader is gone before the first row is printed: exit 2 with one
+    # stderr line, as arbsim does, rather than a BrokenPipeError traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_script("layer_timings.py", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith("layer_timings: error:")
+    assert result.stderr.count("\n") == 1
 
 
 def test_export_waveforms_writes_vcd_and_tsv_per_case(tmp_path):

@@ -14,6 +14,7 @@ from arbsim import (
     LOW,
     ArbiterState,
     ChannelState,
+    ClientInputs,
     ClientOutputs,
     Params,
     RamInputs,
@@ -84,6 +85,37 @@ class TestSystemNew:
             bad = make_inputs(params)._replace(**{field: value})
             with pytest.raises(ValueError, match=field):
                 system_step(state, bad)
+
+
+@pytest.mark.parametrize("params", [Params(4, 8), Params(13, 8)], ids=["a4", "a13"])
+def test_input_check_walks_every_input_pin(params):
+    # Every input row of the pin table, with every kind of wrong value for
+    # its role: the error names that field, in the loop's exact words, and
+    # both ends of each bus's range and both levels pass.
+    state = system_new(params)
+    quiet = ClientInputs.quiet(rst_n=HIGH)
+    for _, direction, role, path in PINS:
+        if direction != "in":
+            continue
+        field = path.split(".")[1]
+        if role == "level":
+            bad, good = [1, 0, "1", None], [True, False]
+        else:
+            w = params.width(role)
+            bad, good = [2**w, -1, True, 1.0, Word(w, 0), "0" * w], [0, 2**w - 1]
+        for value in bad:
+            if role == "level":
+                message = f"{field} = {value!r} is not a level (a bool)"
+            else:
+                message = f"{field} = {value!r} does not fit params width {w}"
+            with pytest.raises(ValueError) as info:
+                system_step(state, quiet._replace(**{field: value}))
+            assert str(info.value) == message
+        for value in good:
+            system_step(state, quiet._replace(**{field: value}))
+    # With every field wrong the first input pin of the table is named.
+    with pytest.raises(ValueError, match="^rst_n = None "):
+        system_step(state, ClientInputs(*[None] * len(ClientInputs._fields)))
 
 
 class TestRoundTrips:
