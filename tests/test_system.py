@@ -100,17 +100,15 @@ def test_input_check_walks_every_input_pin(params):
         field = path.split(".")[1]
         if role == "level":
             bad, good = [1, 0, "1", None], [True, False]
+            reason = "is not a level (a bool)"
         else:
             w = params.width(role)
             bad, good = [2**w, -1, True, 1.0, Word(w, 0), "0" * w], [0, 2**w - 1]
+            reason = f"does not fit params width {w}"
         for value in bad:
-            if role == "level":
-                message = f"{field} = {value!r} is not a level (a bool)"
-            else:
-                message = f"{field} = {value!r} does not fit params width {w}"
             with pytest.raises(ValueError) as info:
                 system_step(state, quiet._replace(**{field: value}))
-            assert str(info.value) == message
+            assert str(info.value) == f"{field} = {value!r} {reason}"
         for value in good:
             system_step(state, quiet._replace(**{field: value}))
     # With every field wrong the first input pin of the table is named.
