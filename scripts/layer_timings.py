@@ -1,14 +1,24 @@
 #!/usr/bin/env python3
-"""Time each layer of one edge on its own, in microseconds per call.
+"""Time each layer on its own, in microseconds per call or per exported row.
 
-Records the inputs of one ``fuzz-a4`` campaign (seed 0, 2,000 cycles at
-addr 4, data 8, with reset storms) and replays every layer's calls over
-that fixed stream.  Each figure is the minimum over a few repeats of the
-stream's total time divided by its length, taken with the garbage
-collector off as timeit does, so it is one call's cost.  The last row,
-``ram_sweep_a13``, is ``ram_step`` over the 8,193 zeroing-sweep edges of a
-power-on RAM at addr 13, which the addr-4 stream barely exercises.  Every
-layer is timed before anything is printed.  Takes no options:
+The kernel rows record the inputs of one ``fuzz-a4`` campaign (seed 0,
+2,000 cycles at addr 4, data 8, with reset storms) and replay every
+layer's calls over that fixed stream, so each is one call's cost.
+``ram_sweep_a13`` is ``ram_step`` over the 8,193 zeroing-sweep edges of a
+power-on RAM at addr 13, which the addr-4 stream barely exercises.  The
+text rows run the 74 corpus cases (37 builtins in both output modes):
+``parse_scenario`` per case, over each case's rendered text, and
+``run_scenario``, ``check_assertions``, ``write_vcd`` and ``write_table``
+per exported row (5,722 rows), the exporters into an in-memory sink.
+
+Each layer's stream is timed REPEATS times with the garbage collector off,
+as timeit does, and after each pass a small fixed reference computation
+is timed.  The columns are the minimum and the median over the passes,
+in µs, and the median over the passes of the layer's time divided by the
+reference's time right after it.  That ratio cancels most of a shared
+host's changes in speed, so it is the column to compare between two
+invocations; the last row is the reference itself, in µs per iteration.
+Every layer is timed before anything is printed.  Takes no options:
 
     PYTHONPATH=src python3 scripts/layer_timings.py
 
@@ -17,19 +27,24 @@ Per-call times compare versions of the code on one host; the benchmark
 """
 
 import gc
+import io
 import os
 import random
+import statistics
 import sys
 import time
 from collections import deque
+from dataclasses import replace
 from itertools import starmap
 
-from arbsim import Params, arbiter, fuzz, ram, system
+from arbsim import Params, arbiter, builtin_scenarios, fuzz, ram, system, trace
+from arbsim.scenario import parse_scenario, render_scenario
 
 PARAMS = Params(4, 8)
 SWEEP_PARAMS = Params(13, 8)
 CYCLES = 2000
-REPEATS = 5
+REPEATS = 7
+REFERENCE_ITERATIONS = 2000
 
 
 def record_stream():
@@ -85,27 +100,81 @@ def sweep_calls():
     return calls
 
 
-def per_call_us(fn, args):
+def text_layers():
+    """(name, function, argument tuples, units) of each layer of the text path."""
+    cases = [
+        replace(s, params=replace(s.params, registered_output=registered))
+        for s in builtin_scenarios()
+        for registered in (False, True)
+    ]
+    traces = [trace.run_scenario(s) for s in cases]
+    rows = sum(len(t.rows) for t in traces)
+
+    def export(write):
+        return lambda t: write(t, io.StringIO())
+
+    return [
+        ("parse_scenario", parse_scenario,
+         [(render_scenario(s),) for s in cases], len(cases)),
+        ("run_scenario", trace.run_scenario, [(s,) for s in cases], rows),
+        ("check_assertions", trace.check_assertions, list(zip(traces, cases)), rows),
+        ("write_vcd", export(trace.write_vcd), [(t,) for t in traces], rows),
+        ("write_table", export(trace.write_table), [(t,) for t in traces], rows),
+    ]
+
+
+def reference_seconds():
+    """Seconds per iteration of a fixed computation of the kind the layers
+    do: build small tuples, update a dict and format ints."""
+    t0 = time.perf_counter()
+    latest = {}
+    for i in range(REFERENCE_ITERATIONS):
+        latest[i & 15] = (i, i & 255, f"{i & 255:08b}")
+    return (time.perf_counter() - t0) / REFERENCE_ITERATIONS
+
+
+def seconds(fn, args):
+    t0 = time.perf_counter()
+    deque(starmap(fn, args), 0)
+    return time.perf_counter() - t0
+
+
+def timings(layers):
+    """(name, min µs, median µs, median ratio to the reference) per layer,
+    then the reference's own row in µs per iteration."""
+    passes = {name: [] for name, _, _, _ in layers}
+    ratios = {name: [] for name, _, _, _ in layers}
+    refs = []
     # With the collector off, as timeit runs: its passes over the recorded
     # stream would otherwise land on whichever layer happens to allocate.
-    best = float("inf")
     gc.disable()
     try:
         for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            deque(starmap(fn, args), 0)
-            best = min(best, time.perf_counter() - t0)
+            for name, fn, args, units in layers:
+                layer = seconds(fn, args) / units
+                ref = reference_seconds()
+                passes[name].append(layer)
+                ratios[name].append(layer / ref)
+                refs.append(ref)
     finally:
         gc.enable()
-    return best / len(args) * 1e6
+    rows = [(name, min(ts) * 1e6, statistics.median(ts) * 1e6,
+             statistics.median(ratios[name])) for name, ts in passes.items()]
+    rows.append(("reference", min(refs) * 1e6, statistics.median(refs) * 1e6, 1.0))
+    return rows
 
 
 def main():
-    rows = [(fn.__name__, per_call_us(fn, args))
-            for fn, args in layer_calls(record_stream()).items()]
-    rows.append(("ram_sweep_a13", per_call_us(ram.ram_step, sweep_calls())))
+    layers = [(fn.__name__, fn, args, len(args))
+              for fn, args in layer_calls(record_stream()).items()]
+    sweep = sweep_calls()
+    layers.append(("ram_sweep_a13", ram.ram_step, sweep, len(sweep)))
+    layers += text_layers()
+    lines = [f"{'layer':<18}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]
+    lines += [f"{name:<18}{lo:9.2f}{mid:11.2f}{ratio:9.2f}\n"
+              for name, lo, mid, ratio in timings(layers)]
     try:
-        sys.stdout.write("".join(f"{name:<18}{us:8.2f} us\n" for name, us in rows))
+        sys.stdout.write("".join(lines))
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # As arbsim does: point stdout at devnull so that the interpreter's

@@ -184,22 +184,45 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     sink.writelines(record.format(0) for record in records)
     sink.write("$end\n")
 
+    # A row equal to the one before it writes nothing, so it is skipped
+    # whole before the per-pin walk; any other row changes at least one pin.
     for row in trace.rows:
         values = _ROW_VALUES(row)
-        changes = [
+        if values == current:
+            continue
+        sink.write(f"#{row.time}\n")
+        sink.writelines([
             record.format(value)
             for record, value, old in zip(records, values, current)
             if value != old
-        ]
+        ])
         current = values
-        if changes:
-            sink.write(f"#{row.time}\n")
-            sink.writelines(changes)
 
 
 def write_table(trace: Trace, sink: IO[str]) -> None:
-    """Tab-separated dump: header of signal names, one row per cycle."""
+    """Tab-separated dump: header of signal names, one row per cycle.
+
+    Each distinct row of pin values is rendered once per call; every row
+    formats only its cycle and time.  Reusing the text is byte-safe:
+
+    - every cell is its value in binary at its pin's width, text that
+      depends only on the value's int;
+    - the values are bools, ints and ``ChannelState`` members (an
+      ``IntEnum``), so tuple ``==`` and ``hash`` are int equality, and
+      equal keys render equal text;
+    - widths differ between traces, so the memo lives inside one call and
+      nothing is cached between calls.
+
+    The memo grows with a scenario's events, not with its run length: every
+    builtin case replayed at 40 times its duration has at most 13 distinct
+    rows (``tests/test_trace.py`` checks that bound).
+    """
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
-    line = "\t".join(["{}", "{}", *_pin_formats(trace.params)]) + "\n"
+    cells = "\t".join(_pin_formats(trace.params)) + "\n"
+    rendered: dict[tuple, str] = {}  # a row's pin values -> their cells
     for row in trace.rows:
-        sink.write(line.format(row.cycle, row.time, *_ROW_VALUES(row)))
+        values = _ROW_VALUES(row)
+        text = rendered.get(values)
+        if text is None:
+            text = rendered[values] = cells.format(*values)
+        sink.write(f"{row.cycle}\t{row.time}\t{text}")

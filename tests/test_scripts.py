@@ -49,13 +49,18 @@ def test_fuzz_campaign_stops_at_a_width_past_the_cap():
 def test_layer_timings_prints_one_positive_time_per_layer():
     result = run_script("layer_timings.py")
     assert result.returncode == 0, result.stderr
-    rows = [line.split() for line in result.stdout.splitlines()]
+    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["layer", "min_us", "median_us", "x_ref"]
     assert [row[0] for row in rows] == [
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
-        "ram_sweep_a13",
+        "ram_sweep_a13", "parse_scenario", "run_scenario", "check_assertions",
+        "write_vcd", "write_table", "reference",
     ]
-    assert all(len(row) == 3 and float(row[1]) > 0 and row[2] == "us" for row in rows)
+    for name, *cells in rows:
+        low, median, ratio = map(float, cells)
+        assert 0 < low <= median and ratio > 0, name
+    assert rows[-1][3] == "1.00"
 
 
 def test_layer_timings_closed_stdout_is_one_error_line():

@@ -1,22 +1,32 @@
 """Trace recorder, assertion checker, and waveform exporters."""
 
 import io
+import random
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 
 from arbsim import (
+    HIGH,
+    LOW,
+    Params,
+    Trace,
+    TraceRow,
     builtin_by_name,
     builtin_scenarios,
     check_assertions,
     parse_scenario,
     parse_word,
     run_scenario,
+    system_new,
+    system_step,
     write_table,
     write_vcd,
 )
 from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
+from arbsim.trace import _ROW_VALUES
 
 from vcd_reader import read_vcd
 
@@ -233,3 +243,172 @@ class TestPinTable:
         write_table(run_scenario(builtin_by_name("tc01")), sink)
         header = sink.getvalue().split("\n", 1)[0].split("\t")
         assert header == ["cycle", "time_ns"] + [name for name, _, _, _ in PINS]
+
+
+def ack_train_scenario(params):
+    """Reset low for one edge, the init sweep, then a client1 write, client2
+    continuous writes (a period-2 ack train) and reads (period 3), a clash,
+    a reset pulse and idle edges: rows repeat, adjacent and not, and the
+    first row holds the power-on values."""
+    a, d = params.addr_width, params.data_width
+    addr, data = "0" * (a - 1) + "1", "1" * d
+    t = (params.ram_depth() + 3) * 100  # the sweep is over
+    lines = [
+        "scenario ack-trains",
+        f"params addr={a} data={d} registered={int(params.registered_output)}",
+        "clock 100",
+        "@100 RST_N = 1",
+        f"@{t} WR_EN_C1 = 1", f"@{t} WRADDR_C1 = {addr}", f"@{t} WRDATA_C1 = {data}",
+        f"@{t + 300} WR_EN_C1 = 0",
+        f"@{t + 300} REQUEST_C2 = 1", f"@{t + 300} RD_NOT_WRITE_C2 = 0",
+        f"@{t + 300} ADDR_C2 = {addr}", f"@{t + 300} DATAIN_C2 = {'0' * (d - 1)}1",
+        f"@{t + 1500} RD_NOT_WRITE_C2 = 1",
+        f"@{t + 2700} RD_EN_C1 = 1", f"@{t + 2700} RDADDR_C1 = {addr}",
+        f"@{t + 2700} RD_NOT_WRITE_C2 = 0",
+        f"@{t + 3300} RD_EN_C1 = 0", f"@{t + 3300} REQUEST_C2 = 0",
+        f"@{t + 3600} RST_N = 0", f"@{t + 3800} RST_N = 1",
+        f"run {t + 3800 + (params.ram_depth() + 8) * 100}",
+    ]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def random_walk_trace(params):
+    """Two reset edges, the init sweep, then 400 edges that each change one
+    random input: many rows differ from an earlier one in a single pin."""
+    rng = random.Random(0)
+    inputs = ClientInputs.quiet(rst_n=LOW)
+    state, rows = system_new(params), []
+    sweep = params.ram_depth() + 3
+    for cycle in range(sweep + 400):
+        if cycle == 2:
+            inputs = inputs._replace(rst_n=HIGH)
+        elif cycle >= sweep:
+            field = rng.choice(ClientInputs._fields)
+            # Reset rarely, so that most of the walk is past the sweep.
+            if field == "rst_n" and rng.random() < 0.9:
+                field = "request_c2"
+            old = getattr(inputs, field)
+            if type(old) is bool:
+                new = not old
+            else:
+                new = rng.getrandbits(params.width("addr" if "addr" in field else "data"))
+            inputs = inputs._replace(**{field: new})
+        state, out = system_step(state, inputs)
+        rows.append(TraceRow(cycle, cycle * 10 + 5, inputs, out, state.arbiter))
+    return Trace(params, 10, tuple(rows))
+
+
+def one_pin_trace(params):
+    """The power-on row, then each pin in PINS order at its largest value
+    for one row and back to power-on: rows that differ in one pin only."""
+    quiet = ClientInputs.quiet(rst_n=LOW)
+    state, out = system_step(system_new(params), quiet)
+    base = TraceRow(0, 0, quiet, out, state.arbiter)
+    largest = {"level": HIGH, "state": max(ChannelState)}
+    rows = [base]
+    for _, _, role, path in PINS:
+        part, field = path.split(".")
+        value = largest.get(role) or (1 << params.width(role)) - 1
+        record = getattr(base, part)._replace(**{field: value})
+        rows += [base._replace(**{part: record}), base]
+    return Trace(params, 10, tuple(
+        row._replace(cycle=k, time=k * 10 + 5) for k, row in enumerate(rows)
+    ))
+
+
+def reference_table(trace):
+    """The table rendered the plain way: every cell of every row formatted."""
+    names = [name for name, _, _, _ in PINS]
+    widths = [trace.params.width(role) for _, _, role, _ in PINS]
+    getters = [attrgetter(path) for _, _, _, path in PINS]
+    lines = ["\t".join(["cycle", "time_ns", *names])]
+    for row in trace.rows:
+        cells = [format(int(get(row)), f"0{w}b") for get, w in zip(getters, widths)]
+        lines.append("\t".join([str(row.cycle), str(row.time), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_vcd(trace):
+    """The VCD rendered the plain way: every pin of every row compared with
+    the row before it (the power-on values before the first)."""
+    widths = [trace.params.width(role) for _, _, role, _ in PINS]
+    getters = [attrgetter(path) for _, _, _, path in PINS]
+
+    def record(i, value):
+        bits = format(value, f"0{widths[i]}b")
+        return f"{bits}{chr(33 + i)}\n" if widths[i] == 1 else f"b{bits} {chr(33 + i)}\n"
+
+    out = ["$timescale 1ns $end\n", "$scope module ram_arbiter $end\n"]
+    for i, (name, _, _, _) in enumerate(PINS):
+        w, vid = widths[i], chr(33 + i)
+        out.append(f"$var wire 1 {vid} {name} $end\n" if w == 1
+                   else f"$var wire {w} {vid} {name} [{w - 1}:0] $end\n")
+    out += ["$upscope $end\n", "$enddefinitions $end\n", "$dumpvars\n"]
+    previous = [0] * len(PINS)
+    out += [record(i, 0) for i in range(len(PINS))]
+    out.append("$end\n")
+    for row in trace.rows:
+        values = [int(get(row)) for get in getters]
+        changes = [record(i, v) for i, (v, old) in enumerate(zip(values, previous)) if v != old]
+        if changes:
+            out.append(f"#{row.time}\n")
+            out += changes
+        previous = values
+    return "".join(out)
+
+
+EXPORT_PARAMS = [Params(1, 1), Params(4, 8), Params(6, 12)]
+
+
+class TestExportReference:
+    """The exporters render each distinct row once and skip unchanged rows;
+    their bytes must equal a renderer that does neither, at every width."""
+
+    @staticmethod
+    def traces(kind, registered):
+        for base in EXPORT_PARAMS:
+            params = replace(base, registered_output=registered)
+            if kind == "ack-trains":
+                yield run_scenario(ack_train_scenario(params))
+            elif kind == "random-walk":
+                yield random_walk_trace(params)
+            else:
+                yield one_pin_trace(params)
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+    @pytest.mark.parametrize("kind", ["ack-trains", "random-walk", "one-pin"])
+    def test_exports_match_the_per_row_reference(self, kind, registered):
+        # The widths alternate within one test, so a memo kept between calls
+        # would hand one width's cells to another.
+        for trace in self.traces(kind, registered):
+            label = f"{kind} {trace.params}"
+            values = [_ROW_VALUES(row) for row in trace.rows]
+            assert values[0] == (0,) * len(PINS), label
+            first = {}
+            for k, v in enumerate(values):
+                first.setdefault(v, k)
+            assert any(k - first[v] > 1 and values[k - 1] != v for k, v in enumerate(values)), label
+            vcd, tsv = io.StringIO(), io.StringIO()
+            write_vcd(trace, vcd)
+            write_table(trace, tsv)
+            assert tsv.getvalue() == reference_table(trace), label
+            assert vcd.getvalue() == reference_vcd(trace), label
+
+    def test_ack_trains_reach_both_periods(self):
+        # The scenario above does produce the trains it is named for.
+        for params in EXPORT_PARAMS:
+            acks = "".join(str(int(r.outputs.ack_c2)) for r in run_scenario(ack_train_scenario(params)).rows)
+            assert "101010" in acks and "1001001" in acks, params
+
+
+@pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+def test_distinct_rows_do_not_grow_with_run_length(registered):
+    # write_table keeps one rendered row per distinct row of pin values, so
+    # its memory is this count: it depends on a case's events, and a case
+    # run 40 times as long has no more distinct rows than at its own length.
+    for base in builtin_scenarios():
+        s = replace(base, params=replace(base.params, registered_output=registered))
+        distinct = len({_ROW_VALUES(row) for row in run_scenario(s).rows})
+        long = replace(s, duration=40 * s.duration)
+        distinct_long = len({_ROW_VALUES(row) for row in run_scenario(long).rows})
+        assert distinct_long == distinct <= 13, s.name
