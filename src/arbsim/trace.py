@@ -11,8 +11,8 @@ tab-separated table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import IO, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import IO, Iterator, NamedTuple
 
 from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
@@ -101,32 +101,69 @@ def run_scenario(s: Scenario) -> Trace:
     return Trace(s.params, s.clock_period, tuple(rows))
 
 
-def _pin_formats(params: Params) -> list[str]:
-    """The format of every pin, in PINS order: its value in binary at its
+def _pin_format(params: Params, role: str) -> str:
+    """The format of a pin of this role: its value in binary at the role's
     width.  A level is a bool and a channel state an int code, so one rule
-    covers every role."""
-    return [f"{{:0{params.width(role)}b}}" for _, _, role, _ in PINS]
+    covers every role, for the checker and both exporters alike."""
+    return f"{{:0{params.width(role)}b}}"
 
 
-# The exporters read a whole row at once: one attrgetter over every pin's
-# path, in PINS order.
-_ROW_VALUES = attrgetter(*(path for _, _, _, path in PINS))
+# The exporters read a row as its pin values in PINS order: the input and
+# output records whole, then the probes picked from the arbiter state by
+# index, at less than half the cost of one attrgetter over every dotted
+# path.  That holds only while PINS lists the ClientInputs fields, then the
+# ClientOutputs fields, each in field order, then the probes, so it is
+# checked here (by a raise, which -O keeps).
+_IO_PINS = [("in", f"inputs.{field}") for field in ClientInputs._fields]
+_IO_PINS += [("out", f"outputs.{field}") for field in ClientOutputs._fields]
+_PROBE_PINS = PINS[len(_IO_PINS) :]
+if [(d, path) for _, d, _, path in PINS[: len(_IO_PINS)]] != _IO_PINS or any(
+    d != "probe" or not path.startswith("arbiter.") for _, d, _, path in _PROBE_PINS
+):
+    raise RuntimeError("PINS must list the ClientInputs, then the ClientOutputs fields, then the probes")
+_PROBES = itemgetter(*[
+    ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
+])
+
+
+def _ROW_VALUES(row: TraceRow) -> tuple:
+    """A row's pin values in PINS order.  ``_runs`` inlines this, which
+    saves a call on every row."""
+    return row.inputs + row.outputs + _PROBES(row.arbiter)
+
+
+def _runs(rows: tuple[TraceRow, ...]) -> Iterator[tuple[int, int, int, tuple]]:
+    """Walk rows as maximal runs of equal pin values: ``(start, stop, key,
+    values)`` for each run ``rows[start:stop]``, where ``key`` numbers the
+    distinct values in the order they first appear (0, 1, 2, ...).  Only
+    the distinct values are kept, so memory grows with them and not with
+    the run length."""
+    keys: dict[tuple, int] = {}
+    start, key, values = 0, 0, None
+    for stop, row in enumerate(rows):
+        row_values = row.inputs + row.outputs + _PROBES(row.arbiter)
+        if row_values != values:
+            if stop:
+                yield start, stop, key, values
+            start, values = stop, row_values
+            key = keys.setdefault(values, len(keys))
+    if rows:
+        yield start, len(rows), key, values
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
     n = len(trace.rows)
-    formats = _pin_formats(trace.params)
     for a in s.assertions:
-        i = _PIN_INDEX[a.pin]
-        sample = attrgetter(PINS[i][3])
+        _, _, role, path = PINS[_PIN_INDEX[a.pin]]
+        sample = attrgetter(path)
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            observed = formats[i].format(sample(trace.rows[k]))
+            observed = _pin_format(trace.params, role).format(sample(trace.rows[k]))
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
@@ -158,52 +195,68 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     """Emit a minimal VCD: header, initial values, then changes only.
 
     Scalars are 1-bit wires, buses are n-bit wires dumped as ``b<bits> <id>``
-    records.  Power-on values populate the ``$dumpvars`` block; each trace
-    row then contributes a ``#<time>`` section containing only the signals
-    whose value differs from the previous row.
+    records.  Power-on values populate the ``$dumpvars`` block; each run of
+    equal rows (``_runs``) then contributes, at its first row's time, a
+    ``#<time>`` section of only the signals that differ from the run before
+    it (the power-on values before the first run).
+
+    A change block depends only on the pair (previous run's values, run's
+    values), so it is rendered once per distinct pair: a dict local to the
+    call maps the pair of run keys to its block, and the period-2 and
+    period-3 ack trains reuse the same few blocks.  Reusing the text is
+    byte-safe for the reasons that ``write_table`` gives.  Every builtin
+    case has at most 16 distinct transitions, and as many when it runs 40
+    times as long (``tests/test_trace.py`` checks both), so the memo grows
+    with a scenario's events, not with its run length.
     """
-    sink.write("$timescale 1ns $end\n")
-    sink.write("$scope module ram_arbiter $end\n")
+    params = trace.params
+    header = ["$timescale 1ns $end\n", "$scope module ram_arbiter $end\n"]
     records = []  # per pin, the format of its value-change record
-    for i, ((name, _, role, _), fmt) in enumerate(zip(PINS, _pin_formats(trace.params))):
-        vid = chr(33 + i)
-        width = trace.params.width(role)
+    for i, (name, _, role, _) in enumerate(PINS):
+        vid, width, fmt = chr(33 + i), params.width(role), _pin_format(params, role)
         if width == 1:
-            sink.write(f"$var wire 1 {vid} {name} $end\n")
+            header.append(f"$var wire 1 {vid} {name} $end\n")
             records.append(f"{fmt}{vid}\n")
         else:
-            sink.write(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
+            header.append(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
             records.append(f"b{fmt} {vid}\n")
-    sink.write("$upscope $end\n")
-    sink.write("$enddefinitions $end\n")
-
     # Power-on values: every pin 0, the channel states included (RESET is
-    # code 0).  A row's cells are compared raw and formatted only on a change.
-    current = (0,) * len(PINS)
-    sink.write("$dumpvars\n")
-    sink.writelines(record.format(0) for record in records)
-    sink.write("$end\n")
+    # code 0).
+    header += ["$upscope $end\n", "$enddefinitions $end\n", "$dumpvars\n"]
+    header += [record.format(0) for record in records]
+    sink.write("".join(header) + "$end\n")
 
-    # A row equal to the one before it writes nothing, so it is skipped
-    # whole before the per-pin walk; any other row changes at least one pin.
-    for row in trace.rows:
-        values = _ROW_VALUES(row)
-        if values == current:
-            continue
-        sink.write(f"#{row.time}\n")
-        sink.writelines([
-            record.format(value)
-            for record, value, old in zip(records, values, current)
-            if value != old
-        ])
-        current = values
+    rows = trace.rows
+    blocks: dict[tuple[int, int], str] = {}  # (previous key, key) -> changes
+    previous, old = -1, (0,) * len(PINS)  # key -1: the power-on values
+    for start, _, key, values in _runs(rows):
+        block = blocks.get((previous, key))
+        if block is None:
+            block = "".join([record.format(v) for record, v, o in zip(records, values, old) if v != o])
+            # A run differs from the run before it, so the block is empty
+            # only for a first run that holds the power-on values; it writes
+            # nothing and is not kept.
+            if block:
+                blocks[previous, key] = block
+        if block:
+            sink.write(f"#{rows[start].time}\n{block}")
+        previous, old = key, values
+
+
+# write_table writes a run of equal rows in pieces of at most this many
+# lines; the corpus's longest run has 61.
+_LINES_PER_WRITE = 1024
 
 
 def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one row per cycle.
 
-    Each distinct row of pin values is rendered once per call; every row
-    formats only its cycle and time.  Reusing the text is byte-safe:
+    Each distinct row of pin values is rendered once per call, when its run
+    key (``_runs``) first appears; every row formats only its cycle and
+    time, and a run's lines go to the sink in one write (one per
+    ``_LINES_PER_WRITE`` lines of a longer run, so that the text held at
+    once does not grow with the run length).  Reusing the text is
+    byte-safe:
 
     - every cell is its value in binary at its pin's width, text that
       depends only on the value's int;
@@ -217,12 +270,14 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     builtin case replayed at 40 times its duration has at most 13 distinct
     rows (``tests/test_trace.py`` checks that bound).
     """
+    rows = trace.rows
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
-    cells = "\t".join(_pin_formats(trace.params)) + "\n"
-    rendered: dict[tuple, str] = {}  # a row's pin values -> their cells
-    for row in trace.rows:
-        values = _ROW_VALUES(row)
-        text = rendered.get(values)
-        if text is None:
-            text = rendered[values] = cells.format(*values)
-        sink.write(f"{row.cycle}\t{row.time}\t{text}")
+    cells = "\t".join([_pin_format(trace.params, role) for _, _, role, _ in PINS]) + "\n"
+    rendered: list[str] = []  # run key -> the cells of its values
+    for start, stop, key, values in _runs(rows):
+        if key == len(rendered):
+            rendered.append(cells.format(*values))
+        text = rendered[key]
+        for first in range(start, stop, _LINES_PER_WRITE):
+            piece = rows[first : min(first + _LINES_PER_WRITE, stop)]
+            sink.write("".join([f"{row.cycle}\t{row.time}\t{text}" for row in piece]))

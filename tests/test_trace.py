@@ -26,7 +26,7 @@ from arbsim import (
 )
 from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
-from arbsim.trace import _ROW_VALUES
+from arbsim.trace import _LINES_PER_WRITE, _ROW_VALUES, _runs
 
 from vcd_reader import read_vcd
 
@@ -299,14 +299,15 @@ def random_walk_trace(params):
 
 
 def one_pin_trace(params):
-    """The power-on row, then each pin in PINS order at its largest value
-    for one row and back to power-on: rows that differ in one pin only."""
+    """The power-on row, then twice over each pin in PINS order at its
+    largest value for one row and back to power-on: rows that differ in one
+    pin only, and the second pass repeats every transition of the first."""
     quiet = ClientInputs.quiet(rst_n=LOW)
     state, out = system_step(system_new(params), quiet)
     base = TraceRow(0, 0, quiet, out, state.arbiter)
     largest = {"level": HIGH, "state": max(ChannelState)}
     rows = [base]
-    for _, _, role, path in PINS:
+    for _, _, role, path in PINS * 2:
         part, field = path.split(".")
         value = largest.get(role) or (1 << params.width(role)) - 1
         record = getattr(base, part)._replace(**{field: value})
@@ -361,8 +362,9 @@ EXPORT_PARAMS = [Params(1, 1), Params(4, 8), Params(6, 12)]
 
 
 class TestExportReference:
-    """The exporters render each distinct row once and skip unchanged rows;
-    their bytes must equal a renderer that does neither, at every width."""
+    """The exporters walk a trace as runs of equal rows, render each
+    distinct row and each distinct transition once; their bytes must equal
+    a renderer that does neither, at every width."""
 
     @staticmethod
     def traces(kind, registered):
@@ -375,24 +377,78 @@ class TestExportReference:
             else:
                 yield one_pin_trace(params)
 
+    @staticmethod
+    def assert_exports_match_the_reference(trace, label):
+        vcd, tsv = io.StringIO(), io.StringIO()
+        write_vcd(trace, vcd)
+        write_table(trace, tsv)
+        assert tsv.getvalue() == reference_table(trace), label
+        assert vcd.getvalue() == reference_vcd(trace), label
+
     @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
     @pytest.mark.parametrize("kind", ["ack-trains", "random-walk", "one-pin"])
     def test_exports_match_the_per_row_reference(self, kind, registered):
         # The widths alternate within one test, so a memo kept between calls
         # would hand one width's cells to another.
+        read_every_path = attrgetter(*(path for _, _, _, path in PINS))
         for trace in self.traces(kind, registered):
             label = f"{kind} {trace.params}"
             values = [_ROW_VALUES(row) for row in trace.rows]
+            assert values == [read_every_path(row) for row in trace.rows], label
             assert values[0] == (0,) * len(PINS), label
+            # A row equal to one before it, but not to the row just before
+            # (the table's memo is reused across runs) ...
             first = {}
             for k, v in enumerate(values):
                 first.setdefault(v, k)
             assert any(k - first[v] > 1 and values[k - 1] != v for k, v in enumerate(values)), label
-            vcd, tsv = io.StringIO(), io.StringIO()
-            write_vcd(trace, vcd)
-            write_table(trace, tsv)
-            assert tsv.getvalue() == reference_table(trace), label
-            assert vcd.getvalue() == reference_vcd(trace), label
+            # ... and a change from one row to the next that happened before
+            # (the VCD's memo is reused).
+            changes = [(old, v) for old, v in zip(values, values[1:]) if old != v]
+            assert len(set(changes)) < len(changes), label
+            self.assert_exports_match_the_reference(trace, label)
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+    def test_boundary_traces_match_the_per_row_reference(self, registered):
+        # The run walk's edge cases: no row at all (no run), and one row
+        # that holds the power-on values (a run that changes no VCD signal)
+        # or does not (RST_N high at the first edge).
+        for base in EXPORT_PARAMS:
+            params = replace(base, registered_output=registered)
+            head = f"params addr={params.addr_width} data={params.data_width} registered={int(registered)}"
+            for label, body, power_on in [
+                ("empty", "run 0", None),
+                ("power-on row", "run 100", True),
+                ("reset-high row", "@0 RST_N = 1\nrun 100", False),
+            ]:
+                trace = run_scenario(parse_scenario(f"scenario edge\n{head}\nclock 100\n{body}\n"))
+                label = f"{label} {params}"
+                if power_on is None:
+                    assert trace.rows == (), label
+                else:
+                    assert len(trace.rows) == 1, label
+                    assert (_ROW_VALUES(trace.rows[0]) == (0,) * len(PINS)) == power_on, label
+                self.assert_exports_match_the_reference(trace, label)
+
+    def test_a_long_run_is_written_in_bounded_pieces(self):
+        # A quiet scenario settles after the sweep into one run of thousands
+        # of equal rows; the table must not build that run's text at once.
+        class Sink(io.StringIO):
+            most_lines = 0
+
+            def write(self, text):
+                self.most_lines = max(self.most_lines, text.count("\n"))
+                return super().write(text)
+
+        trace = run_scenario(parse_scenario(
+            "scenario quiet\nparams addr=4 data=8 registered=0\nclock 10\n@0 RST_N = 1\nrun 30000\n"
+        ))
+        runs = list(_runs(trace.rows))
+        assert runs[-1][1] - runs[-1][0] > 2 * _LINES_PER_WRITE
+        sink = Sink()
+        write_table(trace, sink)
+        assert sink.getvalue() == reference_table(trace)
+        assert sink.most_lines == _LINES_PER_WRITE
 
     def test_ack_trains_reach_both_periods(self):
         # The scenario above does produce the trains it is named for.
@@ -401,14 +457,24 @@ class TestExportReference:
             assert "101010" in acks and "1001001" in acks, params
 
 
+def distinct_rows_and_transitions(trace):
+    """The distinct rows of pin values, and the distinct changes from one
+    row to the next (from the power-on values to the first row included)."""
+    values = [_ROW_VALUES(row) for row in trace.rows]
+    before = [(0,) * len(PINS)] + values[:-1]
+    return set(values), {(old, v) for old, v in zip(before, values) if old != v}
+
+
 @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
 def test_distinct_rows_do_not_grow_with_run_length(registered):
-    # write_table keeps one rendered row per distinct row of pin values, so
-    # its memory is this count: it depends on a case's events, and a case
-    # run 40 times as long has no more distinct rows than at its own length.
+    # write_table keeps one rendered row per distinct row of pin values and
+    # write_vcd one change block per distinct transition, so their memory is
+    # these counts: they depend on a case's events, and a case run 40 times
+    # as long has no more distinct rows or transitions than at its own length.
     for base in builtin_scenarios():
         s = replace(base, params=replace(base.params, registered_output=registered))
-        distinct = len({_ROW_VALUES(row) for row in run_scenario(s).rows})
+        rows, transitions = distinct_rows_and_transitions(run_scenario(s))
         long = replace(s, duration=40 * s.duration)
-        distinct_long = len({_ROW_VALUES(row) for row in run_scenario(long).rows})
-        assert distinct_long == distinct <= 13, s.name
+        rows_long, transitions_long = distinct_rows_and_transitions(run_scenario(long))
+        assert len(rows_long) == len(rows) <= 13, s.name
+        assert len(transitions_long) == len(transitions) <= 16, s.name
