@@ -161,6 +161,82 @@ class TestParseErrors:
         self.check(text.format(t=MAX_TIME + 1), f"out of range 0..{MAX_TIME}", line_no)
 
 
+HEAD = "scenario t\nparams addr=4 data=8 registered=0\n"
+# The time-cap run's last edge is edge 1, stamped at 1.5 clocks.
+LAST_EDGE = (MAX_TIME - 1) + (MAX_TIME - 1) // 2
+
+# Every ScenarioParseError path: (source, exact message, line number).  A
+# source that fails on a line before its end needs no run line.
+PARSE_ERRORS = {
+    "duplicate-scenario": ("scenario t\nscenario u\n", "duplicate scenario line", 2),
+    "duplicate-params": (HEAD + "params addr=4 data=8 registered=0\n", "duplicate params line", 3),
+    "duplicate-clock": (HEAD + "clock 50\nclock 50\n", "duplicate clock line", 4),
+    "duplicate-run": (HEAD + "run 100\nrun 100\n", "duplicate run line", 4),
+    "bad-params": ("scenario t\nparams addr=4 data=8\n",
+                   "bad params line: 'params addr=4 data=8'", 2),
+    "zero-width-params": ("scenario t\nparams addr=0 data=8 registered=0\n",
+                          "addr_width must be >= 1, got 0", 2),
+    "bad-clock": (HEAD + "clock fast\n", "bad clock line: 'clock fast'", 3),
+    "clock-zero": (HEAD + "clock 0\n", "bad clock line: 'clock 0'", 3),
+    "bad-run": (HEAD + "run soon\n", "bad run line: 'run soon'", 3),
+    "event-before-params": ("scenario t\n@100 RST_N = 1\n", "event before params line", 2),
+    "expect-before-params": ("scenario t\nexpect @100 RST_DONE = high\n",
+                             "expect before params line", 2),
+    "bad-event": (HEAD + "@100 RST_N 1\n", "bad event line: '@100 RST_N 1'", 3),
+    "negative-event-time": (HEAD + "@-5 RST_N = 1\n", "negative time -5", 3),
+    "unknown-input-pin": (HEAD + "@100 BOGUS = 1\n", "unknown input pin 'BOGUS'", 3),
+    "unknown-input-pin-out-of-order": (HEAD + "@200 RST_N = 1\n@100 BOGUS = 11\n",
+                                       "unknown input pin 'BOGUS'", 4),
+    "unknown-output-pin": (HEAD + "expect @100 WR_EN_C1 = 1\n", "unknown output pin 'WR_EN_C1'", 3),
+    "unknown-output-pin-window": (HEAD + "expect quiet BOGUS in 0..10\n",
+                                  "unknown output pin 'BOGUS'", 3),
+    "out-of-order": (HEAD + "@200 RST_N = 1\n@100 RST_N = 0\n",
+                     "event time 100 before previous event at 200", 4),
+    "out-of-order-bad-word": (HEAD + "@200 RST_N = 1\n@100 RST_N = 11\n",
+                              "event time 100 before previous event at 200", 4),
+    "event-bad-width": (HEAD + "@100 WRADDR_C1 = 101\n",
+                        "pin WRADDR_C1: expected 4 binary digits, got 3: '101'", 3),
+    "event-illegal-character": (HEAD + "@100 WRDATA_C1 = 1010x011\n",
+                                "pin WRDATA_C1: illegal character 'x' at position 4 in '1010x011'", 3),
+    "expect-bad-width": (HEAD + "expect @100 RDDATA_C1 = 101\n",
+                         "pin RDDATA_C1: expected 8 binary digits, got 3: '101'", 3),
+    "expect-illegal-character": (HEAD + "expect @100 RDDATA_C1 = 1010x011\n",
+                                 "pin RDDATA_C1: illegal character 'x' at position 4 in '1010x011'", 3),
+    "high-on-bus": (HEAD + "expect @100 RDDATA_C1 = high\n",
+                    "symbolic value on 8-bit pin RDDATA_C1", 3),
+    "low-on-bus": (HEAD + "expect @100 DATAOUT_C2 = low\n",
+                   "symbolic value on 8-bit pin DATAOUT_C2", 3),
+    "window-on-bus": (HEAD + "expect pulses RDDATA_C1 in 0..10\n",
+                      "pulses needs a 1-bit pin, got RDDATA_C1", 3),
+    "reversed-window": (HEAD + "expect quiet ACK_C2 in 10..5\n", "bad window 10..5", 3),
+    "negative-window-start": (HEAD + "expect quiet ACK_C2 in -3..2\n", "negative time -3", 3),
+    "bad-expect": (HEAD + "expect ACK_C2 high\n", "bad expect line: 'expect ACK_C2 high'", 3),
+    "unrecognized": (HEAD + "wait 100\n", "unrecognized line: 'wait 100'", 3),
+    "bare-run": (HEAD + "run\n", "unrecognized line: 'run'", 3),
+    "scenario-tab": ("scenario\tx\n", "unrecognized line: 'scenario\\tx'", 1),
+    "missing-scenario": ("params addr=4 data=8 registered=0\nrun 100\n", "missing scenario line", 1),
+    "missing-params": ("scenario t\nrun 100\n", "missing params line", 1),
+    "missing-run": (HEAD + "clock 50\n", "missing run line", 1),
+    "edge-cap": (HEAD + f"clock 10\nrun {MAX_EDGES * 10 + 1}\n",
+                 f"run {MAX_EDGES * 10 + 1} at clock 10 is {MAX_EDGES + 1} edges,"
+                 f" more than the maximum {MAX_EDGES}", 4),
+    "time-cap": (HEAD + f"clock {MAX_TIME - 1}\nrun {MAX_TIME}\n",
+                 f"run {MAX_TIME} at clock {MAX_TIME - 1} stamps its last edge at {LAST_EDGE},"
+                 f" later than the maximum time {MAX_TIME}", 4),
+    "addr-width-cap": (f"scenario t\nparams addr={MAX_ADDR_WIDTH + 1} data=8 registered=0\n",
+                       f"addr={MAX_ADDR_WIDTH + 1} is wider than the maximum {MAX_ADDR_WIDTH}", 2),
+    "data-width-cap": (f"scenario t\nparams addr=4 data={MAX_DATA_WIDTH + 1} registered=0\n",
+                       f"data={MAX_DATA_WIDTH + 1} is wider than the maximum {MAX_DATA_WIDTH}", 2),
+}
+
+
+@pytest.mark.parametrize("text, message, line_no", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_error_message_and_line(text, message, line_no):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (str(err.value), err.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
 def test_render_parse_round_trip_builtin_corpus():
     for s in builtin_scenarios():
         assert parse_scenario(render_scenario(s)) == s
