@@ -10,10 +10,11 @@ Subcommands:
   invariants every cycle.
 * ``list``: show the builtin scenario names.
 
-Exit status is 0 exactly when every evaluated check passes; usage problems
-(unknown scenario, unreadable file, bad flag values, a bus width or a run
-length past its limit, an output closed by its reader) exit 2 with a
-diagnostic on stderr.
+Exit status is 0 exactly when every evaluated check passes.  Usage problems
+exit 2 with one line on stderr: an unknown scenario, a scenario file that
+cannot be read or is not UTF-8, bad flag values, a bus width (one rule,
+``scenario.check_widths``, for files and ``fuzz``) or run length past its
+limit, and an output that cannot be written (reader gone or device full).
 """
 
 from __future__ import annotations
@@ -28,16 +29,13 @@ from typing import IO
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
-from .scenario import (
-    MAX_ADDR_WIDTH,
-    MAX_DATA_WIDTH,
-    MAX_EDGES,
-    Scenario,
-    ScenarioParseError,
-    parse_scenario,
-)
+from .scenario import MAX_EDGES, Scenario, ScenarioParseError, check_widths, parse_scenario
 from .signals import Params
-from .trace import AssertionReport, check_assertions, run_scenario, write_table, write_vcd
+from .trace import check_assertions, run_scenario, write_table, write_vcd
+
+
+class SystemExit2(Exception):
+    """Usage-level failure: message on stderr, exit status 2."""
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -50,7 +48,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SystemExit2(f"cannot read scenario file: {exc}")
         try:
             s = parse_scenario(text)
@@ -59,10 +57,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.registered is not None:
         s = replace(s, params=replace(s.params, registered_output=bool(args.registered)))
     return s
-
-
-class SystemExit2(Exception):
-    """Usage-level failure: message on stderr, exit status 2."""
 
 
 def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
@@ -75,12 +69,11 @@ def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
         raise SystemExit2(f"cannot write output file: {exc}")
 
 
-def _print_report(name: str, report: AssertionReport) -> None:
-    for r in report.results:
-        status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"{status}  {r.assertion.describe()}  [observed: {r.observed}]\n")
-    verdict = "PASS" if report.passed else "FAIL"
-    sys.stdout.write(f"{verdict}  {name}: {len(report.results)} assertion(s)\n")
+def _emit(text: str, report: IO[str] | None) -> None:
+    """Print ``text`` and copy it to the ``--report`` file, if there is one."""
+    sys.stdout.write(text)
+    if report:
+        report.write(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -93,7 +86,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             write_vcd(trace, vcd)
         if args.table:
             write_table(trace, table or sys.stdout)
-    _print_report(scenario.name, report)
+    for r in report.results:
+        status = "PASS" if r.passed else "FAIL"
+        sys.stdout.write(f"{status}  {r.assertion.describe()}  [observed: {r.observed}]\n")
+    verdict = "PASS" if report.passed else "FAIL"
+    sys.stdout.write(f"{verdict}  {scenario.name}: {len(report.results)} assertion(s)\n")
     return 0 if report.passed else 1
 
 
@@ -115,63 +112,42 @@ def _verify_lines(name_filter: str | None) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def cmd_verify_all(name_filter: str | None = None, report_path: str | None = None) -> int:
-    with _open_output(report_path) as report:
-        lines, all_ok = _verify_lines(name_filter)
+def cmd_verify(args: argparse.Namespace) -> int:
+    with _open_output(args.report) as report:
+        lines, all_ok = _verify_lines(args.filter)
         if not lines:
-            raise SystemExit2(f"no scenarios match filter {name_filter!r}")
-        header = "scenario\tmode\tstatus\tassertions"
-        body = "\n".join([header] + lines) + "\n"
-        sys.stdout.write(body)
-        summary = f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n"
-        sys.stdout.write(summary)
-        if report:
-            report.write(body)
-            report.write(summary)
+            raise SystemExit2(f"no scenarios match filter {args.filter!r}")
+        _emit("\n".join(["scenario\tmode\tstatus\tassertions"] + lines) + "\n", report)
+        _emit(f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n", report)
     return 0 if all_ok else 1
 
 
-def cmd_fuzz(
-    seed: int,
-    cycles: int,
-    params: Params,
-    reset_storm: bool = False,
-    report_path: str | None = None,
-) -> int:
-    if cycles < 1:
-        raise SystemExit2("cycles must be >= 1")
-    if cycles > MAX_EDGES:
-        raise SystemExit2(f"cycles {cycles} is more than the maximum {MAX_EDGES}")
-    if params.addr_width > MAX_ADDR_WIDTH:
-        raise SystemExit2(
-            f"addr_width {params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}"
-        )
-    if params.data_width > MAX_DATA_WIDTH:
-        raise SystemExit2(
-            f"data_width {params.data_width} is wider than the maximum {MAX_DATA_WIDTH}"
-        )
-    with _open_output(report_path) as report:
-        result = run_fuzz(seed, cycles, params, reset_storm=reset_storm)
+def cmd_fuzz(args: argparse.Namespace) -> int:
+    try:
+        params = Params(args.addr_width, args.data_width)
+        check_widths(params)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+    if not 1 <= args.cycles <= MAX_EDGES:
+        raise SystemExit2(f"cycles {args.cycles} is out of range 1..{MAX_EDGES}")
+    with _open_output(args.report) as report:
+        result = run_fuzz(args.seed, args.cycles, params, reset_storm=args.reset_storm)
         if result.ok:
-            line = f"OK\tseed={seed}\tcycles={cycles}\tviolations=0\n"
+            line = f"OK\tseed={args.seed}\tcycles={args.cycles}\tviolations=0\n"
         else:
             v = result.violation
             line = (
-                f"VIOLATION\tseed={seed}\tprefix={v.prefix_len}"
+                f"VIOLATION\tseed={args.seed}\tprefix={v.prefix_len}"
                 f"\tproperty={v.prop}\tdetail={v.detail}\n"
             )
-        sys.stdout.write(line)
-        if report:
-            report.write(line)
+        _emit(line, report)
     return 0 if result.ok else 1
 
 
-def cmd_list() -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     for s in builtin_scenarios():
-        n_events = len(s.events)
-        n_asserts = len(s.assertions)
         print(f"{s.name}\tclock={s.clock_period}ns\trun={s.duration}ns"
-              f"\tevents={n_events}\tassertions={n_asserts}")
+              f"\tevents={len(s.events)}\tassertions={len(s.assertions)}")
     return 0
 
 
@@ -183,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="replay one scenario and check it")
+    p_run.set_defaults(func=cmd_run)
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", help="builtin scenario name or unique prefix")
     src.add_argument("--file", help="path to a scenario file")
@@ -192,10 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's output-register mode")
 
     p_verify = sub.add_parser("verify", help="run the whole builtin corpus")
+    p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--filter", help="glob over scenario names, e.g. 'tc2*'")
     p_verify.add_argument("--report", metavar="PATH", help="write the TSV report to a file")
 
     p_fuzz = sub.add_parser("fuzz", help="random-stimulus property campaign")
+    p_fuzz.set_defaults(func=cmd_fuzz)
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--cycles", type=int, required=True)
     p_fuzz.add_argument("--addr-width", type=int, default=4)
@@ -204,37 +183,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also pull reset low at random during the run")
     p_fuzz.add_argument("--report", metavar="PATH", help="write the summary to a file")
 
-    sub.add_parser("list", help="list builtin scenarios")
+    sub.add_parser("list", help="list builtin scenarios").set_defaults(func=cmd_list)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "run":
-            status = cmd_run(args)
-        elif args.command == "verify":
-            status = cmd_verify_all(args.filter, args.report)
-        elif args.command == "fuzz":
-            try:
-                params = Params(args.addr_width, args.data_width)
-            except ValueError as exc:
-                raise SystemExit2(str(exc))
-            status = cmd_fuzz(args.seed, args.cycles, params,
-                              reset_storm=args.reset_storm, report_path=args.report)
-        elif args.command == "list":
-            status = cmd_list()
-        else:
-            raise AssertionError(f"unhandled command {args.command}")
+        status = args.func(args)
         # A write that fails on the final flush fails here, not at exit.
         sys.stdout.flush()
         return status
     except SystemExit2 as exc:
         print(f"arbsim: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:
-        # The reader of an output went away.  Point stdout at devnull so
-        # that the interpreter's own flush at exit finds nothing to fail on.
+    except OSError as exc:
+        # An output could not be written: its reader went away or its device
+        # is full.  Point stdout at devnull so that the interpreter's own
+        # flush at exit finds nothing to fail on.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -33,14 +33,13 @@ from .signals import Params, parse_word, WordParseError
 INPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "in"}
 OUTPUT_PINS: dict[str, str] = {name: role for name, d, role, _ in PINS if d == "out"}
 
-# Widest address bus that a scenario's params line or ``fuzz --addr-width``
-# accepts.  After reset the RAM zeroes one word per edge, so addr=20 is a
-# sweep of 2**20 + 1 (about 1M) edges before any client access.
+# The widest buses that check_widths lets a scenario's params line or
+# ``fuzz`` ask for.  After reset the RAM zeroes one word per edge, so addr=20
+# is a sweep of 2**20 + 1 (about 1M) edges before any client access.
 MAX_ADDR_WIDTH = 20
-# Widest data bus that a scenario's params line or ``fuzz --data-width``
-# accepts.  Each of the five data pins is a cell of its width in every
-# exported row, so at both width caps a TSV row is 460 bytes plus its cycle
-# and time columns: about 1 GB for a table of MAX_EDGES rows.
+# Each of the five data pins is a cell of its width in every exported row,
+# so at both width caps a TSV row is 460 bytes plus its cycle and time
+# columns: about 1 GB for a table of MAX_EDGES rows.
 MAX_DATA_WIDTH = 64
 # Most edges that a scenario's run line, and most measured cycles that
 # ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  The
@@ -102,14 +101,32 @@ class Scenario:
         return -(-self.duration // self.clock_period)  # ceil division
 
 
-_TIME_RE = re.compile(r"(-?)0*(\d{1,19})")
-_EVENT_RE = re.compile(r"@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
-_EXPECT_VALUE_RE = re.compile(r"expect\s+@(-?\d+)\s+(\w+)\s*=\s*(\S+)$")
-_EXPECT_WINDOW_RE = re.compile(r"expect\s+(pulses|quiet)\s+(\w+)\s+in\s+(-?\d+)\.\.(-?\d+)$")
+def check_widths(params: Params) -> None:
+    """Raise ValueError if a bus of ``params`` is wider than its cap."""
+    for name, cap in (("addr_width", MAX_ADDR_WIDTH), ("data_width", MAX_DATA_WIDTH)):
+        width = getattr(params, name)
+        if width > cap:
+            raise ValueError(f"{name} {width} is wider than the maximum {cap}")
+
+
+# Numbers are ASCII digits, [0-9]: \d would also match the digits of other scripts.
+_TIME_RE = re.compile(r"(-?)0*([0-9]{1,19})")
+_EVENT_RE = re.compile(r"@(-?[0-9]+)\s+(\w+)\s*=\s*(\S+)$")
+_EXPECT_VALUE_RE = re.compile(r"expect\s+@(-?[0-9]+)\s+(\w+)\s*=\s*(\S+)$")
+_EXPECT_WINDOW_RE = re.compile(r"expect\s+(pulses|quiet)\s+(\w+)\s+in\s+(-?[0-9]+)\.\.(-?[0-9]+)$")
+# Header keyword -> the whole line's pattern.  A line is a header only when
+# a space follows its keyword, and each header may appear once.
+_HEADER_RES = {
+    "scenario": re.compile(r"scenario\s+(.+)"),
+    "params": re.compile(r"params\s+addr=([0-9]+)\s+data=([0-9]+)\s+registered=([01])"),
+    "clock": re.compile(r"clock\s+(0*[1-9][0-9]*)"),
+    "run": re.compile(r"run\s+([0-9]+)"),
+}
+_PIN_ROLES = {"input": INPUT_PINS, "output": OUTPUT_PINS}
 
 
 def _parse_time(text: str, line_no: int) -> int:
-    """A time literal, ``-?\\d+`` by its line's regex, as an int in 0..MAX_TIME."""
+    """A time literal, ``-?[0-9]+`` by its line's regex, as an int in 0..MAX_TIME."""
     m = _TIME_RE.fullmatch(text)
     if m is None or int(m[2]) > MAX_TIME:
         shown = text if m else f"{text[:20]}... ({len(text)} characters)"
@@ -120,144 +137,105 @@ def _parse_time(text: str, line_no: int) -> int:
     return t
 
 
+def _pin_width(params: Params, direction: str, pin: str, line_no: int) -> int:
+    """Bits of the ``direction`` ("input" or "output") pin named ``pin``."""
+    pins = _PIN_ROLES[direction]
+    if pin not in pins:
+        raise ScenarioParseError(f"unknown {direction} pin {pin!r}", line_no)
+    return params.width(pins[pin])
+
+
+def _check_word(text: str, width: int, pin: str, line_no: int) -> None:
+    try:
+        parse_word(text, width)
+    except WordParseError as exc:
+        raise ScenarioParseError(f"pin {pin}: {exc}", line_no) from exc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario source text; raise ScenarioParseError with a line number."""
-    name: str | None = None
-    params: Params | None = None
-    clock: int | None = None
+    head: dict = {}  # header keyword -> its value: name, Params or time
+    head_line: dict[str, int] = {}
     events: list[Event] = []
     assertions: list[Assertion] = []
-    duration: int | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
 
-        if line.startswith("scenario "):
-            if name is not None:
-                raise ScenarioParseError("duplicate scenario line", line_no)
-            name = line.split(None, 1)[1].strip()
+        kw, space, _ = line.partition(" ")
+        if space and kw in _HEADER_RES:
+            if kw in head:
+                raise ScenarioParseError(f"duplicate {kw} line", line_no)
+            m = _HEADER_RES[kw].fullmatch(line)
+            if m is None:
+                raise ScenarioParseError(f"bad {kw} line: {line!r}", line_no)
+            if kw == "params":
+                try:
+                    head[kw] = Params(int(m[1]), int(m[2]), m[3] == "1")
+                    check_widths(head[kw])
+                except ValueError as exc:
+                    raise ScenarioParseError(str(exc), line_no) from exc
+            else:
+                head[kw] = m[1] if kw == "scenario" else _parse_time(m[1], line_no)
+            head_line[kw] = line_no
             continue
 
-        if line.startswith("params "):
-            if params is not None:
-                raise ScenarioParseError("duplicate params line", line_no)
-            m = re.fullmatch(
-                r"params\s+addr=(\d+)\s+data=(\d+)\s+registered=([01])", line
-            )
-            if not m:
-                raise ScenarioParseError(f"bad params line: {line!r}", line_no)
-            try:
-                params = Params(int(m.group(1)), int(m.group(2)), m.group(3) == "1")
-            except ValueError as exc:
-                raise ScenarioParseError(str(exc), line_no) from exc
-            if params.addr_width > MAX_ADDR_WIDTH:
-                raise ScenarioParseError(
-                    f"addr={params.addr_width} is wider than the maximum {MAX_ADDR_WIDTH}",
-                    line_no,
-                )
-            if params.data_width > MAX_DATA_WIDTH:
-                raise ScenarioParseError(
-                    f"data={params.data_width} is wider than the maximum {MAX_DATA_WIDTH}",
-                    line_no,
-                )
-            continue
-
-        if line.startswith("clock "):
-            if clock is not None:
-                raise ScenarioParseError("duplicate clock line", line_no)
-            m = re.fullmatch(r"clock\s+(\d+)", line)
-            if not m:
-                raise ScenarioParseError(f"bad clock line: {line!r}", line_no)
-            clock = _parse_time(m.group(1), line_no)
-            if clock == 0:
-                raise ScenarioParseError(f"bad clock line: {line!r}", line_no)
-            continue
-
-        if line.startswith("run "):
-            m = re.fullmatch(r"run\s+(\d+)", line)
-            if not m:
-                raise ScenarioParseError(f"bad run line: {line!r}", line_no)
-            if duration is not None:
-                raise ScenarioParseError("duplicate run line", line_no)
-            duration, run_line = _parse_time(m.group(1), line_no), line_no
-            continue
-
+        params = head.get("params")
+        if params is None and line.startswith(("@", "expect ")):
+            what = "event" if line.startswith("@") else "expect"
+            raise ScenarioParseError(f"{what} before params line", line_no)
         if line.startswith("@"):
-            if params is None:
-                raise ScenarioParseError("event before params line", line_no)
             m = _EVENT_RE.fullmatch(line)
             if not m:
                 raise ScenarioParseError(f"bad event line: {line!r}", line_no)
-            t, pin, value = _parse_time(m.group(1), line_no), m.group(2), m.group(3)
-            if pin not in INPUT_PINS:
-                raise ScenarioParseError(f"unknown input pin {pin!r}", line_no)
+            t, pin, value = _parse_time(m[1], line_no), m[2], m[3]
+            width = _pin_width(params, "input", pin, line_no)
             if events and t < events[-1].time:
                 raise ScenarioParseError(
                     f"event time {t} before previous event at {events[-1].time}",
                     line_no,
                 )
-            width = params.width(INPUT_PINS[pin])
-            try:
-                parse_word(value, width)
-            except WordParseError as exc:
-                raise ScenarioParseError(f"pin {pin}: {exc}", line_no) from exc
+            _check_word(value, width, pin, line_no)
             events.append(Event(t, pin, value))
             continue
 
         if line.startswith("expect "):
-            if params is None:
-                raise ScenarioParseError("expect before params line", line_no)
             m = _EXPECT_VALUE_RE.fullmatch(line)
             if m:
-                t, pin, expected = _parse_time(m.group(1), line_no), m.group(2), m.group(3)
-                if pin not in OUTPUT_PINS:
-                    raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
-                width = params.width(OUTPUT_PINS[pin])
-                if expected in ("high", "low"):
-                    if width != 1:
-                        raise ScenarioParseError(
-                            f"symbolic value on {width}-bit pin {pin}", line_no
-                        )
-                else:
-                    try:
-                        parse_word(expected, width)
-                    except WordParseError as exc:
-                        raise ScenarioParseError(f"pin {pin}: {exc}", line_no) from exc
-                assertions.append(
-                    Assertion(kind="value", pin=pin, time=t, expected=expected)
-                )
+                t, pin, expected = _parse_time(m[1], line_no), m[2], m[3]
+                width = _pin_width(params, "output", pin, line_no)
+                if expected not in ("high", "low"):
+                    _check_word(expected, width, pin, line_no)
+                elif width != 1:
+                    raise ScenarioParseError(f"symbolic value on {width}-bit pin {pin}", line_no)
+                assertions.append(Assertion(kind="value", pin=pin, time=t, expected=expected))
                 continue
             m = _EXPECT_WINDOW_RE.fullmatch(line)
-            if m:
-                kind, pin = m.group(1), m.group(2)
-                start, end = _parse_time(m.group(3), line_no), _parse_time(m.group(4), line_no)
-                if pin not in OUTPUT_PINS:
-                    raise ScenarioParseError(f"unknown output pin {pin!r}", line_no)
-                if params.width(OUTPUT_PINS[pin]) != 1:
-                    raise ScenarioParseError(f"{kind} needs a 1-bit pin, got {pin}", line_no)
-                if start < 0 or end < start:
-                    raise ScenarioParseError(f"bad window {start}..{end}", line_no)
-                assertions.append(Assertion(kind=kind, pin=pin, start=start, end=end))
-                continue
-            raise ScenarioParseError(f"bad expect line: {line!r}", line_no)
+            if not m:
+                raise ScenarioParseError(f"bad expect line: {line!r}", line_no)
+            kind, pin = m[1], m[2]
+            start, end = _parse_time(m[3], line_no), _parse_time(m[4], line_no)
+            if _pin_width(params, "output", pin, line_no) != 1:
+                raise ScenarioParseError(f"{kind} needs a 1-bit pin, got {pin}", line_no)
+            if end < start:
+                raise ScenarioParseError(f"bad window {start}..{end}", line_no)
+            assertions.append(Assertion(kind=kind, pin=pin, start=start, end=end))
+            continue
 
         raise ScenarioParseError(f"unrecognized line: {line!r}", line_no)
 
-    if name is None:
-        raise ScenarioParseError("missing scenario line", 1)
-    if params is None:
-        raise ScenarioParseError("missing params line", 1)
-    if duration is None:
-        raise ScenarioParseError("missing run line", 1)
-    clock = 100 if clock is None else clock
-    s = Scenario(name, params, clock, tuple(events), tuple(assertions), duration)
+    for kw in ("scenario", "params", "run"):
+        if kw not in head:
+            raise ScenarioParseError(f"missing {kw} line", 1)
+    duration, clock = head["run"], head.get("clock", 100)
+    s = Scenario(head["scenario"], head["params"], clock, tuple(events), tuple(assertions), duration)
     if s.num_edges() > MAX_EDGES:
         raise ScenarioParseError(
             f"run {duration} at clock {clock} is {s.num_edges()} edges,"
             f" more than the maximum {MAX_EDGES}",
-            run_line,
+            head_line["run"],
         )
     # Every edge's time is exported, and the last one lands half a clock
     # after the last full period that the run starts.
@@ -266,20 +244,17 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError(
             f"run {duration} at clock {clock} stamps its last edge at {last},"
             f" later than the maximum time {MAX_TIME}",
-            run_line,
+            head_line["run"],
         )
     return s
 
 
 def render_scenario(s: Scenario) -> str:
     """Render a scenario back to source text; re-parsing yields an equal value."""
+    p = s.params
     lines = [
         f"scenario {s.name}",
-        "params addr={} data={} registered={}".format(
-            s.params.addr_width,
-            s.params.data_width,
-            1 if s.params.registered_output else 0,
-        ),
+        f"params addr={p.addr_width} data={p.data_width} registered={int(p.registered_output)}",
         f"clock {s.clock_period}",
     ]
     lines += [f"@{e.time} {e.pin} = {e.value}" for e in s.events]

@@ -300,3 +300,52 @@ def test_closed_stdout_is_one_error_line(argv):
         os.close(write_end)
     assert result.returncode == 2
     assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
+
+
+def test_width_cap_reads_the_same_in_fuzz_and_in_a_scenario(capsys, tmp_path):
+    scn = tmp_path / "wide.scn"
+    scn.write_text("scenario x\nparams addr=21 data=8 registered=0\nrun 100\n")
+    _, _, fuzz_err = run_cli(capsys, "fuzz", "--seed", "1", "--cycles", "10", "--addr-width", "21")
+    _, _, file_err = run_cli(capsys, "run", "--file", str(scn))
+    cap = "addr_width 21 is wider than the maximum 20\n"
+    assert fuzz_err == "arbsim: error: " + cap
+    assert file_err == f"arbsim: error: {scn}: line 2: " + cap
+
+
+@pytest.mark.parametrize("cycles", [0, MAX_EDGES + 1])
+def test_fuzz_cycles_out_of_range_names_the_range(capsys, cycles):
+    code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--cycles", str(cycles))
+    assert (code, out) == (2, "")
+    assert err == f"arbsim: error: cycles {cycles} is out of range 1..{MAX_EDGES}\n"
+
+
+def test_scenario_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes(b"scenario caf\xff\nparams addr=4 data=8 registered=0\nrun 100\n")
+    code, out, err = run_cli(capsys, "run", "--file", str(scn))
+    assert (code, out) == (2, "")
+    assert err.startswith("arbsim: error: cannot read scenario file:") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run", "--builtin", "tc07", "--vcd", "/dev/full"],
+    ["run", "--builtin", "tc07", "--table", "-"],
+    ["verify", "--report", "/dev/full"],
+    ["fuzz", "--seed", "1", "--cycles", "10", "--report", "/dev/full"],
+], ids=["vcd", "table-on-stdout", "verify-report", "fuzz-report"])
+def test_failed_write_is_one_error_line(argv):
+    # A full device fails a write: the CLI exits 2 with one error line, not
+    # 1 with a traceback.  The table goes to stdout, so stdout is the device.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "arbsim.cli", *argv],
+            stdout=full if "-" in argv else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("arbsim: error: cannot write output:")
+    assert result.stderr.count("\n") == 1

@@ -224,9 +224,9 @@ PARSE_ERRORS = {
                  f"run {MAX_TIME} at clock {MAX_TIME - 1} stamps its last edge at {LAST_EDGE},"
                  f" later than the maximum time {MAX_TIME}", 4),
     "addr-width-cap": (f"scenario t\nparams addr={MAX_ADDR_WIDTH + 1} data=8 registered=0\n",
-                       f"addr={MAX_ADDR_WIDTH + 1} is wider than the maximum {MAX_ADDR_WIDTH}", 2),
+                       f"addr_width {MAX_ADDR_WIDTH + 1} is wider than the maximum {MAX_ADDR_WIDTH}", 2),
     "data-width-cap": (f"scenario t\nparams addr=4 data={MAX_DATA_WIDTH + 1} registered=0\n",
-                       f"data={MAX_DATA_WIDTH + 1} is wider than the maximum {MAX_DATA_WIDTH}", 2),
+                       f"data_width {MAX_DATA_WIDTH + 1} is wider than the maximum {MAX_DATA_WIDTH}", 2),
 }
 
 
@@ -235,6 +235,22 @@ def test_parse_error_message_and_line(text, message, line_no):
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert (str(err.value), err.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("params addr=\u0664 data=8 registered=0", "bad params line"),
+    ("clock \u0665\u0660", "bad clock line"),
+    ("@\u0661\u0660\u0660 RST_N = 1", "bad event line"),
+    ("expect @\u0661\u0660\u0660 RST_DONE = high", "bad expect line"),
+    ("expect quiet ACK_C2 in 0..\u0661\u0660", "bad expect line"),
+    ("run \u0662\u0660\u0660\u0660", "bad run line"),
+], ids=["params", "clock", "event", "expect-value", "expect-window", "run"])
+def test_numbers_are_ascii_digits(line, message):
+    # Arabic-Indic digits are Unicode digits, and int() would read them.
+    head = "scenario t\n" if line.startswith("params") else HEAD
+    with pytest.raises(ScenarioParseError, match=message) as err:
+        parse_scenario(head + line + "\nrun 100\n")
+    assert err.value.line_no == head.count("\n") + 1
 
 
 def test_render_parse_round_trip_builtin_corpus():
