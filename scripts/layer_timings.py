@@ -176,9 +176,10 @@ def main():
     try:
         sys.stdout.write("".join(lines))
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # As arbsim does: point stdout at devnull so that the interpreter's
-        # flush at exit finds nothing to fail on, and exit 2 with one line.
+    except OSError as exc:
+        # As arbsim does when its reader is gone or its device is full: point
+        # stdout at devnull so that the interpreter's flush at exit finds
+        # nothing to fail on, and exit 2 with one line.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

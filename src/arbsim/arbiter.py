@@ -79,15 +79,12 @@ class ArbiterState(NamedTuple):
     temp_wr_addr: int
     temp_wr_data: int
     temp_rd_data: int     # clash bypass capture
-    temp_rd_data1: int    # bypass value delayed one cycle (registered mode)
-    temp_rd_data2: int    # RAM output delayed one cycle (registered mode)
+    rddata_d: int         # read data delayed one cycle (registered mode)
     temp_ack: Level
     temp_ack1: Level
     temp_wr: Level
     addr_clash: Level
-    addr_clash_d: Level   # clash flag delayed one cycle (registered mode)
     reset_count: int
-    reset_done: Level
 
 
 # Every pin, in VCD/TSV column order: (name, direction, role, trace.TraceRow
@@ -124,7 +121,7 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 
 def arbiter_reset() -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
-    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, 0, 0, LOW, LOW, LOW, LOW, LOW, 0, LOW)
+    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
 
 
 def _read_grant(inp: ClientInputs) -> ChannelState:
@@ -149,23 +146,23 @@ def fsm_next(
     inp: ClientInputs,
     reset_count: int,
     params: Params,
-) -> tuple[ChannelState, ChannelState, int, Level]:
-    """One grant decision: next channel states, sweep counter, init-done flag.
+) -> tuple[ChannelState, ChannelState, int]:
+    """One grant decision: next channel states and sweep counter.
 
     A low ``rst_n`` forces both channels into reset with the counter cleared.
     In reset with ``rst_n`` high the counter runs for one full memory depth,
-    then both channels move to idle and the done flag rises.  Out of reset
-    each channel independently grants client1 first (its enable always wins),
-    then client2 when requested on the matching side of the read-not-write
-    selector, and otherwise idles.
+    then both channels move to idle: they leave reset together, which is
+    what ``RST_DONE`` shows.  Out of reset each channel independently grants
+    client1 first (its enable always wins), then client2 when requested on
+    the matching side of the read-not-write selector, and otherwise idles.
     """
     if not inp.rst_n:
-        return RESET, RESET, 0, LOW
+        return RESET, RESET, 0
     if pr_read is RESET or pr_write is RESET:
         if reset_count < params.ram_depth():
-            return RESET, RESET, reset_count + 1, LOW
-        return IDLE, IDLE, 0, HIGH
-    return _read_grant(inp), _write_grant(inp), reset_count, HIGH
+            return RESET, RESET, reset_count + 1
+        return IDLE, IDLE, 0
+    return _read_grant(inp), _write_grant(inp), reset_count
 
 
 def detect_clash(
@@ -190,19 +187,17 @@ def arbiter_step(
        when high, the in-flight write data is captured for the bypass;
     4. the client2 ack registers advance (write acks self-clear one cycle
        after they set, read acks run a set/hold/clear pattern);
-    5. the one-cycle-delay registers for registered-output mode capture the
-       pre-edge clash flag, pre-edge bypass data, and the RAM read data.
+    5. the registered-output register latches the pre-edge read data: the
+       bypass capture while the clash flag was up, else the RAM's word.
 
     Returns the post-edge state and the RAM's inputs for this edge: the raw
     reset pin and the just-latched drive registers.
     """
-    # Delay registers capture pre-edge values; this is what makes the
-    # registered output an exact one-cycle shift of the unregistered one.
-    addr_clash_d = state.addr_clash
-    temp_rd_data1 = state.temp_rd_data
-    temp_rd_data2 = ram_rd_data
+    # The pre-edge output mux of resolve_outputs; latching it is what makes
+    # the registered output an exact one-cycle shift of the unregistered one.
+    rddata_d = state.temp_rd_data if state.addr_clash else ram_rd_data
 
-    nx_read, nx_write, reset_count, reset_done = fsm_next(
+    nx_read, nx_write, reset_count = fsm_next(
         state.pr_read, state.pr_write, inp, state.reset_count, params
     )
 
@@ -253,15 +248,14 @@ def arbiter_step(
 
     if not inp.rst_n:
         temp_rd_data = 0
-        temp_rd_data1 = 0
-        temp_rd_data2 = 0
+        rddata_d = 0
 
-    # Positional, in field order: by keyword this 17-field record costs
+    # Positional, in field order: by keyword this 14-field record costs
     # about twice as much to build.
     new = ArbiterState(
         nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
-        temp_wr_data, temp_rd_data, temp_rd_data1, temp_rd_data2, temp_ack,
-        temp_ack1, temp_wr, addr_clash, addr_clash_d, reset_count, reset_done,
+        temp_wr_data, temp_rd_data, rddata_d, temp_ack, temp_ack1, temp_wr,
+        addr_clash, reset_count,
     )
     return new, RamInputs(
         inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
@@ -273,15 +267,12 @@ def resolve_outputs(
 ) -> ClientOutputs:
     """Combinational output mux over the post-edge arbiter registers.
 
-    Client2's ack is the OR of the read and write ack registers.  Both data
-    outputs substitute the bypass capture for the RAM word while the clash
-    flag is up; in registered mode client1's data instead comes from the
-    one-cycle-delay registers selected by the delayed clash flag.
+    Client2's ack is the OR of the read and write ack registers.  Both
+    clients read the RAM word, or the bypass capture while the clash flag is
+    up; in registered mode client1 reads instead that value from one edge
+    before (``rddata_d``).  ``RST_DONE`` is high once the channels leave reset.
     """
     ack_c2 = state.temp_ack1 or state.temp_wr
-    dataout_c2 = state.temp_rd_data if state.addr_clash else ram_rd_data
-    if params.registered_output:
-        rddata_c1 = state.temp_rd_data1 if state.addr_clash_d else state.temp_rd_data2
-    else:
-        rddata_c1 = state.temp_rd_data if state.addr_clash else ram_rd_data
-    return ClientOutputs(rddata_c1, dataout_c2, ack_c2, state.reset_done)
+    data = state.temp_rd_data if state.addr_clash else ram_rd_data
+    rddata_c1 = state.rddata_d if params.registered_output else data
+    return ClientOutputs(rddata_c1, data, ack_c2, state.pr_read is not RESET)

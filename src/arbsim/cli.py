@@ -199,11 +199,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         # An output could not be written: its reader went away or its device
-        # is full.  Point stdout at devnull so that the interpreter's own
-        # flush at exit finds nothing to fail on.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # is full.  If stdout is that output, point it at devnull so that the
+        # interpreter's own flush at exit finds nothing to fail on.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"arbsim: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -98,28 +98,25 @@ class TestFsmTransitions:
         assert nxt(I, C2W, request_c2=HIGH, rd_not_write_c2=LOW, wr_en_c1=LOW)[1] == C2W
 
     def test_17_idle_holds(self):
-        rd, wr, _, _ = nxt(I, I)
+        rd, wr, _ = nxt(I, I)
         assert (rd, wr) == (I, I)
 
     def test_18_reset_holds_while_counting(self):
         for count in range(PARAMS.ram_depth()):
-            rd, wr, count2, done = nxt(R, R, count=count)
+            rd, wr, count2 = nxt(R, R, count=count)
             assert (rd, wr) == (R, R)
             assert count2 == count + 1
-            assert done == LOW
 
     def test_19_reset_to_idle_when_count_complete(self):
-        rd, wr, count, done = nxt(R, R, count=PARAMS.ram_depth())
+        rd, wr, count = nxt(R, R, count=PARAMS.ram_depth())
         assert (rd, wr) == (I, I)
         assert count == 0
-        assert done == HIGH
 
     def test_20_any_state_to_reset_on_rst_n_low(self):
         for pr_read, pr_write in [(I, I), (C1R, C1W), (C2R, C2W), (C1R, I)]:
-            rd, wr, count, done = nxt(pr_read, pr_write, count=7, rst_n=LOW)
+            rd, wr, count = nxt(pr_read, pr_write, count=7, rst_n=LOW)
             assert (rd, wr) == (R, R)
             assert count == 0
-            assert done == LOW
 
 
 class TestDetectClash:
@@ -143,7 +140,7 @@ def idle_arbiter(params=PARAMS):
     for _ in range(params.ram_depth() + 1):
         state, _ = arbiter_step(state, make_inputs(params), zero, params)
     assert state.pr_read == I and state.pr_write == I
-    assert state.reset_done == HIGH
+    assert resolve_outputs(state, 0, params).rst_done == HIGH
     return state
 
 
@@ -201,8 +198,7 @@ class TestArbiterStep:
         )
         assert state.pr_read == R and state.pr_write == R
         assert state.temp_rd_data == 0
-        assert state.temp_rd_data1 == 0
-        assert state.temp_rd_data2 == 0
+        assert state.rddata_d == 0
         assert drive.rd_en == LOW and drive.wr_en == LOW
 
     def test_enables_stay_low_during_whole_sweep(self):

@@ -349,3 +349,22 @@ def test_failed_write_is_one_error_line(argv):
     assert result.returncode == 2
     assert result.stderr.startswith("arbsim: error: cannot write output:")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_report_write_leaves_stdout_working():
+    # Only the --report file is on the full device: stdout stays open for
+    # whatever the calling process prints after main returns.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from arbsim.cli import main; status = main(sys.argv[1:]); "
+            "print('after'); sys.exit(status)")
+    result = subprocess.run(
+        [sys.executable, "-c", code, "fuzz", "--seed", "1", "--cycles", "10",
+         "--report", "/dev/full"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == "OK\tseed=1\tcycles=10\tviolations=0\nafter\n"
+    assert result.stderr.startswith("arbsim: error: cannot write output:")

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -63,11 +65,19 @@ def test_layer_timings_prints_one_positive_time_per_layer():
     assert rows[-1][3] == "1.00"
 
 
-def test_layer_timings_closed_stdout_is_one_error_line():
-    # The reader is gone before the first row is printed: exit 2 with one
-    # stderr line, as arbsim does, rather than a BrokenPipeError traceback.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+@pytest.mark.parametrize("device", [
+    "closed-pipe",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+], ids=["closed-pipe", "dev-full"])
+def test_layer_timings_closed_stdout_is_one_error_line(device):
+    # The reader is gone before the first row is printed, or the device is
+    # full: exit 2 with one stderr line, as arbsim does, not a traceback.
+    if device == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    else:
+        write_end = os.open(device, os.O_WRONLY)
     try:
         result = run_script("layer_timings.py", stdout=write_end)
     finally:

@@ -1,6 +1,7 @@
 """Composed system: round trips, clash bypass, reset sweep, latency constants."""
 
 import random
+from dataclasses import replace
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from arbsim import (
     TraceRow,
     Word,
     builtin_by_name,
+    builtin_scenarios,
     parse_word,
     run_scenario,
     system_new,
@@ -257,12 +259,61 @@ def test_registered_timeline_is_unregistered_shifted_by_one():
     assert reg[1:] == unreg[:-1]
 
 
+def reset_storm(params):
+    """2,000 edges of random stimulus with rst_n low on about 2 % of them."""
+    rng = random.Random(0)
+    return [random_inputs(rng, params, rst_n=rng.random() >= 0.02) for _ in range(2000)]
+
+
+def outputs_of(params, stimulus):
+    """(post-edge ArbiterState, ClientOutputs) of each edge, from power-on."""
+    state = system_new(params)
+    rows = []
+    for inp in stimulus:
+        state, out = system_step(state, inp)
+        rows.append((state.arbiter, out))
+    return rows
+
+
+@pytest.mark.parametrize("addr_width, data_width", [(1, 1), (4, 8), (6, 12)])
+def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
+    # Registered RDDATA_C1 on edge k is 0 while rst_n is low, and otherwise
+    # unregistered DATAOUT_C2 of edge k-1 (0 before edge 0).
+    stimulus = reset_storm(Params(addr_width, data_width))
+    unreg = outputs_of(Params(addr_width, data_width, registered_output=False), stimulus)
+    reg = outputs_of(Params(addr_width, data_width, registered_output=True), stimulus)
+    before = [0] + [out.dataout_c2 for _, out in unreg[:-1]]
+    expected = [word if inp.rst_n else 0 for inp, word in zip(stimulus, before)]
+    assert [out.rddata_c1 for _, out in reg] == expected
+    # A reset edge lands right after nonzero read data, so the zeroing is seen.
+    assert any(word and not inp.rst_n for inp, word in zip(stimulus, before))
+
+
+def test_rst_done_and_read_mux_facts_hold_on_every_row():
+    # The kernel keeps no RST_DONE register and one read-data mux: the two
+    # channels leave reset together, RST_DONE shows exactly that, and
+    # unregistered client1 reads the same word as client2.
+    rows = []
+    for base in builtin_scenarios():
+        for registered in (False, True):
+            s = replace(base, params=replace(base.params, registered_output=registered))
+            rows += [(registered, row.arbiter, row.outputs) for row in run_scenario(s).rows]
+    assert len(rows) == 5722
+    params = Params(4, 8)
+    rows += [(False, arb, out) for arb, out in outputs_of(params, reset_storm(params))]
+    for registered, arb, out in rows:
+        in_reset = arb.pr_read is ChannelState.RESET
+        assert in_reset == (arb.pr_write is ChannelState.RESET)
+        assert out.rst_done == (not in_reset)
+        assert registered or out.rddata_c1 == out.dataout_c2
+
+
 # (object path, role) of every bus register and output that the kernel keeps.
 WORD_FIELDS = [
     (f"arbiter.{name}", role)
     for name, role in [
         ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
-        ("temp_rd_data", "data"), ("temp_rd_data1", "data"), ("temp_rd_data2", "data"),
+        ("temp_rd_data", "data"), ("rddata_d", "data"),
     ]
 ] + [
     (path, role) for _, d, role, path in PINS if d != "in" and role in ("addr", "data")
