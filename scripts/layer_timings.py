@@ -73,6 +73,7 @@ def layer_calls(stream):
         arb_args = (a, inp, state.ram.rd_data_reg, PARAMS)
         post, ram_in = arbiter.arbiter_step(*arb_args)
         _, rd_data = ram.ram_step(state.ram, ram_in)
+        out = arbiter.resolve_outputs(post, rd_data, PARAMS)
         for fn, args in (
             (system.system_step, (state, inp)),
             (system._check_widths, (inp, PARAMS)),
@@ -81,7 +82,7 @@ def layer_calls(stream):
             (ram.ram_step, (state.ram, ram_in)),
             (arbiter.resolve_outputs, (post, rd_data, PARAMS)),
             (fuzz.random_inputs, (rng, PARAMS, inp.rst_n)),
-            (fuzz.check_invariants, (a, inp, post, PARAMS)),
+            (fuzz.check_invariants, (a, inp, post, out, PARAMS)),
         ):
             calls.setdefault(fn, []).append(args)
     return calls

@@ -5,9 +5,9 @@ has dedicated enables and always preempts; client2 shares one request pin
 plus a read-not-write selector, so it can hold at most one channel at a
 time.  Granted requests are latched into drive registers that feed the RAM.
 When the latched read and write addresses collide with both enables high,
-the in-flight write data is captured and forwarded to the reading client
-instead of the stale memory word.  Every bus is a plain ``int`` of its
-:class:`Params` width.
+the in-flight write data in the write drive register is forwarded to the
+reading client instead of the stale memory word.  Every bus is a plain
+``int`` of its :class:`Params` width.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ class ArbiterState(NamedTuple):
     temp_wr_en: Level
     temp_rd_addr: int
     temp_wr_addr: int
-    temp_wr_data: int
-    temp_rd_data: int     # clash bypass capture
+    temp_wr_data: int     # also the clash bypass while addr_clash is high
     rddata_d: int         # read data delayed one cycle (registered mode)
     temp_ack: Level
     temp_ack1: Level
@@ -121,7 +120,7 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 
 def arbiter_reset() -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
-    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
+    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
 
 
 def _read_grant(inp: ClientInputs) -> ChannelState:
@@ -183,19 +182,19 @@ def arbiter_step(
     2. the drive registers latch from the granted client (idle or resetting
        channels clear their enables and zero their address/data registers;
        client2 latches are paced by the ack bookkeeping registers);
-    3. the clash flag is computed from the just-latched drive registers and,
-       when high, the in-flight write data is captured for the bypass;
+    3. the clash flag is computed from the just-latched drive registers;
+       while it is high, the write drive register is the bypass;
     4. the client2 ack registers advance (write acks self-clear one cycle
        after they set, read acks run a set/hold/clear pattern);
     5. the registered-output register latches the pre-edge read data: the
-       bypass capture while the clash flag was up, else the RAM's word.
+       write data while the clash flag was up, else the RAM's word.
 
     Returns the post-edge state and the RAM's inputs for this edge: the raw
     reset pin and the just-latched drive registers.
     """
     # The pre-edge output mux of resolve_outputs; latching it is what makes
     # the registered output an exact one-cycle shift of the unregistered one.
-    rddata_d = state.temp_rd_data if state.addr_clash else ram_rd_data
+    rddata_d = state.temp_wr_data if state.addr_clash else ram_rd_data
 
     nx_read, nx_write, reset_count = fsm_next(
         state.pr_read, state.pr_write, inp, state.reset_count, params
@@ -232,9 +231,6 @@ def arbiter_step(
             )
 
     addr_clash = detect_clash(temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr)
-    temp_rd_data = state.temp_rd_data
-    if addr_clash:
-        temp_rd_data = temp_wr_data
 
     # Ack cadence, guarded on pre-edge values: a set and its clear never
     # land on the same edge, so continuous client2 service produces a
@@ -247,15 +243,13 @@ def arbiter_step(
         temp_ack = LOW
 
     if not inp.rst_n:
-        temp_rd_data = 0
         rddata_d = 0
 
-    # Positional, in field order: by keyword this 14-field record costs
+    # Positional, in field order: by keyword this 13-field record costs
     # about twice as much to build.
     new = ArbiterState(
         nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
-        temp_wr_data, temp_rd_data, rddata_d, temp_ack, temp_ack1, temp_wr,
-        addr_clash, reset_count,
+        temp_wr_data, rddata_d, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
     )
     return new, RamInputs(
         inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
@@ -268,11 +262,11 @@ def resolve_outputs(
     """Combinational output mux over the post-edge arbiter registers.
 
     Client2's ack is the OR of the read and write ack registers.  Both
-    clients read the RAM word, or the bypass capture while the clash flag is
+    clients read the RAM word, or the write data while the clash flag is
     up; in registered mode client1 reads instead that value from one edge
     before (``rddata_d``).  ``RST_DONE`` is high once the channels leave reset.
     """
     ack_c2 = state.temp_ack1 or state.temp_wr
-    data = state.temp_rd_data if state.addr_clash else ram_rd_data
+    data = state.temp_wr_data if state.addr_clash else ram_rd_data
     rddata_c1 = state.rddata_d if params.registered_output else data
     return ClientOutputs(rddata_c1, data, ack_c2, state.pr_read is not RESET)

@@ -94,13 +94,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _verify_lines(name_filter: str | None) -> tuple[list[str], bool]:
-    """Run the corpus in both output modes; return report lines and verdict."""
+def _verify_lines(scenarios: list[Scenario]) -> tuple[list[str], bool]:
+    """Run the scenarios in both output modes; return report lines and verdict."""
     lines = []
     all_ok = True
-    scenarios = builtin_scenarios()
-    if name_filter:
-        scenarios = [s for s in scenarios if fnmatch.fnmatch(s.name, name_filter)]
     for base in scenarios:
         for registered in (False, True):
             s = replace(base, params=replace(base.params, registered_output=registered))
@@ -113,10 +110,14 @@ def _verify_lines(name_filter: str | None) -> tuple[list[str], bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    scenarios = builtin_scenarios()
+    if args.filter:
+        scenarios = [s for s in scenarios if fnmatch.fnmatch(s.name, args.filter)]
+    # Before the report is opened, so that no match leaves an existing report intact.
+    if not scenarios:
+        raise SystemExit2(f"no scenarios match filter {args.filter!r}")
     with _open_output(args.report) as report:
-        lines, all_ok = _verify_lines(args.filter)
-        if not lines:
-            raise SystemExit2(f"no scenarios match filter {args.filter!r}")
+        lines, all_ok = _verify_lines(scenarios)
         _emit("\n".join(["scenario\tmode\tstatus\tassertions"] + lines) + "\n", report)
         _emit(f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n", report)
     return 0 if all_ok else 1

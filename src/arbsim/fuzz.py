@@ -2,8 +2,8 @@
 
 Every measured cycle is checked for: channel-state polarity, client2 never
 holding both channels, client1 preemption, the client2 admission rules,
-clash-bypass data equality, and quiet RAM enables while a channel is in
-reset.  Runs are reproducible from (seed, cycles, params) alone.
+the write data on DATAOUT_C2 during a clash, and quiet RAM enables while a
+channel is in reset.  Runs are reproducible from (seed, cycles, params) alone.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
-from .arbiter import ArbiterState, ClientInputs
+from .arbiter import ArbiterState, ClientInputs, ClientOutputs
 from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
 
@@ -51,7 +51,7 @@ def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> Cli
 
 
 def check_invariants(
-    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, params: Params
+    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, out: ClientOutputs, params: Params
 ) -> list[tuple[str, str]]:
     """Return (property, detail) pairs for every invariant violated this edge."""
     bad: list[tuple[str, str]] = []
@@ -87,12 +87,12 @@ def check_invariants(
             bad.append(("clash-flag", "clash high without both enables"))
         if post.temp_rd_addr != post.temp_wr_addr:
             bad.append(("clash-flag", "clash high with distinct addresses"))
-        if post.temp_rd_data != post.temp_wr_data:
+        if out.dataout_c2 != post.temp_wr_data:
             w = params.data_width
             bad.append(
                 (
                     "clash-bypass",
-                    f"bypass={post.temp_rd_data:0{w}b} write={post.temp_wr_data:0{w}b}",
+                    f"bypass={out.dataout_c2:0{w}b} write={post.temp_wr_data:0{w}b}",
                 )
             )
 
@@ -132,8 +132,8 @@ def run_fuzz(
             rst_n = LOW
         inp = random_inputs(rng, params, rst_n=rst_n)
         pre = state.arbiter
-        state, _ = system_step(state, inp)
-        bad = check_invariants(pre, inp, state.arbiter, params)
+        state, out = system_step(state, inp)
+        bad = check_invariants(pre, inp, state.arbiter, out, params)
         if bad:
             prop, detail = bad[0]
             return FuzzResult(seed, cycles, Violation(cycle, cycle + 1, prop, detail))

@@ -181,8 +181,8 @@ def test_criterion_6_vcd_round_trip():
 
 def test_criterion_7_verify_determinism():
     with criterion(7, "byte-identical verify reports"):
-        lines_a, ok_a = _verify_lines(None)
-        lines_b, ok_b = _verify_lines(None)
+        lines_a, ok_a = _verify_lines(builtin_scenarios())
+        lines_b, ok_b = _verify_lines(builtin_scenarios())
         assert ok_a and ok_b
         report_a = ("\n".join(lines_a) + "\n").encode()
         report_b = ("\n".join(lines_b) + "\n").encode()

@@ -174,7 +174,10 @@ class TestArbiterStep:
         )
         state, drive = arbiter_step(state, inp, 0, PARAMS)
         assert state.addr_clash == HIGH
-        assert state.temp_rd_data == parse_word("10111011", 8).value
+        # Client2 reads the in-flight write data, not the RAM's stale word.
+        stale = parse_word("01000100", 8).value
+        out = resolve_outputs(state, stale, PARAMS)
+        assert out.dataout_c2 == parse_word("10111011", 8).value
         assert drive.rd_en and drive.wr_en
 
     def test_idle_channels_clear_their_drive(self):
@@ -193,11 +196,12 @@ class TestArbiterStep:
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
         state, _ = arbiter_step(state, inp, 0, PARAMS)
+        assert state.addr_clash == HIGH
         state, drive = arbiter_step(
             state, make_inputs(PARAMS, rst_n=LOW), 0, PARAMS
         )
         assert state.pr_read == R and state.pr_write == R
-        assert state.temp_rd_data == 0
+        assert state.addr_clash == LOW
         assert state.rddata_d == 0
         assert drive.rd_en == LOW and drive.wr_en == LOW
 
@@ -279,24 +283,25 @@ def test_structural_invariants_under_random_stimulus(seed, cycles):
     params = Params(3, 6)
     rng = random.Random(seed)
     state = idle_arbiter(params)
-    zero = 0
     for _ in range(cycles):
         inp = random_inputs(rng, params)
+        ram_word = rng.getrandbits(params.data_width)
         pre = state
-        state, _ = arbiter_step(state, inp, zero, params)
-        assert check_invariants(pre, inp, state, params) == []
+        state, _ = arbiter_step(state, inp, ram_word, params)
+        out = resolve_outputs(state, ram_word, params)
+        assert check_invariants(pre, inp, state, out, params) == []
 
 
 def test_clash_bypass_violation_detail_is_zero_padded_binary():
-    # A bypass register that disagrees with the in-flight write data is
-    # reported with both words rendered at the data width.
+    # A DATAOUT_C2 that disagrees with the in-flight write data during a
+    # clash is reported with both words rendered at the data width.
     idle = idle_arbiter()
     post = idle._replace(
         temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
-        temp_wr_addr=0b1010, temp_wr_data=0b10100011, temp_rd_data=0b00000101,
-        addr_clash=HIGH,
+        temp_wr_addr=0b1010, temp_wr_data=0b10100011, addr_clash=HIGH,
     )
-    bad = check_invariants(idle, make_inputs(PARAMS), post, PARAMS)
+    out = resolve_outputs(post, 0, PARAMS)._replace(dataout_c2=0b00000101)
+    bad = check_invariants(idle, make_inputs(PARAMS), post, out, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
 
 
@@ -304,12 +309,14 @@ def test_violation_details_name_states_in_lower_case():
     # A state's value is its 3-bit code; the details name the state instead.
     idle = idle_arbiter()
     inp = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
-    assert check_invariants(idle, inp, idle, PARAMS) == [
+    idle_out = resolve_outputs(idle, 0, PARAMS)
+    assert check_invariants(idle, inp, idle, idle_out, PARAMS) == [
         ("client1-read-preemption", "read=idle"),
         ("client1-write-preemption", "write=idle"),
     ]
     swapped = idle._replace(pr_read=C1W, pr_write=C2R)
-    assert check_invariants(idle, make_inputs(PARAMS), swapped, PARAMS) == [
+    swapped_out = resolve_outputs(swapped, 0, PARAMS)
+    assert check_invariants(idle, make_inputs(PARAMS), swapped, swapped_out, PARAMS) == [
         ("channel-polarity", "read=client1_write write=client2_read"),
     ]
 

@@ -154,6 +154,14 @@ class TestVerify:
         assert out == ""
         assert err == "arbsim: error: no scenarios match filter 'zzz*'\n"
 
+    def test_filter_without_match_leaves_an_existing_report(self, capsys, tmp_path):
+        report = tmp_path / "r.tsv"
+        report.write_bytes(b"earlier report\n")
+        code, _, err = run_cli(capsys, "verify", "--filter", "zzz*", "--report", str(report))
+        assert code == 2
+        assert err == "arbsim: error: no scenarios match filter 'zzz*'\n"
+        assert report.read_bytes() == b"earlier report\n"
+
     def test_report_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert run_cli(capsys, "verify", "--report", str(a))[0] == 0

@@ -313,7 +313,7 @@ WORD_FIELDS = [
     (f"arbiter.{name}", role)
     for name, role in [
         ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
-        ("temp_rd_data", "data"), ("rddata_d", "data"),
+        ("rddata_d", "data"),
     ]
 ] + [
     (path, role) for _, d, role, path in PINS if d != "in" and role in ("addr", "data")
@@ -347,6 +347,34 @@ def test_kernel_builds_no_word(monkeypatch):
     state = system_new(params)
     for _ in range(200):
         state, _ = system_step(state, random_inputs(rng, params, rst_n=rng.random() >= 0.05))
+
+
+# Read-data muxes that get the clash bypass wrong, as (state, RAM word) -> data.
+BROKEN_MUXES = {
+    "ignores-clash": lambda arb, ram_word: ram_word,
+    "swapped-arms": lambda arb, ram_word: ram_word if arb.addr_clash else arb.temp_wr_data,
+}
+
+
+@pytest.mark.parametrize("mux", BROKEN_MUXES.values(), ids=BROKEN_MUXES.keys())
+def test_fuzz_catches_a_broken_output_mux(monkeypatch, mux):
+    # The check reads DATAOUT_C2 as the client sees it, so a fault that
+    # changes only an output value fails a short fuzz-a4 campaign.
+    resolve = arbsim.system.resolve_outputs
+    params = Params(4, 8)
+    assert all(run_fuzz(seed, 2000, params, reset_storm=True).ok for seed in range(3))
+
+    def broken(arb, ram_word, params):
+        data = mux(arb, ram_word)
+        out = resolve(arb, ram_word, params)
+        return out._replace(
+            rddata_c1=out.rddata_c1 if params.registered_output else data, dataout_c2=data
+        )
+
+    monkeypatch.setattr(arbsim.system, "resolve_outputs", broken)
+    for seed in range(3):
+        v = run_fuzz(seed, 2000, params, reset_storm=True).violation
+        assert v is not None and v.prop == "clash-bypass", (seed, v)
 
 
 def test_determinism_identical_stimulus_identical_states():
