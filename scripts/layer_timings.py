@@ -5,7 +5,10 @@ The kernel rows record the inputs of one ``fuzz-a4`` campaign (seed 0,
 2,000 cycles at addr 4, data 8, with reset storms) and replay every
 layer's calls over that fixed stream, so each is one call's cost.
 ``ram_sweep_a13`` is ``ram_step`` over the 8,193 zeroing-sweep edges of a
-power-on RAM at addr 13, which the addr-4 stream barely exercises.  The
+power-on RAM at addr 13, which the addr-4 stream barely exercises, and
+``ram_write_a13`` is ``ram_step`` over 4,096 writes of random words to
+random addresses of that RAM after its sweep, the trie path copies of a
+``wide-a13`` campaign's traffic.  The
 text rows run the 74 corpus cases (37 builtins in both output modes):
 ``parse_scenario`` per case, over each case's rendered text, and
 ``run_scenario``, ``check_assertions``, ``write_vcd`` and ``write_table``
@@ -43,6 +46,7 @@ from arbsim.scenario import parse_scenario, render_scenario
 PARAMS = Params(4, 8)
 SWEEP_PARAMS = Params(13, 8)
 CYCLES = 2000
+WRITES = 4096
 REPEATS = 7
 REFERENCE_ITERATIONS = 2000
 
@@ -88,17 +92,25 @@ def layer_calls(stream):
     return calls
 
 
-def sweep_calls():
-    """The ram_step arguments of every sweep edge of a power-on SWEEP_PARAMS RAM."""
+def wide_ram_calls():
+    """The ram_step arguments of every sweep edge of a power-on SWEEP_PARAMS
+    RAM, then those of WRITES random-address writes after the sweep."""
     reset = ram.RamInputs(False, False, False, 0, 0, 0)
     state, _ = ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)
     inp = reset._replace(rst_n=True)
-    calls = []
+    sweep = []
     for _ in range(SWEEP_PARAMS.ram_depth() + 1):
-        calls.append((state, inp))
+        sweep.append((state, inp))
         state, _ = ram.ram_step(state, inp)
     assert not state.reset_done_internal
-    return calls
+    rng = random.Random(0)
+    writes = []
+    for _ in range(WRITES):
+        addr = rng.getrandbits(SWEEP_PARAMS.addr_width)
+        inp = ram.RamInputs(True, False, True, 0, addr, rng.getrandbits(SWEEP_PARAMS.data_width))
+        writes.append((state, inp))
+        state, _ = ram.ram_step(state, inp)
+    return sweep, writes
 
 
 def text_layers():
@@ -168,8 +180,8 @@ def timings(layers):
 def main():
     layers = [(fn.__name__, fn, args, len(args))
               for fn, args in layer_calls(record_stream()).items()]
-    sweep = sweep_calls()
-    layers.append(("ram_sweep_a13", ram.ram_step, sweep, len(sweep)))
+    for name, calls in zip(("ram_sweep_a13", "ram_write_a13"), wide_ram_calls()):
+        layers.append((name, ram.ram_step, calls, len(calls)))
     layers += text_layers()
     lines = [f"{'layer':<18}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]
     lines += [f"{name:<18}{lo:9.2f}{mid:11.2f}{ratio:9.2f}\n"

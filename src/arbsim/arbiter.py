@@ -42,8 +42,10 @@ RESET, IDLE, CLIENT1_READ, CLIENT2_READ, CLIENT1_WRITE, CLIENT2_WRITE = ChannelS
 # The records built on every edge (these three, RamInputs, RamState,
 # SystemState and TraceRow) are NamedTuples: a frozen dataclass sets each
 # field through object.__setattr__, which made building them the largest
-# cost of an edge outside the arbiter logic.  A NamedTuple equals any tuple
-# of the same values; tests/test_system.py pins the types the steps return.
+# cost of an edge outside the arbiter logic.  Each is built by one C call,
+# tuple.__new__(Record, (...)), without the frame and the arity check of the
+# generated __new__; tests/test_system.py checks the arity and pins the types
+# the steps return (a NamedTuple equals any tuple of the same values).
 class ClientInputs(NamedTuple):
     """Per-cycle snapshot of every top-level input pin."""
 
@@ -245,15 +247,15 @@ def arbiter_step(
     if not inp.rst_n:
         rddata_d = 0
 
-    # Positional, in field order: by keyword this 13-field record costs
-    # about twice as much to build.
-    new = ArbiterState(
+    # One C call, in field order: through the generated __new__ this
+    # 13-field record took 1.7 times as long to build, and by keyword 4 times.
+    new = tuple.__new__(ArbiterState, (
         nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
         temp_wr_data, rddata_d, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
-    )
-    return new, RamInputs(
+    ))
+    return new, tuple.__new__(RamInputs, (
         inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
-    )
+    ))
 
 
 def resolve_outputs(
@@ -269,4 +271,4 @@ def resolve_outputs(
     ack_c2 = state.temp_ack1 or state.temp_wr
     data = state.temp_wr_data if state.addr_clash else ram_rd_data
     rddata_c1 = state.rddata_d if params.registered_output else data
-    return ClientOutputs(rddata_c1, data, ack_c2, state.pr_read is not RESET)
+    return tuple.__new__(ClientOutputs, (rddata_c1, data, ack_c2, state.pr_read is not RESET))

@@ -61,7 +61,8 @@ class Memory(Sequence):
         return i % self._len
 
     def __getitem__(self, i: int) -> int:
-        i = self._index(i)
+        if not 0 <= i < self._len:
+            i = self._index(i)
         node = self._root
         for shift in self._shifts:
             node = node[i >> shift & _MASK]
@@ -69,7 +70,8 @@ class Memory(Sequence):
 
     def set(self, i: int, word: int) -> "Memory":
         """A copy with word ``i`` replaced; only the nodes on its path are new."""
-        i = self._index(i)
+        if not 0 <= i < self._len:
+            i = self._index(i)
         path, node = [], self._root
         for shift in self._shifts:
             k = i >> shift & _MASK
@@ -79,7 +81,9 @@ class Memory(Sequence):
             copy = list(node)
             copy[k] = word
             word = tuple(copy)
-        return Memory(self._len, self._shifts, word)
+        new = object.__new__(Memory)  # without the frame of __init__
+        new._len, new._shifts, new._root = self._len, self._shifts, word
+        return new
 
     def __len__(self) -> int:
         return self._len
@@ -136,21 +140,26 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
 
     Returns the new state and the registered read output.  While ``rst_n``
     is low only the init flag is set; the zeroing sweep itself runs on the
-    subsequent edges with ``rst_n`` high.
+    subsequent edges with ``rst_n`` high.  An edge that changes nothing
+    returns ``state`` itself.
     """
-    memory, count, rd_data = state.memory, state.count, state.rd_data_reg
+    memory, count, reset_done, rd_data = state
     if not inp.rst_n:
-        return RamState(memory, count, True, rd_data), rd_data
+        if reset_done:
+            return state, rd_data
+        return tuple.__new__(RamState, (memory, count, True, rd_data)), rd_data
 
-    if state.reset_done_internal:
-        if count < len(memory):
+    if reset_done:
+        if count < memory._len:  # len(memory) without the __len__ frame
             if memory[count]:
                 memory = memory.set(count, 0)
-            return RamState(memory, count + 1, True, rd_data), rd_data
-        return RamState(memory, 0, False, rd_data), rd_data
+            return tuple.__new__(RamState, (memory, count + 1, True, rd_data)), rd_data
+        return tuple.__new__(RamState, (memory, 0, False, rd_data)), rd_data
 
+    if not (inp.rd_en or inp.wr_en):
+        return state, rd_data
     if inp.rd_en:
         rd_data = memory[inp.rd_addr]
     if inp.wr_en:
         memory = memory.set(inp.wr_addr, inp.wr_data)
-    return RamState(memory, count, False, rd_data), rd_data
+    return tuple.__new__(RamState, (memory, count, False, rd_data)), rd_data

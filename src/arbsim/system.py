@@ -81,4 +81,4 @@ def system_step(
     arb, ram_in = arbiter_step(state.arbiter, inp, state.ram.rd_data_reg, params)
     ram, post_rd_data = ram_step(state.ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, params)
-    return SystemState(params, arb, ram), out
+    return tuple.__new__(SystemState, (params, arb, ram)), out

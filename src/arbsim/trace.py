@@ -97,7 +97,7 @@ def run_scenario(s: Scenario) -> Trace:
             inputs = _apply_event(inputs, ev.pin, ev.value)
             idx += 1
         state, out = system_step(state, inputs)
-        rows.append(TraceRow(cycle, t, inputs, out, state.arbiter))
+        rows.append(tuple.__new__(TraceRow, (cycle, t, inputs, out, state.arbiter)))
     return Trace(s.params, s.clock_period, tuple(rows))
 
 

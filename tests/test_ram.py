@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbsim import HIGH, LOW, Params, RamInputs, parse_word, ram_reset, ram_step
+from arbsim.ram import Memory
 
 
 def quiet(params, rst_n=HIGH, **kw):
@@ -310,6 +311,43 @@ def test_equal_contents_from_different_write_orders(addr_width):
     assert a.memory == b.memory
     assert hash(a.memory) == hash(b.memory)
     assert a.memory != write(b, params, top, 8).memory
+
+
+def test_an_edge_that_changes_nothing_returns_the_state_itself(params):
+    state = swept(params)
+    assert ram_step(state, quiet(params))[0] is state
+    low = quiet(params, rst_n=LOW)
+    flagged, _ = ram_step(state, low)
+    assert flagged is not state and flagged.reset_done_internal
+    assert ram_step(flagged, low)[0] is flagged
+
+
+@pytest.mark.parametrize("addr_width", [4, 5, 6, 13])
+def test_memory_index_semantics_at_both_ends(addr_width):
+    # Both sides of the flat/trie boundary.  An index in [0, len) skips the
+    # bounds check's call; any other index goes through it and keeps its
+    # meaning: a negative one counts from the end, an out-of-range one
+    # raises the same error from reads and writes alike.
+    def memory():
+        return Memory.filled(addr_width, 0).set(0, 1).set(depth - 1, 2)
+
+    depth = 1 << addr_width
+    m = memory()
+    words = tuple(m)
+    digest = hash(m)
+    assert (m[-1], m[-depth]) == (2, 1)
+    last, first = m.set(-1, 3), m.set(-depth, 4)
+    assert (last[depth - 1], last[-1], last[0]) == (3, 3, 1)
+    assert (first[0], first[-depth], first[-1]) == (4, 4, 2)
+    for i in (depth, -depth - 1):
+        message = rf"^memory index {i} out of range for {depth} words$"
+        with pytest.raises(IndexError, match=message):
+            m[i]
+        with pytest.raises(IndexError, match=message):
+            m.set(i, 5)
+    assert tuple(m) == words
+    assert m == memory() and hash(m) == digest == hash(memory())
+    assert last != m != first
 
 
 def test_wide_memory_is_not_allocated():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arbsim.fuzz
 import arbsim.system
 from arbsim import (
     HIGH,
@@ -484,3 +485,51 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
     assert all(type(r) is RamInputs for r in ram_inputs)
     rows = run_scenario(builtin_by_name("tc07")).rows
     assert rows and all(type(row) is TraceRow for row in rows)
+
+
+def assert_whole_records(value, seen):
+    """Every NamedTuple in ``value``, nested ones included, has one value
+    per field; ``seen`` collects their types."""
+    if isinstance(value, tuple):
+        fields = getattr(type(value), "_fields", None)
+        if fields is not None:
+            assert len(value) == len(fields), (type(value).__name__, value)
+            seen.add(type(value))
+        for item in value:
+            assert_whole_records(item, seen)
+
+
+@pytest.mark.parametrize("registered", [False, True])
+def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
+    # The per-edge records are built by tuple.__new__, which, unlike the
+    # __new__ that NamedTuple generates, takes a tuple of any length: a
+    # build that drops or adds a field could go unnoticed.
+    results = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def spying(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(module, name, spying)
+
+    for module, name in [
+        (arbsim.fuzz, "system_step"), (arbsim.fuzz, "random_inputs"),
+        (arbsim.system, "arbiter_step"), (arbsim.system, "ram_step"),
+    ]:
+        spy(module, name)
+    for params in (Params(1, 1, registered), Params(4, 8, registered)):
+        assert run_fuzz(0, 2000, params, reset_storm=True).ok
+    for s in builtin_scenarios():
+        results.append(run_scenario(
+            replace(s, params=replace(s.params, registered_output=registered))
+        ).rows)
+    seen = set()
+    for result in results:
+        assert_whole_records(result, seen)
+    assert seen == {
+        SystemState, ArbiterState, RamState, RamInputs, ClientInputs, ClientOutputs, TraceRow,
+    }
