@@ -18,10 +18,10 @@ from arbsim import (
 def sweep_edges(params):
     state = system_new(params)
     for _ in range(2):
-        state, _ = system_step(state, ClientInputs.quiet(rst_n=LOW))
+        state, _ = system_step(state, ClientInputs.quiet(rst_n=LOW), params)
     edges = 0
     while True:
-        state, out = system_step(state, ClientInputs.quiet())
+        state, out = system_step(state, ClientInputs.quiet(), params)
         edges += 1
         if out.rst_done:
             return edges, state
@@ -32,16 +32,16 @@ def read_latency(params, state):
     data = (1 << params.data_width) - 3
     write = ClientInputs.quiet()._replace(wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=data)
     for _ in range(2):
-        state, _ = system_step(state, write)
+        state, _ = system_step(state, write, params)
     read = ClientInputs.quiet()._replace(rd_en_c1=HIGH, rdaddr_c1=addr)
     for lag in range(6):
-        state, out = system_step(state, read)
+        state, out = system_step(state, read, params)
         if out.rddata_c1 == data:
             return lag
     return None
 
 
-def ack_cadence(state, rd_not_write):
+def ack_cadence(params, state, rd_not_write):
     req = ClientInputs.quiet()._replace(
         request_c2=HIGH,
         rd_not_write_c2=rd_not_write,
@@ -50,7 +50,7 @@ def ack_cadence(state, rd_not_write):
     )
     acks = []
     for _ in range(12):
-        state, out = system_step(state, req)
+        state, out = system_step(state, req, params)
         acks.append("1" if out.ack_c2 else "0")
     return "".join(acks)
 
@@ -60,12 +60,12 @@ def main():
     for width in (2, 4, 6):
         unreg = Params(width, 8)
         reg = Params(width, 8, registered_output=True)
+        # A settled state holds no output mode, so both modes start from it.
         edges, settled = sweep_edges(unreg)
         lag_u = read_latency(unreg, settled)
-        edges_r, settled_r = sweep_edges(reg)
-        lag_r = read_latency(reg, settled_r)
-        wr_acks = ack_cadence(settled, rd_not_write=LOW)
-        rd_acks = ack_cadence(settled, rd_not_write=HIGH)
+        lag_r = read_latency(reg, settled)
+        wr_acks = ack_cadence(unreg, settled, rd_not_write=LOW)
+        rd_acks = ack_cadence(unreg, settled, rd_not_write=HIGH)
         print(
             f"{width:>10}  {edges:>11}  {lag_u:>12}  {lag_r:>10}  {wr_acks}  {rd_acks}"
         )

@@ -56,9 +56,9 @@ def record_stream():
     seen = []
     step = fuzz.system_step
 
-    def recording(state, inp):
+    def recording(state, inp, params):
         seen.append((state, inp))
-        return step(state, inp)
+        return step(state, inp, params)
 
     fuzz.system_step = recording
     try:
@@ -79,7 +79,7 @@ def layer_calls(stream):
         _, rd_data = ram.ram_step(state.ram, ram_in)
         out = arbiter.resolve_outputs(post, rd_data, PARAMS)
         for fn, args in (
-            (system.system_step, (state, inp)),
+            (system.system_step, (state, inp, PARAMS)),
             (system._check_widths, (inp, PARAMS)),
             (arbiter.arbiter_step, arb_args),
             (arbiter.fsm_next, (a.pr_read, a.pr_write, inp, a.reset_count, PARAMS)),

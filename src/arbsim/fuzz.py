@@ -121,10 +121,10 @@ def run_fuzz(
 
     quiet = ClientInputs.quiet(rst_n=LOW)
     for _ in range(2):
-        state, _ = system_step(state, quiet)
+        state, _ = system_step(state, quiet, params)
     warm = ClientInputs.quiet(rst_n=HIGH)
     for _ in range(params.ram_depth() + 2):
-        state, _ = system_step(state, warm)
+        state, _ = system_step(state, warm, params)
 
     for cycle in range(cycles):
         rst_n = HIGH
@@ -132,7 +132,7 @@ def run_fuzz(
             rst_n = LOW
         inp = random_inputs(rng, params, rst_n=rst_n)
         pre = state.arbiter
-        state, out = system_step(state, inp)
+        state, out = system_step(state, inp, params)
         bad = check_invariants(pre, inp, state.arbiter, out, params)
         if bad:
             prop, detail = bad[0]

@@ -25,14 +25,13 @@ from .signals import Params
 
 
 class SystemState(NamedTuple):
-    params: Params
     arbiter: ArbiterState
     ram: RamState
 
 
 def system_new(params: Params) -> SystemState:
     """Both blocks at power-on."""
-    return SystemState(params, arbiter_reset(), ram_reset(params))
+    return SystemState(arbiter_reset(), ram_reset(params))
 
 
 # (ClientInputs field, role) of every input pin.
@@ -66,7 +65,7 @@ def _check_widths(inp: ClientInputs, params: Params) -> None:
 
 
 def system_step(
-    state: SystemState, inp: ClientInputs
+    state: SystemState, inp: ClientInputs, params: Params
 ) -> tuple[SystemState, ClientOutputs]:
     """Advance the whole system by one rising clock edge.
 
@@ -76,9 +75,8 @@ def system_step(
     3. resolve the client outputs from the post-edge arbiter registers and
        the post-edge RAM read data.
     """
-    params = state.params
     _check_widths(inp, params)
     arb, ram_in = arbiter_step(state.arbiter, inp, state.ram.rd_data_reg, params)
     ram, post_rd_data = ram_step(state.ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, params)
-    return tuple.__new__(SystemState, (params, arb, ram)), out
+    return tuple.__new__(SystemState, (arb, ram)), out

@@ -96,7 +96,7 @@ def run_scenario(s: Scenario) -> Trace:
             ev = s.events[idx]
             inputs = _apply_event(inputs, ev.pin, ev.value)
             idx += 1
-        state, out = system_step(state, inputs)
+        state, out = system_step(state, inputs, s.params)
         rows.append(tuple.__new__(TraceRow, (cycle, t, inputs, out, state.arbiter)))
     return Trace(s.params, s.clock_period, tuple(rows))
 

@@ -21,18 +21,17 @@ def make_inputs(params, **kw):
     return base._replace(**fields)
 
 
-def settle_reset(state, extra=0):
+def settle_reset(state, params, extra=0):
     """Run the post-release init sweep: reset low two edges, then the sweep."""
-    params = state.params
     low = ClientInputs.quiet(rst_n=LOW)
     for _ in range(2):
-        state, _ = system_step(state, low)
+        state, _ = system_step(state, low, params)
     idle = ClientInputs.quiet(rst_n=HIGH)
     for _ in range(params.ram_depth() + 1 + extra):
-        state, _ = system_step(state, idle)
+        state, _ = system_step(state, idle, params)
     return state
 
 
 def fresh_system(params, extra=0):
     """A system that has completed its init sweep and sits idle."""
-    return settle_reset(system_new(params), extra=extra)
+    return settle_reset(system_new(params), params, extra=extra)

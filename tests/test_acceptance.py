@@ -99,25 +99,25 @@ def test_criterion_2_reset_sweep(addr_width):
         params = Params(addr_width, 8)
         state = system_new(params)
         # Dirty the memory, then reset.
-        state, _ = system_step(state, make_inputs(params, rst_n=LOW))
-        state, _ = system_step(state, make_inputs(params))
+        state, _ = system_step(state, make_inputs(params, rst_n=LOW), params)
+        state, _ = system_step(state, make_inputs(params), params)
         for edge in range(params.ram_depth() + 1):
-            state, _ = system_step(state, make_inputs(params))
+            state, _ = system_step(state, make_inputs(params), params)
         write = make_inputs(
             params,
             wr_en_c1=HIGH,
             wraddr_c1="1" * addr_width,
             wrdata_c1="10101111",
         )
-        state, _ = system_step(state, write)
+        state, _ = system_step(state, write, params)
         assert state.ram.memory[params.ram_depth() - 1] == parse_word("10101111", 8).value
-        state, out = system_step(state, make_inputs(params, rst_n=LOW))
+        state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
         assert out.rst_done == LOW
         # Locked constant: rst_done rises exactly depth + 1 edges after the
         # release, counting from the first edge stepped with rst_n high.
         edges = 0
         while True:
-            state, out = system_step(state, make_inputs(params))
+            state, out = system_step(state, make_inputs(params), params)
             edges += 1
             if out.rst_done:
                 break
@@ -156,7 +156,7 @@ def test_criterion_4_registered_mode_equivalence():
             state = fresh_system(params)
             outs = []
             for inp in stimulus:
-                state, out = system_step(state, inp)
+                state, out = system_step(state, inp, params)
                 outs.append(out.rddata_c1)
             return outs
 

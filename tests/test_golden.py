@@ -72,8 +72,8 @@ def test_fuzz_campaign_simulated_counts_are_identical(
          "arbiter.clashes", "arbiter.c2_grants"), 0)
     step = fuzz.system_step
 
-    def counting(state, inp):
-        new, out = step(state, inp)
+    def counting(state, inp, params):
+        new, out = step(state, inp, params)
         arb = new.arbiter  # its drive registers are this edge's RAM inputs
         counts["system.steps"] += 1
         if inp.rst_n and state.ram.reset_done_internal:

@@ -52,9 +52,9 @@ def input_classes(params):
 def walk(params):
     """BFS from power-on: (states, transitions, violations).
 
-    The seen-set holds ``SystemState`` records only.  A NamedTuple equals any
-    tuple with the same values, so a bare tuple in the set could stand in for
-    a state it is not.  ``params`` is the same in every key.
+    The seen-set holds ``SystemState`` records, ``(arbiter, ram)`` only.  A
+    NamedTuple equals any tuple with the same values, so a bare tuple in the
+    set could stand in for a state it is not.
     """
     registered = replace(params, registered_output=True)
     classes = input_classes(params)
@@ -64,7 +64,7 @@ def walk(params):
     violations = []
     for state in order:  # the list grows as the walk finds states
         for inp in classes:
-            post, out = system_step(state, inp)
+            post, out = system_step(state, inp, params)
             out_reg = resolve_outputs(post.arbiter, post.ram.rd_data_reg, registered)
             for o in (out, out_reg):
                 for bad in check_invariants(state.arbiter, inp, post.arbiter, o, params):

@@ -37,10 +37,10 @@ from arbsim.fuzz import random_inputs, run_fuzz
 from conftest import fresh_system, make_inputs
 
 
-def run_cycles(state, inp, n):
+def run_cycles(state, inp, n, params):
     out = None
     for _ in range(n):
-        state, out = system_step(state, inp)
+        state, out = system_step(state, inp, params)
     return state, out
 
 
@@ -61,7 +61,7 @@ class TestSystemNew:
     def test_power_on_outputs_all_zero(self):
         params = Params(4, 8)
         state = system_new(params)
-        state, out = system_step(state, make_inputs(params, rst_n=LOW))
+        state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
         assert out.rddata_c1 == 0
         assert out.dataout_c2 == 0
         assert out.ack_c2 == LOW
@@ -87,7 +87,7 @@ class TestSystemNew:
         ]:
             bad = make_inputs(params)._replace(**{field: value})
             with pytest.raises(ValueError, match=field):
-                system_step(state, bad)
+                system_step(state, bad, params)
 
 
 @pytest.mark.parametrize("params", [Params(4, 8), Params(13, 8)], ids=["a4", "a13"])
@@ -110,13 +110,13 @@ def test_input_check_walks_every_input_pin(params):
             reason = f"does not fit params width {w}"
         for value in bad:
             with pytest.raises(ValueError) as info:
-                system_step(state, quiet._replace(**{field: value}))
+                system_step(state, quiet._replace(**{field: value}), params)
             assert str(info.value) == f"{field} = {value!r} {reason}"
         for value in good:
-            system_step(state, quiet._replace(**{field: value}))
+            system_step(state, quiet._replace(**{field: value}), params)
     # With every field wrong the first input pin of the table is named.
     with pytest.raises(ValueError, match="^rst_n = None "):
-        system_step(state, ClientInputs(*[None] * len(ClientInputs._fields)))
+        system_step(state, ClientInputs(*[None] * len(ClientInputs._fields)), params)
 
 
 class TestRoundTrips:
@@ -125,10 +125,10 @@ class TestRoundTrips:
         state, _ = run_cycles(
             state,
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10100011"),
-            2,
+            2, params,
         )
         state, out = run_cycles(
-            state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2
+            state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2, params
         )
         assert out.rddata_c1 == parse_word("10100011", 8).value
 
@@ -140,12 +140,12 @@ class TestRoundTrips:
         )
         write_acks = []
         for _ in range(6):
-            state, out = system_step(state, write)
+            state, out = system_step(state, write, params)
             write_acks.append(out.ack_c2)
         read = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2="1110")
         read_acks = []
         for _ in range(6):
-            state, out = system_step(state, read)
+            state, out = system_step(state, read, params)
             read_acks.append(out.ack_c2)
         assert out.dataout_c2 == parse_word("11100011", 8).value
         assert any(write_acks) and any(read_acks)
@@ -155,13 +155,13 @@ class TestRoundTrips:
         state, _ = run_cycles(
             state,
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="1001", wrdata_c1="10101111"),
-            2,
+            2, params,
         )
         clash = make_inputs(
             params, rd_en_c1=HIGH, rdaddr_c1="1001",
             wr_en_c1=HIGH, wraddr_c1="1001", wrdata_c1="10100011",
         )
-        state, out = system_step(state, clash)
+        state, out = system_step(state, clash, params)
         assert out.rddata_c1 == parse_word("10100011", 8).value  # never the stale word
         assert state.arbiter.addr_clash == HIGH
 
@@ -170,17 +170,17 @@ class TestRoundTrips:
         state, _ = run_cycles(
             state,
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10101111"),
-            3,
+            3, params,
         )
         assert state.ram.memory[0b1010] == parse_word("10101111", 8).value
-        state, _ = run_cycles(state, make_inputs(params, rst_n=LOW), 2)
+        state, _ = run_cycles(state, make_inputs(params, rst_n=LOW), 2, params)
         state, out = run_cycles(
-            state, make_inputs(params), params.ram_depth() + 1
+            state, make_inputs(params), params.ram_depth() + 1, params
         )
         assert out.rst_done == HIGH
         assert all(w == 0 for w in state.ram.memory)
         state, out = run_cycles(
-            state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2
+            state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2, params
         )
         assert out.rddata_c1 == 0
 
@@ -190,12 +190,12 @@ def rise_after_release(params):
     state = system_new(params)
     out = None
     for _ in range(3):
-        state, out = system_step(state, make_inputs(params, rst_n=LOW))
+        state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
     assert out.rst_done == LOW
     idle = make_inputs(params)
     edges = 0
     while True:
-        state, out = system_step(state, idle)
+        state, out = system_step(state, idle, params)
         edges += 1
         assert edges <= params.ram_depth() + 8, "rst_done never rose"
         if out.rst_done:
@@ -222,22 +222,22 @@ class TestReadLatency:
         state, _ = run_cycles(
             state,
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="0101", wrdata_c1="11011011"),
-            2,
+            2, params,
         )
         return params, state
 
     def test_unregistered_data_valid_at_the_sampling_edge(self):
         params, state = self.prepared(registered=False)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
-        _, out = system_step(state, read)
+        _, out = system_step(state, read, params)
         assert out.rddata_c1 == parse_word("11011011", 8).value
 
     def test_registered_data_valid_one_edge_later(self):
         params, state = self.prepared(registered=True)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
-        state, out = system_step(state, read)
+        state, out = system_step(state, read, params)
         assert out.rddata_c1 == 0
-        _, out = system_step(state, read)
+        _, out = system_step(state, read, params)
         assert out.rddata_c1 == parse_word("11011011", 8).value
 
 
@@ -251,7 +251,7 @@ def test_registered_timeline_is_unregistered_shifted_by_one():
         state = fresh_system(params)
         outs = []
         for inp in stimulus:
-            state, out = system_step(state, inp)
+            state, out = system_step(state, inp, params)
             outs.append(out.rddata_c1)
         return outs
 
@@ -271,7 +271,7 @@ def outputs_of(params, stimulus):
     state = system_new(params)
     rows = []
     for inp in stimulus:
-        state, out = system_step(state, inp)
+        state, out = system_step(state, inp, params)
         rows.append((state.arbiter, out))
     return rows
 
@@ -288,6 +288,24 @@ def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
     assert [out.rddata_c1 for _, out in reg] == expected
     # A reset edge lands right after nonzero read data, so the zeroing is seen.
     assert any(word and not inp.rst_n for inp, word in zip(stimulus, before))
+
+
+def test_state_graph_does_not_depend_on_the_output_mode():
+    # A SystemState is the arbiter's registers and the RAM; the output
+    # register option is an argument of each step and changes only how the
+    # outputs resolve.  So the same stimulus steps both modes through equal
+    # states, while the outputs differ.
+    assert SystemState._fields == ("arbiter", "ram")
+    stimulus = reset_storm(Params(3, 6))
+    runs = {}
+    for registered in (False, True):
+        params = Params(3, 6, registered_output=registered)
+        state, runs[registered] = system_new(params), []
+        for inp in stimulus:
+            state, out = system_step(state, inp, params)
+            runs[registered].append((state, out))
+    assert [s for s, _ in runs[False]] == [s for s, _ in runs[True]]
+    assert [o for _, o in runs[False]] != [o for _, o in runs[True]]
 
 
 def test_rst_done_and_read_mux_facts_hold_on_every_row():
@@ -329,7 +347,7 @@ def test_kernel_words_are_ints_within_their_width(seed, registered):
     state = system_new(params)
     for _ in range(80):
         inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
-        state, out = system_step(state, inp)
+        state, out = system_step(state, inp, params)
         view = SimpleNamespace(arbiter=state.arbiter, ram=state.ram, outputs=out)
         for path, role in WORD_FIELDS:
             v = attrgetter(path)(view)
@@ -347,7 +365,8 @@ def test_kernel_builds_no_word(monkeypatch):
     rng = random.Random(3)
     state = system_new(params)
     for _ in range(200):
-        state, _ = system_step(state, random_inputs(rng, params, rst_n=rng.random() >= 0.05))
+        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+        state, _ = system_step(state, inp, params)
 
 
 # Read-data muxes that get the clash bypass wrong, as (state, RAM word) -> data.
@@ -386,7 +405,7 @@ def test_determinism_identical_stimulus_identical_states():
         state = fresh_system(params)
         hist = []
         for _ in range(300):
-            state, out = system_step(state, random_inputs(rng, params))
+            state, out = system_step(state, random_inputs(rng, params), params)
             hist.append((state, out))
         return hist
 
@@ -413,17 +432,17 @@ def test_write_read_round_trip_any_client_pair(seed, writer, reader, gap):
     else:
         wr = make_inputs(params, request_c2=HIGH, rd_not_write_c2=LOW,
                          addr_c2=addr.render(), datain_c2=data.render())
-    state, _ = run_cycles(state, wr, 3)
-    state, _ = run_cycles(state, make_inputs(params), gap)
+    state, _ = run_cycles(state, wr, 3, params)
+    state, _ = run_cycles(state, make_inputs(params), gap, params)
 
     if reader == "c1":
         rd = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1=addr.render())
-        state, out = run_cycles(state, rd, 3)
+        state, out = run_cycles(state, rd, 3, params)
         assert out.rddata_c1 == data.value
     else:
         rd = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH,
                          addr_c2=addr.render())
-        state, out = run_cycles(state, rd, 3)
+        state, out = run_cycles(state, rd, 3, params)
         assert out.dataout_c2 == data.value
 
 
@@ -472,7 +491,8 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
     rng = random.Random(11)
     state = system_new(params)
     for _ in range(300):
-        state, out = system_step(state, random_inputs(rng, params, rst_n=rng.random() >= 0.05))
+        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+        state, out = system_step(state, inp, params)
         assert type(state) is SystemState
         assert type(out) is ClientOutputs
         assert type(state.arbiter) is ArbiterState

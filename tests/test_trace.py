@@ -293,7 +293,7 @@ def random_walk_trace(params):
             else:
                 new = rng.getrandbits(params.width("addr" if "addr" in field else "data"))
             inputs = inputs._replace(**{field: new})
-        state, out = system_step(state, inputs)
+        state, out = system_step(state, inputs, params)
         rows.append(TraceRow(cycle, cycle * 10 + 5, inputs, out, state.arbiter))
     return Trace(params, 10, tuple(rows))
 
@@ -303,7 +303,7 @@ def one_pin_trace(params):
     largest value for one row and back to power-on: rows that differ in one
     pin only, and the second pass repeats every transition of the first."""
     quiet = ClientInputs.quiet(rst_n=LOW)
-    state, out = system_step(system_new(params), quiet)
+    state, out = system_step(system_new(params), quiet, params)
     base = TraceRow(0, 0, quiet, out, state.arbiter)
     largest = {"level": HIGH, "state": max(ChannelState)}
     rows = [base]
