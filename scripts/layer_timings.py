@@ -31,7 +31,6 @@ Per-call times compare versions of the code on one host; the benchmark
 
 import gc
 import io
-import os
 import random
 import statistics
 import sys
@@ -41,6 +40,7 @@ from dataclasses import replace
 from itertools import starmap
 
 from arbsim import Params, arbiter, builtin_scenarios, fuzz, ram, system, trace
+from arbsim.cli import release_stdout
 from arbsim.scenario import parse_scenario, render_scenario
 
 PARAMS = Params(4, 8)
@@ -190,12 +190,7 @@ def main():
         sys.stdout.write("".join(lines))
         sys.stdout.flush()
     except OSError as exc:
-        # As arbsim does when its reader is gone or its device is full: point
-        # stdout at devnull so that the interpreter's flush at exit finds
-        # nothing to fail on, and exit 2 with one line.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        release_stdout()
         print(f"layer_timings: error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0

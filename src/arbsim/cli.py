@@ -188,6 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def release_stdout() -> None:
+    """After an output could not be written (its reader went away or its
+    device is full): if stdout is that output, point it at devnull so that
+    the interpreter's own flush at exit finds nothing to fail on."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -199,15 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arbsim: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # An output could not be written: its reader went away or its device
-        # is full.  If stdout is that output, point it at devnull so that the
-        # interpreter's own flush at exit finds nothing to fail on.
-        try:
-            sys.stdout.flush()
-        except OSError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        release_stdout()
         print(f"arbsim: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 

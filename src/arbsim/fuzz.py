@@ -1,9 +1,12 @@
-"""Randomized stimulus campaigns checking the arbiter's structural invariants.
+"""Randomized stimulus campaigns checking the arbiter's invariants on every edge.
 
-Every measured cycle is checked for: channel-state polarity, client2 never
-holding both channels, client1 preemption, the client2 admission rules,
-the write data on DATAOUT_C2 during a clash, and quiet RAM enables while a
-channel is in reset.  Runs are reproducible from (seed, cycles, params) alone.
+Out of reset each channel's next state is the fixed-priority grant of the
+edge's inputs: client1's enable first, then client2 on the side its selector
+picks, else idle.  In reset both channels are in reset while ``rst_n`` is
+low, else equal and in reset or idle.  The clash flag is high exactly when
+both RAM enables are latched high on one address, and DATAOUT_C2 then
+carries the write data; no RAM enable is high in reset.  Read data and ack
+values are not checked.  A run is reproducible from (seed, cycles, params).
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, I
 from .arbiter import ArbiterState, ClientInputs, ClientOutputs
 from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
-
-_READ_STATES = {RESET, IDLE, CLIENT1_READ, CLIENT2_READ}
-_WRITE_STATES = {RESET, IDLE, CLIENT1_WRITE, CLIENT2_WRITE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,44 +57,31 @@ def check_invariants(
     bad: list[tuple[str, str]] = []
     rd, wr = post.pr_read, post.pr_write
 
-    if rd not in _READ_STATES or wr not in _WRITE_STATES:
-        bad.append(("channel-polarity", f"read={rd.name.lower()} write={wr.name.lower()}"))
+    if inp.rst_n and pre.pr_read is not RESET:
+        exp_rd = (CLIENT1_READ if inp.rd_en_c1
+                  else CLIENT2_READ if inp.request_c2 and inp.rd_not_write_c2 else IDLE)
+        exp_wr = (CLIENT1_WRITE if inp.wr_en_c1
+                  else CLIENT2_WRITE if inp.request_c2 and not inp.rd_not_write_c2 else IDLE)
+    else:
+        # Not from reset_count, so that the check does not trust what it checks.
+        exp_rd = exp_wr = IDLE if inp.rst_n and rd is IDLE else RESET
+    if rd is not exp_rd:
+        bad.append(("read-grant", f"read={rd.name.lower()} expected={exp_rd.name.lower()}"))
+    if wr is not exp_wr:
+        bad.append(("write-grant", f"write={wr.name.lower()} expected={exp_wr.name.lower()}"))
 
-    if rd is CLIENT2_READ and wr is CLIENT2_WRITE:
-        bad.append(("client2-single-op", "client2 holds both channels"))
-
-    out_of_reset = inp.rst_n and pre.pr_read is not RESET
-    if out_of_reset:
-        if inp.rd_en_c1 and rd is not CLIENT1_READ:
-            bad.append(("client1-read-preemption", f"read={rd.name.lower()}"))
-        if inp.wr_en_c1 and wr is not CLIENT1_WRITE:
-            bad.append(("client1-write-preemption", f"write={wr.name.lower()}"))
-        if rd is CLIENT2_READ and not (
-            not inp.rd_en_c1 and inp.request_c2 and inp.rd_not_write_c2
-        ):
-            bad.append(("client2-read-admission", "granted without eligibility"))
-        if wr is CLIENT2_WRITE and not (
-            not inp.wr_en_c1 and inp.request_c2 and not inp.rd_not_write_c2
-        ):
-            bad.append(("client2-write-admission", "granted without eligibility"))
-        if inp.rd_en_c1 and inp.wr_en_c1 and (
-            rd is CLIENT2_READ or wr is CLIENT2_WRITE
-        ):
-            bad.append(("client2-blocked", "client2 granted while client1 does both"))
-
-    if post.addr_clash:
-        if not (post.temp_rd_en and post.temp_wr_en):
-            bad.append(("clash-flag", "clash high without both enables"))
-        if post.temp_rd_addr != post.temp_wr_addr:
-            bad.append(("clash-flag", "clash high with distinct addresses"))
-        if out.dataout_c2 != post.temp_wr_data:
-            w = params.data_width
-            bad.append(
-                (
-                    "clash-bypass",
-                    f"bypass={out.dataout_c2:0{w}b} write={post.temp_wr_data:0{w}b}",
-                )
+    # A level is a bool, so ``is`` is its equality, without a rich compare.
+    clash = post.temp_rd_en and post.temp_wr_en and post.temp_rd_addr == post.temp_wr_addr
+    if post.addr_clash is not clash:
+        bad.append(("clash-flag", f"clash={post.addr_clash:d} expected={clash:d}"))
+    if post.addr_clash and out.dataout_c2 != post.temp_wr_data:
+        w = params.data_width
+        bad.append(
+            (
+                "clash-bypass",
+                f"bypass={out.dataout_c2:0{w}b} write={post.temp_wr_data:0{w}b}",
             )
+        )
 
     if rd is RESET and (post.temp_rd_en or post.temp_wr_en):
         bad.append(("reset-quiescence", "RAM enable asserted during reset"))

@@ -126,12 +126,6 @@ _PROBES = itemgetter(*[
 ])
 
 
-def _ROW_VALUES(row: TraceRow) -> tuple:
-    """A row's pin values in PINS order.  ``_runs`` inlines this, which
-    saves a call on every row."""
-    return row.inputs + row.outputs + _PROBES(row.arbiter)
-
-
 def _runs(rows: tuple[TraceRow, ...]) -> Iterator[tuple[int, int, int, tuple]]:
     """Walk rows as maximal runs of equal pin values: ``(start, stop, key,
     values)`` for each run ``rows[start:stop]``, where ``key`` numbers the

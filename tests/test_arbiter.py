@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,19 +307,86 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
 
 
 def test_violation_details_name_states_in_lower_case():
-    # A state's value is its 3-bit code; the details name the state instead.
+    # A state's value is its 3-bit code; the details name the state seen
+    # and the state expected instead.
     idle = idle_arbiter()
     inp = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
     idle_out = resolve_outputs(idle, 0, PARAMS)
     assert check_invariants(idle, inp, idle, idle_out, PARAMS) == [
-        ("client1-read-preemption", "read=idle"),
-        ("client1-write-preemption", "write=idle"),
+        ("read-grant", "read=idle expected=client1_read"),
+        ("write-grant", "write=idle expected=client1_write"),
     ]
     swapped = idle._replace(pr_read=C1W, pr_write=C2R)
     swapped_out = resolve_outputs(swapped, 0, PARAMS)
     assert check_invariants(idle, make_inputs(PARAMS), swapped, swapped_out, PARAMS) == [
-        ("channel-polarity", "read=client1_write write=client2_read"),
+        ("read-grant", "read=client1_write expected=idle"),
+        ("write-grant", "write=client2_read expected=idle"),
     ]
+
+
+SETTLED, POWER_ON = idle_arbiter(), arbiter_reset()
+C2_READ = {"request_c2": HIGH, "rd_not_write_c2": HIGH}
+C2_WRITE = {"request_c2": HIGH, "rd_not_write_c2": LOW}
+CLASH = SETTLED._replace(
+    temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=5, temp_wr_addr=5, addr_clash=HIGH
+)
+
+# One hand-built edge per row: (pre-edge state, inputs, post-edge state) and
+# the exact (property, detail) list that check_invariants reports for it.
+EDGES = {
+    "client2-read-dropped": (SETTLED, C2_READ, SETTLED, [
+        ("read-grant", "read=idle expected=client2_read"),
+    ]),
+    "client2-write-dropped": (SETTLED, C2_WRITE, SETTLED, [
+        ("write-grant", "write=idle expected=client2_write"),
+    ]),
+    "client2-write-over-client1": (SETTLED, {"wr_en_c1": HIGH, **C2_WRITE},
+                                   SETTLED._replace(pr_write=C2W), [
+        ("write-grant", "write=client2_write expected=client1_write"),
+    ]),
+    "client2-holds-both": (SETTLED, C2_READ, SETTLED._replace(pr_read=C2R, pr_write=C2W), [
+        ("write-grant", "write=client2_write expected=idle"),
+    ]),
+    "rst_n-low-read-idle": (SETTLED, {"rst_n": LOW}, POWER_ON._replace(pr_read=I), [
+        ("read-grant", "read=idle expected=reset"),
+    ]),
+    "rst_n-low-write-idle": (SETTLED, {"rst_n": LOW}, POWER_ON._replace(pr_write=I), [
+        ("write-grant", "write=idle expected=reset"),
+    ]),
+    "reset-split-read-idle": (POWER_ON, {}, POWER_ON._replace(pr_read=I), [
+        ("write-grant", "write=reset expected=idle"),
+    ]),
+    "reset-split-write-idle": (POWER_ON, {}, POWER_ON._replace(pr_write=I), [
+        ("write-grant", "write=idle expected=reset"),
+    ]),
+    "reset-grants-client1": (POWER_ON, {"rd_en_c1": HIGH, "wr_en_c1": HIGH},
+                             POWER_ON._replace(pr_read=C1R, pr_write=C1W), [
+        ("read-grant", "read=client1_read expected=reset"),
+        ("write-grant", "write=client1_write expected=reset"),
+    ]),
+    "sweep-holds": (POWER_ON, {}, POWER_ON, []),
+    "sweep-ends": (POWER_ON, {}, SETTLED, []),
+    "clash-flag-high": (SETTLED, {}, CLASH, []),
+    "clash-flag-missed": (SETTLED, {}, CLASH._replace(addr_clash=LOW), [
+        ("clash-flag", "clash=0 expected=1"),
+    ]),
+    "clash-flag-distinct-addresses": (SETTLED, {}, CLASH._replace(temp_wr_addr=6), [
+        ("clash-flag", "clash=1 expected=0"),
+    ]),
+    "clash-flag-one-enable": (SETTLED, {}, CLASH._replace(temp_wr_en=LOW), [
+        ("clash-flag", "clash=1 expected=0"),
+    ]),
+    "reset-quiescence": (SETTLED, {"rst_n": LOW}, POWER_ON._replace(temp_wr_en=HIGH), [
+        ("reset-quiescence", "RAM enable asserted during reset"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("pre, inputs, post, bad", EDGES.values(), ids=EDGES.keys())
+def test_each_property_reports_its_hand_built_edge(pre, inputs, post, bad):
+    inp = make_inputs(PARAMS, **inputs)
+    out = resolve_outputs(post, 0, PARAMS)
+    assert check_invariants(pre, inp, post, out, PARAMS) == bad
 
 
 @settings(deadline=None, max_examples=60)

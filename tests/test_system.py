@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arbsim.arbiter
 import arbsim.fuzz
 import arbsim.system
 from arbsim import (
@@ -369,20 +370,9 @@ def test_kernel_builds_no_word(monkeypatch):
         state, _ = system_step(state, inp, params)
 
 
-# Read-data muxes that get the clash bypass wrong, as (state, RAM word) -> data.
-BROKEN_MUXES = {
-    "ignores-clash": lambda arb, ram_word: ram_word,
-    "swapped-arms": lambda arb, ram_word: ram_word if arb.addr_clash else arb.temp_wr_data,
-}
-
-
-@pytest.mark.parametrize("mux", BROKEN_MUXES.values(), ids=BROKEN_MUXES.keys())
-def test_fuzz_catches_a_broken_output_mux(monkeypatch, mux):
-    # The check reads DATAOUT_C2 as the client sees it, so a fault that
-    # changes only an output value fails a short fuzz-a4 campaign.
+def broken_mux(mux):
+    """A resolve_outputs whose read data is mux(state, RAM word)."""
     resolve = arbsim.system.resolve_outputs
-    params = Params(4, 8)
-    assert all(run_fuzz(seed, 2000, params, reset_storm=True).ok for seed in range(3))
 
     def broken(arb, ram_word, params):
         data = mux(arb, ram_word)
@@ -391,10 +381,63 @@ def test_fuzz_catches_a_broken_output_mux(monkeypatch, mux):
             rddata_c1=out.rddata_c1 if params.registered_output else data, dataout_c2=data
         )
 
-    monkeypatch.setattr(arbsim.system, "resolve_outputs", broken)
-    for seed in range(3):
-        v = run_fuzz(seed, 2000, params, reset_storm=True).violation
-        assert v is not None and v.prop == "clash-bypass", (seed, v)
+    return arbsim.system, "resolve_outputs", broken
+
+
+def broken_grants(rewrite):
+    """An fsm_next whose channel states pass through rewrite(read, write, inputs)."""
+    fsm = arbsim.arbiter.fsm_next
+
+    def broken(pr_read, pr_write, inp, reset_count, params):
+        rd, wr, reset_count = fsm(pr_read, pr_write, inp, reset_count, params)
+        return (*rewrite(rd, wr, inp), reset_count)
+
+    return arbsim.arbiter, "fsm_next", broken
+
+
+def drop_client2(rd, wr, inp):
+    idle = ChannelState.IDLE
+    return (idle if rd is ChannelState.CLIENT2_READ else rd,
+            idle if wr is ChannelState.CLIENT2_WRITE else wr)
+
+
+def client2_write_first(rd, wr, inp):
+    wins = wr is ChannelState.CLIENT1_WRITE and inp.request_c2 and not inp.rd_not_write_c2
+    return rd, ChannelState.CLIENT2_WRITE if wins else wr
+
+
+# Faults planted in the kernel, each through a name that the benchmark wraps
+# or a public one: (module, name, replacement), and the property that must
+# report the fault.
+PLANTED_FAULTS = {
+    "ignores-clash": (broken_mux(lambda arb, ram_word: ram_word), "clash-bypass"),
+    "swapped-arms": (
+        broken_mux(lambda arb, ram_word: ram_word if arb.addr_clash else arb.temp_wr_data),
+        "clash-bypass",
+    ),
+    "drops-client2-grants": (broken_grants(drop_client2), "write-grant"),
+    "never-clashes": ((arbsim.arbiter, "detect_clash", lambda *latched: LOW), "clash-flag"),
+    "client2-write-first": (broken_grants(client2_write_first), "write-grant"),
+}
+
+
+@pytest.mark.parametrize("fault, prop", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS.keys())
+def test_fuzz_catches_a_broken_output_mux(monkeypatch, fault, prop):
+    # The checks read the channel states, the clash flag and DATAOUT_C2 as
+    # the kernel makes them, so each fault fails every short fuzz-a4
+    # campaign of seeds 0-2 in both modes, reported as its property.
+    modes = [Params(4, 8, registered) for registered in (False, True)]
+    assert all(run_fuzz(seed, 2000, p, reset_storm=True).ok for p in modes for seed in range(3))
+    monkeypatch.setattr(*fault)
+    for params in modes:
+        for seed in range(3):
+            v = run_fuzz(seed, 2000, params, reset_storm=True).violation
+            assert v is not None and v.prop == prop, (params, seed, v)
+
+
+def test_fuzz_needs_at_least_one_cycle():
+    with pytest.raises(ValueError, match="cycles must be >= 1"):
+        run_fuzz(0, 0, Params(4, 8))
 
 
 def test_determinism_identical_stimulus_identical_states():

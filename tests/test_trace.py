@@ -26,7 +26,7 @@ from arbsim import (
 )
 from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
-from arbsim.trace import _LINES_PER_WRITE, _ROW_VALUES, _runs
+from arbsim.trace import _LINES_PER_WRITE, _runs
 
 from vcd_reader import read_vcd
 
@@ -317,6 +317,23 @@ def one_pin_trace(params):
     ))
 
 
+READ_EVERY_PATH = attrgetter(*(path for _, _, _, path in PINS))
+
+
+def row_values(trace):
+    """Each row's pin values as the exporters read them: the values of the
+    run that ``_runs`` puts the row in, checked against that row's every
+    PINS path."""
+    values = []
+    for start, stop, _, run_values in _runs(trace.rows):
+        assert start == len(values) < stop, (start, stop)
+        for row in trace.rows[start:stop]:
+            assert run_values == READ_EVERY_PATH(row), row.cycle
+        values += [run_values] * (stop - start)
+    assert len(values) == len(trace.rows)
+    return values
+
+
 def reference_table(trace):
     """The table rendered the plain way: every cell of every row formatted."""
     names = [name for name, _, _, _ in PINS]
@@ -390,11 +407,9 @@ class TestExportReference:
     def test_exports_match_the_per_row_reference(self, kind, registered):
         # The widths alternate within one test, so a memo kept between calls
         # would hand one width's cells to another.
-        read_every_path = attrgetter(*(path for _, _, _, path in PINS))
         for trace in self.traces(kind, registered):
             label = f"{kind} {trace.params}"
-            values = [_ROW_VALUES(row) for row in trace.rows]
-            assert values == [read_every_path(row) for row in trace.rows], label
+            values = row_values(trace)
             assert values[0] == (0,) * len(PINS), label
             # A row equal to one before it, but not to the row just before
             # (the table's memo is reused across runs) ...
@@ -427,7 +442,7 @@ class TestExportReference:
                     assert trace.rows == (), label
                 else:
                     assert len(trace.rows) == 1, label
-                    assert (_ROW_VALUES(trace.rows[0]) == (0,) * len(PINS)) == power_on, label
+                    assert (row_values(trace)[0] == (0,) * len(PINS)) == power_on, label
                 self.assert_exports_match_the_reference(trace, label)
 
     def test_a_long_run_is_written_in_bounded_pieces(self):
@@ -460,7 +475,7 @@ class TestExportReference:
 def distinct_rows_and_transitions(trace):
     """The distinct rows of pin values, and the distinct changes from one
     row to the next (from the power-on values to the first row included)."""
-    values = [_ROW_VALUES(row) for row in trace.rows]
+    values = row_values(trace)
     before = [(0,) * len(PINS)] + values[:-1]
     return set(values), {(old, v) for old, v in zip(before, values) if old != v}
 
