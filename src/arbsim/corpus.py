@@ -177,6 +177,7 @@ _CORPUS_TEXT: tuple[str, ...] = (
     @2300 WRADDR_C1 = 1010
     @2300 WRDATA_C1 = 10111011
     expect @2000 RDDATA_C1 = 00000000
+    expect @2300 DATAOUT_C2 = 10111011
     expect @2600 RDDATA_C1 = 10111011
     expect @3800 RDDATA_C1 = 10111011
     run 4000

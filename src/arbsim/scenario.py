@@ -42,10 +42,11 @@ MAX_ADDR_WIDTH = 20
 # columns: about 1 GB for a table of MAX_EDGES rows.
 MAX_DATA_WIDTH = 64
 # Most edges that a scenario's run line, and most measured cycles that
-# ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  The
-# replay keeps every row, about 450 bytes each, so a run at the cap peaks
-# near 0.95 GB; a campaign keeps no rows and at the cap takes tens of
-# seconds rather than running until it is killed.
+# ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  A replay
+# keeps every row (about 450 bytes); an export adds an 8-byte key a row after
+# the row list is freed.  2**18 edges peaked at 120 MB with or without export,
+# so a run at the cap should peak near 0.95 GB (not measured at the cap).  A
+# campaign keeps no rows and at the cap takes tens of seconds, not forever.
 MAX_EDGES = 1 << 21
 # Latest time that a clock, run, @t or expect line may name: the largest
 # 64-bit VCD timestamp.  Its 19 digits bound a literal before int() sees it.

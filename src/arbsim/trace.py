@@ -11,8 +11,10 @@ tab-separated table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import IO, Iterator, NamedTuple
+from functools import cached_property
+from itertools import chain, compress
+from operator import attrgetter, itemgetter, ne
+from typing import IO, NamedTuple
 
 from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
@@ -48,6 +50,24 @@ class Trace:
             return -1
         return (t - half) // self.clock_period
 
+    @cached_property
+    def pin_values(self) -> tuple[list[tuple], list[int]]:
+        """The one walk over the rows' pin values, made when first read:
+        ``(distinct, keys)``, where ``distinct`` holds each distinct row of
+        values in ``PINS`` order as it first appears and ``keys[k]`` is row
+        ``k``'s index into it.  Both exporters read it, so a trace exported
+        in both formats is walked once; it lives and dies with the trace."""
+        index: dict[tuple, int] = {}
+        keys: list[int] = []
+        values, key = None, 0
+        for row in self.rows:
+            row_values = row.inputs + row.outputs + _PROBES(row.arbiter)
+            if row_values != values:
+                values = row_values
+                key = index.setdefault(values, len(index))
+            keys.append(key)
+        return list(index), keys
+
 
 @dataclass(frozen=True, slots=True)
 class AssertionResult:
@@ -65,17 +85,16 @@ class AssertionReport:
         return [r for r in self.results if not r.passed]
 
 
-# Input pin name -> (ClientInputs field, role).
-_EVENT_FIELDS = {n: (p.split(".")[1], r) for n, d, r, p in PINS if d == "in"}
 # Pin name -> its index in PINS.
 _PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
+_ROLES = {role for _, _, role, _ in PINS}
 
 
 def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
-    field, role = _EVENT_FIELDS[pin]
-    if role == "level":
-        return inputs._replace(**{field: value == "1"})
-    return inputs._replace(**{field: parse_word(value, len(value)).value})
+    # The input pins lead PINS in ClientInputs field order (checked below).
+    i = _PIN_INDEX[pin]
+    v = value == "1" if PINS[i][2] == "level" else parse_word(value, len(value)).value
+    return tuple.__new__(ClientInputs, (*inputs[:i], v, *inputs[i + 1 :]))
 
 
 def run_scenario(s: Scenario) -> Trace:
@@ -85,20 +104,23 @@ def run_scenario(s: Scenario) -> Trace:
     whose time is >= t; assignments at equal times apply in file order, so
     a later line on the same pin wins.
     """
-    state: SystemState = system_new(s.params)
+    params, period, events = s.params, s.clock_period, s.events
+    state: SystemState = system_new(params)
     inputs = ClientInputs.quiet(rst_n=LOW)
-    half = s.clock_period // 2
+    half, edges = period // 2, s.num_edges()
+    never = edges * period  # later than the last edge, (edges - 1) * period + half
     rows: list[TraceRow] = []
-    idx = 0
-    for cycle in range(s.num_edges()):
-        t = cycle * s.clock_period + half
-        while idx < len(s.events) and s.events[idx].time <= t:
-            ev = s.events[idx]
+    idx, next_time = 0, events[0].time if events else never
+    for cycle in range(edges):
+        t = cycle * period + half
+        while next_time <= t:
+            ev = events[idx]
             inputs = _apply_event(inputs, ev.pin, ev.value)
             idx += 1
-        state, out = system_step(state, inputs, s.params)
+            next_time = events[idx].time if idx < len(events) else never
+        state, out = system_step(state, inputs, params)
         rows.append(tuple.__new__(TraceRow, (cycle, t, inputs, out, state.arbiter)))
-    return Trace(s.params, s.clock_period, tuple(rows))
+    return Trace(params, period, tuple(rows))
 
 
 def _pin_format(params: Params, role: str) -> str:
@@ -106,6 +128,12 @@ def _pin_format(params: Params, role: str) -> str:
     width.  A level is a bool and a channel state an int code, so one rule
     covers every role, for the checker and both exporters alike."""
     return f"{{:0{params.width(role)}b}}"
+
+
+def _pin_formats(params: Params) -> list[tuple[int, str]]:
+    """Each pin's width and format, in PINS order, worked out once per role."""
+    by_role = {role: (params.width(role), _pin_format(params, role)) for role in _ROLES}
+    return [by_role[role] for _, _, role, _ in PINS]
 
 
 # The exporters read a row as its pin values in PINS order: the input and
@@ -124,25 +152,6 @@ if [(d, path) for _, d, _, path in PINS[: len(_IO_PINS)]] != _IO_PINS or any(
 _PROBES = itemgetter(*[
     ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
 ])
-
-
-def _runs(rows: tuple[TraceRow, ...]) -> Iterator[tuple[int, int, int, tuple]]:
-    """Walk rows as maximal runs of equal pin values: ``(start, stop, key,
-    values)`` for each run ``rows[start:stop]``, where ``key`` numbers the
-    distinct values in the order they first appear (0, 1, 2, ...).  Only
-    the distinct values are kept, so memory grows with them and not with
-    the run length."""
-    keys: dict[tuple, int] = {}
-    start, key, values = 0, 0, None
-    for stop, row in enumerate(rows):
-        row_values = row.inputs + row.outputs + _PROBES(row.arbiter)
-        if row_values != values:
-            if stop:
-                yield start, stop, key, values
-            start, values = stop, row_values
-            key = keys.setdefault(values, len(keys))
-    if rows:
-        yield start, len(rows), key, values
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
@@ -185,93 +194,97 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     return AssertionReport(tuple(results), all(r.passed for r in results))
 
 
+# Each exporter writes at most this many table lines, or VCD ``#<time>``
+# sections, in one call, so that the text held at once stays bounded.
+_LINES_PER_WRITE = 1024
+
+
 def write_vcd(trace: Trace, sink: IO[str]) -> None:
     """Emit a minimal VCD: header, initial values, then changes only.
 
     Scalars are 1-bit wires, buses are n-bit wires dumped as ``b<bits> <id>``
     records.  Power-on values populate the ``$dumpvars`` block; each run of
-    equal rows (``_runs``) then contributes, at its first row's time, a
+    rows with equal keys in ``trace.pin_values``, the walk cached on the
+    trace for both exporters, then gives at its first row's time a
     ``#<time>`` section of only the signals that differ from the run before
-    it (the power-on values before the first run).
+    it (the power-on values before the first run), in pieces of at most
+    ``_LINES_PER_WRITE`` sections a write.
 
-    A change block depends only on the pair (previous run's values, run's
-    values), so it is rendered once per distinct pair: a dict local to the
-    call maps the pair of run keys to its block, and the period-2 and
-    period-3 ack trains reuse the same few blocks.  Reusing the text is
-    byte-safe for the reasons that ``write_table`` gives.  Every builtin
-    case has at most 16 distinct transitions, and as many when it runs 40
-    times as long (``tests/test_trace.py`` checks both), so the memo grows
-    with a scenario's events, not with its run length.
+    A change block depends only on the pair (previous run's key, run's
+    key), so a dict local to the call renders it once per distinct pair,
+    and the period-2 and period-3 ack trains reuse a few blocks.  Reusing
+    the text is byte-safe for the reasons that ``write_table`` gives.  Every
+    builtin case has at most 16 distinct transitions, and as many when it
+    runs 40 times as long (``tests/test_trace.py`` checks both), so the memo
+    grows with a scenario's events, not with its run length.
     """
-    params = trace.params
     header = ["$timescale 1ns $end\n", "$scope module ram_arbiter $end\n"]
     records = []  # per pin, the format of its value-change record
-    for i, (name, _, role, _) in enumerate(PINS):
-        vid, width, fmt = chr(33 + i), params.width(role), _pin_format(params, role)
+    for i, ((name, _, _, _), (width, fmt)) in enumerate(zip(PINS, _pin_formats(trace.params))):
+        vid = chr(33 + i)
         if width == 1:
             header.append(f"$var wire 1 {vid} {name} $end\n")
             records.append(f"{fmt}{vid}\n")
         else:
             header.append(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
             records.append(f"b{fmt} {vid}\n")
-    # Power-on values: every pin 0, the channel states included (RESET is
-    # code 0).
+    # Power-on values: every pin 0, the channel states included (RESET is 0).
     header += ["$upscope $end\n", "$enddefinitions $end\n", "$dumpvars\n"]
     header += [record.format(0) for record in records]
     sink.write("".join(header) + "$end\n")
 
-    rows = trace.rows
+    distinct, keys = trace.pin_values
+    values = [*distinct, (0,) * len(PINS)]  # key len(distinct): the power-on values
     blocks: dict[tuple[int, int], str] = {}  # (previous key, key) -> changes
-    previous, old = -1, (0,) * len(PINS)  # key -1: the power-on values
-    for start, _, key, values in _runs(rows):
+    previous, sections = len(distinct), []
+    # The first row of each run: each row whose key differs from the one before.
+    for row, key in compress(zip(trace.rows, keys), map(ne, keys, chain((None,), keys))):
         block = blocks.get((previous, key))
         if block is None:
-            block = "".join([record.format(v) for record, v, o in zip(records, values, old) if v != o])
-            # A run differs from the run before it, so the block is empty
-            # only for a first run that holds the power-on values; it writes
-            # nothing and is not kept.
-            if block:
-                blocks[previous, key] = block
+            block = blocks[previous, key] = "".join([
+                record.format(v) for record, v, o in zip(records, values[key], values[previous]) if v != o
+            ])
+        # A run differs from the run before it, so the block is empty only
+        # for a first run that holds the power-on values; it writes nothing.
         if block:
-            sink.write(f"#{rows[start].time}\n{block}")
-        previous, old = key, values
-
-
-# write_table writes a run of equal rows in pieces of at most this many
-# lines; the corpus's longest run has 61.
-_LINES_PER_WRITE = 1024
+            sections.append(f"#{row.time}\n{block}")
+            if len(sections) == _LINES_PER_WRITE:
+                sink.write("".join(sections))
+                sections.clear()
+        previous = key
+    if sections:
+        sink.write("".join(sections))
 
 
 def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one row per cycle.
 
-    Each distinct row of pin values is rendered once per call, when its run
-    key (``_runs``) first appears; every row formats only its cycle and
-    time, and a run's lines go to the sink in one write (one per
-    ``_LINES_PER_WRITE`` lines of a longer run, so that the text held at
-    once does not grow with the run length).  Reusing the text is
-    byte-safe:
+    Each distinct row of ``trace.pin_values``, the walk cached on the trace
+    for both exporters, is rendered once per call; every row formats only
+    its cycle and time, and the lines go to the sink in pieces of at most
+    ``_LINES_PER_WRITE``, so the text held at once does not grow with the
+    trace.  Reusing the text is byte-safe:
 
     - every cell is its value in binary at its pin's width, text that
       depends only on the value's int;
     - the values are bools, ints and ``ChannelState`` members (an
       ``IntEnum``), so tuple ``==`` and ``hash`` are int equality, and
       equal keys render equal text;
-    - widths differ between traces, so the memo lives inside one call and
-      nothing is cached between calls.
+    - widths differ between traces, so the rendered rows live inside one
+      call, and nothing is cached between calls or between traces.
 
-    The memo grows with a scenario's events, not with its run length: every
-    builtin case replayed at 40 times its duration has at most 13 distinct
-    rows (``tests/test_trace.py`` checks that bound).
+    The rendered rows grow with a scenario's events, not with its run
+    length: every builtin case replayed at 40 times its duration has at most
+    13 distinct rows (``tests/test_trace.py`` checks that bound).
     """
     rows = trace.rows
+    distinct, keys = trace.pin_values
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
-    cells = "\t".join([_pin_format(trace.params, role) for _, _, role, _ in PINS]) + "\n"
-    rendered: list[str] = []  # run key -> the cells of its values
-    for start, stop, key, values in _runs(rows):
-        if key == len(rendered):
-            rendered.append(cells.format(*values))
-        text = rendered[key]
-        for first in range(start, stop, _LINES_PER_WRITE):
-            piece = rows[first : min(first + _LINES_PER_WRITE, stop)]
-            sink.write("".join([f"{row.cycle}\t{row.time}\t{text}" for row in piece]))
+    cells = "\t".join([fmt for _, fmt in _pin_formats(trace.params)]) + "\n"
+    rendered = [cells.format(*values) for values in distinct]
+    for first in range(0, len(rows), _LINES_PER_WRITE):
+        stop = first + _LINES_PER_WRITE
+        sink.write("".join([
+            f"{row.cycle}\t{row.time}\t{rendered[key]}"
+            for row, key in zip(rows[first:stop], keys[first:stop])
+        ]))

@@ -57,7 +57,7 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
         "ram_sweep_a13", "ram_write_a13", "parse_scenario", "run_scenario",
-        "check_assertions", "write_vcd", "write_table", "reference",
+        "check_assertions", "pin_values", "write_vcd", "write_table", "reference",
     ]
     for name, *cells in rows:
         low, median, ratio = map(float, cells)

@@ -27,6 +27,7 @@ from arbsim import (
     Word,
     builtin_by_name,
     builtin_scenarios,
+    check_assertions,
     parse_word,
     run_scenario,
     system_new,
@@ -433,6 +434,28 @@ def test_fuzz_catches_a_broken_output_mux(monkeypatch, fault, prop):
         for seed in range(3):
             v = run_fuzz(seed, 2000, params, reset_storm=True).violation
             assert v is not None and v.prop == prop, (params, seed, v)
+
+
+def test_corpus_observes_the_clash_bypass_on_its_first_edge(monkeypatch):
+    # tc07 reads and writes one address at 2300 ns; the bypass drives the
+    # new word on DATAOUT_C2 at that edge, while the RAM still holds the old
+    # one.  A kernel whose clash flag never rises drives the old word there,
+    # so tc07's expectation at 2300 ns fails in both output modes.
+    cases = [
+        replace(s, params=replace(s.params, registered_output=registered))
+        for s in builtin_scenarios()
+        for registered in (False, True)
+    ]
+
+    def failing():
+        return {
+            (s.name.split("-")[0], s.params.registered_output)
+            for s in cases if not check_assertions(run_scenario(s), s).passed
+        }
+
+    assert failing() == set()
+    monkeypatch.setattr(*PLANTED_FAULTS["never-clashes"][0])
+    assert {("tc07", False), ("tc07", True)} <= failing()
 
 
 def test_fuzz_needs_at_least_one_cycle():

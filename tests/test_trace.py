@@ -7,6 +7,7 @@ from operator import attrgetter
 
 import pytest
 
+import arbsim.trace
 from arbsim import (
     HIGH,
     LOW,
@@ -26,7 +27,7 @@ from arbsim import (
 )
 from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
-from arbsim.trace import _LINES_PER_WRITE, _runs
+from arbsim.trace import _LINES_PER_WRITE
 
 from vcd_reader import read_vcd
 
@@ -321,16 +322,17 @@ READ_EVERY_PATH = attrgetter(*(path for _, _, _, path in PINS))
 
 
 def row_values(trace):
-    """Each row's pin values as the exporters read them: the values of the
-    run that ``_runs`` puts the row in, checked against that row's every
-    PINS path."""
-    values = []
-    for start, stop, _, run_values in _runs(trace.rows):
-        assert start == len(values) < stop, (start, stop)
-        for row in trace.rows[start:stop]:
-            assert run_values == READ_EVERY_PATH(row), row.cycle
-        values += [run_values] * (stop - start)
-    assert len(values) == len(trace.rows)
+    """Each row's pin values as the exporters read them: the distinct row
+    that ``trace.pin_values`` keys the row to, checked against that row's
+    every PINS path.  The distinct rows must differ from each other and be
+    numbered in the order they first appear."""
+    distinct, keys = trace.pin_values
+    assert len(keys) == len(trace.rows)
+    assert len(set(distinct)) == len(distinct)
+    assert list(dict.fromkeys(keys)) == list(range(len(distinct)))
+    values = [distinct[key] for key in keys]
+    for row, row_values in zip(trace.rows, values):
+        assert row_values == READ_EVERY_PATH(row), row.cycle
     return values
 
 
@@ -445,31 +447,92 @@ class TestExportReference:
                     assert (row_values(trace)[0] == (0,) * len(PINS)) == power_on, label
                 self.assert_exports_match_the_reference(trace, label)
 
+    class Sink(io.StringIO):
+        """Records the most lines, and the most VCD ``#<time>`` sections,
+        that one write held."""
+
+        most_lines = most_sections = 0
+
+        def write(self, text):
+            self.most_lines = max(self.most_lines, text.count("\n"))
+            self.most_sections = max(self.most_sections, text.count("#"))
+            return super().write(text)
+
     def test_a_long_run_is_written_in_bounded_pieces(self):
         # A quiet scenario settles after the sweep into one run of thousands
         # of equal rows; the table must not build that run's text at once.
-        class Sink(io.StringIO):
-            most_lines = 0
-
-            def write(self, text):
-                self.most_lines = max(self.most_lines, text.count("\n"))
-                return super().write(text)
-
         trace = run_scenario(parse_scenario(
             "scenario quiet\nparams addr=4 data=8 registered=0\nclock 10\n@0 RST_N = 1\nrun 30000\n"
         ))
-        runs = list(_runs(trace.rows))
-        assert runs[-1][1] - runs[-1][0] > 2 * _LINES_PER_WRITE
-        sink = Sink()
+        _, keys = trace.pin_values
+        tail = 2 * _LINES_PER_WRITE + 1
+        assert keys[-tail:] == [keys[-1]] * tail
+        sink = self.Sink()
         write_table(trace, sink)
         assert sink.getvalue() == reference_table(trace)
         assert sink.most_lines == _LINES_PER_WRITE
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+    def test_a_long_ack_train_is_written_in_bounded_pieces(self, registered):
+        # Client2's continuous writes give a period-2 ack train: ACK_C2
+        # changes on every edge, so thousands of runs each open a VCD
+        # section, and the VCD must not build their text at once.
+        trace = run_scenario(parse_scenario(
+            f"scenario long-train\nparams addr=4 data=8 registered={int(registered)}\n"
+            "clock 10\n@0 RST_N = 1\n@300 REQUEST_C2 = 1\n@300 ADDR_C2 = 0001\n"
+            "@300 DATAIN_C2 = 00000001\nrun 30000\n"
+        ))
+        sink = self.Sink()
+        write_vcd(trace, sink)
+        assert sink.getvalue() == reference_vcd(trace)
+        assert sink.getvalue().count("#") > 2 * _LINES_PER_WRITE
+        assert sink.most_sections == _LINES_PER_WRITE
 
     def test_ack_trains_reach_both_periods(self):
         # The scenario above does produce the trains it is named for.
         for params in EXPORT_PARAMS:
             acks = "".join(str(int(r.outputs.ack_c2)) for r in run_scenario(ack_train_scenario(params)).rows)
             assert "101010" in acks and "1001001" in acks, params
+
+
+class TestSharedWalk:
+    """Both exporters read one walk over a trace's pin values, made once."""
+
+    @staticmethod
+    def export(write, trace):
+        sink = io.StringIO()
+        write(trace, sink)
+        return sink.getvalue()
+
+    def test_both_exports_walk_the_rows_once(self, monkeypatch):
+        # Each row's probes are picked once, by the walk; replaying and
+        # checking do not walk, and a second pair of exports walks no more.
+        probes, picked = arbsim.trace._PROBES, []
+        monkeypatch.setattr(arbsim.trace, "_PROBES", lambda state: picked.append(state) or probes(state))
+        s = builtin_by_name("tc07")
+        trace = run_scenario(s)
+        check_assertions(trace, s)
+        assert picked == []
+        for _ in range(2):
+            self.export(write_vcd, trace)
+            self.export(write_table, trace)
+        assert picked == [row.arbiter for row in trace.rows]
+        # The cached walk is not a field: equality and hash are unchanged.
+        replayed = run_scenario(s)
+        assert trace == replayed and hash(trace) == hash(replayed)
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+    def test_exports_do_not_depend_on_order_or_repetition(self, registered):
+        for base in builtin_scenarios():
+            s = replace(base, params=replace(base.params, registered_output=registered))
+            vcd_first, table_first = run_scenario(s), run_scenario(s)
+            vcd = self.export(write_vcd, vcd_first)
+            table = self.export(write_table, vcd_first)
+            assert self.export(write_table, table_first) == table, s.name
+            assert self.export(write_vcd, table_first) == vcd, s.name
+            for trace in (vcd_first, table_first):
+                assert self.export(write_vcd, trace) == vcd, s.name
+                assert self.export(write_table, trace) == table, s.name
 
 
 def distinct_rows_and_transitions(trace):
