@@ -25,7 +25,7 @@ import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import replace
-from typing import IO
+from typing import IO, NoReturn
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
@@ -36,6 +36,14 @@ from .trace import check_assertions, run_scenario, write_table, write_vcd
 
 class SystemExit2(Exception):
     """Usage-level failure: message on stderr, exit status 2."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors, its subcommands' included, take the
+    one-line ``SystemExit2`` path instead of printing usage and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SystemExit2(message)
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -153,7 +161,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="arbsim",
         description="Cycle-accurate two-client RAM arbiter simulator",
     )

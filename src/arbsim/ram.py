@@ -46,11 +46,11 @@ class Memory(Sequence):
         self._len, self._shifts, self._root = size, shifts, root
 
     @classmethod
-    def filled(cls, addr_width: int, word: int) -> "Memory":
-        """``2**addr_width`` copies of ``word``, sharing one node per level."""
+    def zeros(cls, addr_width: int) -> "Memory":
+        """``2**addr_width`` zero words, sharing one node per level."""
         top_shift = _BITS * ((addr_width - 1) // _BITS)
         shifts = tuple(range(top_shift, -1, -_BITS))
-        node = word
+        node = 0
         for _ in shifts[1:]:
             node = (node,) * (1 << _BITS)
         return cls(1 << addr_width, shifts, (node,) * (1 << (addr_width - top_shift)))
@@ -128,7 +128,7 @@ class RamState(NamedTuple):
 def ram_reset(params: Params) -> RamState:
     """Power-on state: all-zero memory, idle sweep counter, zero read register."""
     return RamState(
-        memory=Memory.filled(params.addr_width, 0),
+        memory=Memory.zeros(params.addr_width),
         count=0,
         reset_done_internal=False,
         rd_data_reg=0,

@@ -18,7 +18,7 @@ what the output pins must show.  Example::
 `#` starts a comment.  Events at equal times apply in file order (later
 lines win on the same pin).  An input assignment at time t takes effect at
 the first rising clock edge at or after t; edge k occurs at
-k*clock_period + clock_period/2, the clock starting low.
+k*clock_period + clock_period//2, the clock starting low.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ MAX_ADDR_WIDTH = 20
 MAX_DATA_WIDTH = 64
 # Most edges that a scenario's run line, and most measured cycles that
 # ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  A replay
-# keeps every row (about 450 bytes); an export adds an 8-byte key a row after
-# the row list is freed.  2**18 edges peaked at 120 MB with or without export,
-# so a run at the cap should peak near 0.95 GB (not measured at the cap).  A
-# campaign keeps no rows and at the cap takes tens of seconds, not forever.
+# keeps every row, its edge's inputs, outputs and arbiter state (312 bytes a
+# row under tracemalloc, about 340 of peak RSS); an export adds an 8-byte key
+# a row.  A client2 write train of 2**18 edges peaked at 100 MB and one of
+# 2**20 at 353 MB, with or without export, so a run at the cap should peak
+# near 0.7 GB (not measured at the cap).  A campaign keeps no rows and at the
+# cap takes tens of seconds, not forever.
 MAX_EDGES = 1 << 21
 # Latest time that a clock, run, @t or expect line may name: the largest
 # 64-bit VCD timestamp.  Its 19 digits bound a literal before int() sees it.

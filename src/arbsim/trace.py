@@ -2,10 +2,10 @@
 
 A trace holds one row per rising clock edge: the inputs sampled at that
 edge, the post-edge outputs and the post-edge arbiter state, whose drive
-registers, channel states and clash flag are the probed signals.
-Rows are stamped with the edge time ``cycle * clock_period + clock_period/2``
-(the clock starts low).  Traces export to IEEE-1364-style VCD and to a
-tab-separated table.
+registers, channel states and clash flag are the probed signals.  Row k is
+edge k, at ``trace.edge_time(k)``, ``k * clock_period + clock_period // 2``
+(the clock starts low); a row stores neither its cycle nor its time.
+Traces export to IEEE-1364-style VCD and to a tab-separated table.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .system import SystemState, system_new, system_step
 
 
 class TraceRow(NamedTuple):
-    cycle: int
-    time: int
+    """What one edge made: row k of a trace is edge k, at
+    ``trace.edge_time(k)``, so its cycle is its index and its time is
+    worked out from that, not stored."""
+
     inputs: ClientInputs
     outputs: ClientOutputs
     arbiter: ArbiterState
@@ -36,19 +38,23 @@ class Trace:
     clock_period: int
     rows: tuple[TraceRow, ...]
 
+    def edge_time(self, k: int) -> int:
+        """Time of rising edge k, the edge that row k records."""
+        return k * self.clock_period + self.clock_period // 2
+
     def edge_for_time(self, t: int) -> int:
         """Index of the first rising edge at or after time t."""
-        half = self.clock_period // 2
-        if t <= half:
+        first = self.edge_time(0)
+        if t <= first:
             return 0
-        return -(-(t - half) // self.clock_period)
+        return -(-(t - first) // self.clock_period)
 
     def last_edge_at_or_before(self, t: int) -> int:
         """Index of the last rising edge at or before time t (-1 if none)."""
-        half = self.clock_period // 2
-        if t < half:
+        first = self.edge_time(0)
+        if t < first:
             return -1
-        return (t - half) // self.clock_period
+        return (t - first) // self.clock_period
 
     @cached_property
     def pin_values(self) -> tuple[list[tuple], list[int]]:
@@ -104,22 +110,22 @@ def run_scenario(s: Scenario) -> Trace:
     whose time is >= t; assignments at equal times apply in file order, so
     a later line on the same pin wins.
     """
-    params, period, events = s.params, s.clock_period, s.events
+    params, period, events, edges = s.params, s.clock_period, s.events, s.num_edges()
+    # Each event is mapped to its edge by the trace's own rule, which reads
+    # the clock only, so the loop compares edge indices, not times.
+    edge_for_time = Trace(params, period, ()).edge_for_time
     state: SystemState = system_new(params)
     inputs = ClientInputs.quiet(rst_n=LOW)
-    half, edges = period // 2, s.num_edges()
-    never = edges * period  # later than the last edge, (edges - 1) * period + half
     rows: list[TraceRow] = []
-    idx, next_time = 0, events[0].time if events else never
-    for cycle in range(edges):
-        t = cycle * period + half
-        while next_time <= t:
+    idx, next_edge = 0, edge_for_time(events[0].time) if events else edges
+    for k in range(edges):
+        while next_edge <= k:
             ev = events[idx]
             inputs = _apply_event(inputs, ev.pin, ev.value)
             idx += 1
-            next_time = events[idx].time if idx < len(events) else never
+            next_edge = edge_for_time(events[idx].time) if idx < len(events) else edges
         state, out = system_step(state, inputs, params)
-        rows.append(tuple.__new__(TraceRow, (cycle, t, inputs, out, state.arbiter)))
+        rows.append(tuple.__new__(TraceRow, (inputs, out, state.arbiter)))
     return Trace(params, period, tuple(rows))
 
 
@@ -188,9 +194,9 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
                     AssertionResult(a, f"{rising} rising edge(s)", rising >= 1)
                 )
             else:  # quiet
-                highs = [row.time for row in trace.rows[ka : kb + 1] if sample(row)]
-                observed = f"high at t={highs[0]}" if highs else "low throughout"
-                results.append(AssertionResult(a, observed, not highs))
+                high = next((k for k in range(ka, kb + 1) if sample(trace.rows[k])), None)
+                observed = "low throughout" if high is None else f"high at t={trace.edge_time(high)}"
+                results.append(AssertionResult(a, observed, high is None))
     return AssertionReport(tuple(results), all(r.passed for r in results))
 
 
@@ -205,10 +211,11 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     Scalars are 1-bit wires, buses are n-bit wires dumped as ``b<bits> <id>``
     records.  Power-on values populate the ``$dumpvars`` block; each run of
     rows with equal keys in ``trace.pin_values``, the walk cached on the
-    trace for both exporters, then gives at its first row's time a
-    ``#<time>`` section of only the signals that differ from the run before
-    it (the power-on values before the first run), in pieces of at most
-    ``_LINES_PER_WRITE`` sections a write.
+    trace for both exporters, then gives at its first row's edge time (row
+    k is edge k, at ``trace.edge_time(k)``) a ``#<time>`` section of only
+    the signals that differ from the run before it (the power-on values
+    before the first run), in pieces of at most ``_LINES_PER_WRITE``
+    sections a write.
 
     A change block depends only on the pair (previous run's key, run's
     key), so a dict local to the call renders it once per distinct pair,
@@ -238,7 +245,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     blocks: dict[tuple[int, int], str] = {}  # (previous key, key) -> changes
     previous, sections = len(distinct), []
     # The first row of each run: each row whose key differs from the one before.
-    for row, key in compress(zip(trace.rows, keys), map(ne, keys, chain((None,), keys))):
+    for k, key in compress(enumerate(keys), map(ne, keys, chain((None,), keys))):
         block = blocks.get((previous, key))
         if block is None:
             block = blocks[previous, key] = "".join([
@@ -247,7 +254,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
         # A run differs from the run before it, so the block is empty only
         # for a first run that holds the power-on values; it writes nothing.
         if block:
-            sections.append(f"#{row.time}\n{block}")
+            sections.append(f"#{trace.edge_time(k)}\n{block}")
             if len(sections) == _LINES_PER_WRITE:
                 sink.write("".join(sections))
                 sections.clear()
@@ -257,8 +264,10 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
 
 
 def write_table(trace: Trace, sink: IO[str]) -> None:
-    """Tab-separated dump: header of signal names, one row per cycle.
+    """Tab-separated dump: header of signal names, one line per row.
 
+    Row k is edge k, at ``trace.edge_time(k)``: its ``cycle`` and
+    ``time_ns`` cells are the index and that time, counted off ranges.
     Each distinct row of ``trace.pin_values``, the walk cached on the trace
     for both exporters, is rendered once per call; every row formats only
     its cycle and time, and the lines go to the sink in pieces of at most
@@ -277,14 +286,14 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     length: every builtin case replayed at 40 times its duration has at most
     13 distinct rows (``tests/test_trace.py`` checks that bound).
     """
-    rows = trace.rows
     distinct, keys = trace.pin_values
     sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
     cells = "\t".join([fmt for _, fmt in _pin_formats(trace.params)]) + "\n"
     rendered = [cells.format(*values) for values in distinct]
-    for first in range(0, len(rows), _LINES_PER_WRITE):
+    for first in range(0, len(keys), _LINES_PER_WRITE):
         stop = first + _LINES_PER_WRITE
+        times = range(trace.edge_time(first), trace.edge_time(stop), trace.clock_period)
         sink.write("".join([
-            f"{row.cycle}\t{row.time}\t{rendered[key]}"
-            for row, key in zip(rows[first:stop], keys[first:stop])
+            f"{k}\t{t}\t{rendered[key]}"
+            for k, t, key in zip(range(first, stop), times, keys[first:stop])
         ]))

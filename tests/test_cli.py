@@ -289,6 +289,28 @@ def test_list_names_every_builtin(capsys):
     assert any(l.startswith("tc22-both-read-same") for l in lines)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--builtin", "tc01", "--registered", "2"], "argument --registered: invalid choice"),
+    (["fuzz", "--seed", "x", "--cycles", "1"], "argument --seed: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_usage_error_is_one_error_line(capsys, argv, message):
+    # argparse's own errors, a subcommand's included, return 2 from main()
+    # with one line, like every other usage error: no usage text, no raise.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"arbsim: error: {message}") and err.count("\n") == 1
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: arbsim run") and captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [["run", "--builtin", "tc07", "--table", "-"], ["list"]])
 def test_closed_stdout_is_one_error_line(argv):
     # The reader of stdout is gone before the first write: the CLI exits 2

@@ -329,7 +329,7 @@ def test_memory_index_semantics_at_both_ends(addr_width):
     # meaning: a negative one counts from the end, an out-of-range one
     # raises the same error from reads and writes alike.
     def memory():
-        return Memory.filled(addr_width, 0).set(0, 1).set(depth - 1, 2)
+        return Memory.zeros(addr_width).set(0, 1).set(depth - 1, 2)
 
     depth = 1 << addr_width
     m = memory()

@@ -1,7 +1,9 @@
 """Trace recorder, assertion checker, and waveform exporters."""
 
+import gc
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from operator import attrgetter
 
@@ -35,7 +37,8 @@ from vcd_reader import read_vcd
 def assert_vcd_matches_table(trace, label=""):
     """Export a trace as VCD and as TSV, then check at every edge that each
     pin's VCD width is its Params width, its VCD value is its TSV cell, and
-    that cell is the pin's value in binary."""
+    that cell is the pin's value in binary.  Row k is stamped with edge k's
+    time, worked out here from the index and the clock."""
     vcd_sink, tsv_sink = io.StringIO(), io.StringIO()
     write_vcd(trace, vcd_sink)
     write_table(trace, tsv_sink)
@@ -46,24 +49,25 @@ def assert_vcd_matches_table(trace, label=""):
     for name, _, role, _ in PINS:
         assert vcd.widths[name] == trace.params.width(role), f"{label}: {name} width"
     assert len(lines) == len(trace.rows)
-    for row, cells in zip(trace.rows, lines):
-        assert cells[:2] == [str(row.cycle), str(row.time)]
+    for k, (row, cells) in enumerate(zip(trace.rows, lines)):
+        t = k * trace.clock_period + trace.clock_period // 2
+        assert cells[:2] == [str(k), str(t)]
         for (name, _, _, path), cell in zip(PINS, cells[2:]):
-            assert vcd.value_at(name, row.time) == cell, f"{label}: {name} at t={row.time}"
-            assert int(cell, 2) == attrgetter(path)(row), f"{label}: {name} at t={row.time}"
+            assert vcd.value_at(name, t) == cell, f"{label}: {name} at t={t}"
+            assert int(cell, 2) == attrgetter(path)(row), f"{label}: {name} at t={t}"
 
 
 class TestRunScenario:
     def test_tc01_drive_shows_the_granted_write(self):
         trace = run_scenario(builtin_by_name("tc01"))
         granted = [
-            r for r in trace.rows
+            k for k, r in enumerate(trace.rows)
             if r.arbiter.temp_wr_en
             and r.arbiter.temp_wr_addr == parse_word("1010", 4).value
             and r.arbiter.temp_wr_data == parse_word("10100011", 8).value
         ]
         assert granted, "write request never reached the RAM drive"
-        assert min(r.time for r in granted) > 600
+        assert trace.edge_time(min(granted)) > 600
 
     def test_zero_duration_scenario_gives_empty_trace(self):
         s = parse_scenario("scenario t\nparams addr=4 data=8 registered=0\nrun 0\n")
@@ -72,14 +76,32 @@ class TestRunScenario:
 
     def test_tc07_records_the_clash_window(self):
         trace = run_scenario(builtin_by_name("tc07"))
-        clash_times = [r.time for r in trace.rows if r.arbiter.addr_clash]
+        clash_times = [trace.edge_time(k) for k, r in enumerate(trace.rows) if r.arbiter.addr_clash]
         assert clash_times, "no clash recorded"
         assert min(clash_times) >= 2300
 
-    def test_row_times_follow_the_edge_grid(self):
-        trace = run_scenario(builtin_by_name("tc01"))
-        for row in trace.rows:
-            assert row.time == row.cycle * trace.clock_period + trace.clock_period // 2
+    def test_a_replay_keeps_under_340_bytes_a_row(self):
+        # A replay keeps every row, so a row's size bounds a long run's
+        # memory.  A row is its edge's inputs, outputs and arbiter state:
+        # 312 bytes a row here on CPython 3.11, and 392 while each row
+        # also stored its cycle and time, which its index gives.
+        edges = 1 << 16
+        s = parse_scenario("\n".join([
+            "scenario row-memory", "params addr=4 data=8 registered=0", "clock 10",
+            "@0 RST_N = 1", "@200 REQUEST_C2 = 1", "@200 RD_NOT_WRITE_C2 = 0",
+            "@200 ADDR_C2 = 0101", "@200 DATAIN_C2 = 10100011",
+            "@200 RD_EN_C1 = 1", "@200 RDADDR_C1 = 0101", f"run {edges * 10}",
+        ]) + "\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_scenario(s)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == edges
+        assert kept / edges < 340
 
 
 class TestCheckAssertions:
@@ -295,7 +317,7 @@ def random_walk_trace(params):
                 new = rng.getrandbits(params.width("addr" if "addr" in field else "data"))
             inputs = inputs._replace(**{field: new})
         state, out = system_step(state, inputs, params)
-        rows.append(TraceRow(cycle, cycle * 10 + 5, inputs, out, state.arbiter))
+        rows.append(TraceRow(inputs, out, state.arbiter))
     return Trace(params, 10, tuple(rows))
 
 
@@ -305,7 +327,7 @@ def one_pin_trace(params):
     pin only, and the second pass repeats every transition of the first."""
     quiet = ClientInputs.quiet(rst_n=LOW)
     state, out = system_step(system_new(params), quiet, params)
-    base = TraceRow(0, 0, quiet, out, state.arbiter)
+    base = TraceRow(quiet, out, state.arbiter)
     largest = {"level": HIGH, "state": max(ChannelState)}
     rows = [base]
     for _, _, role, path in PINS * 2:
@@ -313,9 +335,7 @@ def one_pin_trace(params):
         value = largest.get(role) or (1 << params.width(role)) - 1
         record = getattr(base, part)._replace(**{field: value})
         rows += [base._replace(**{part: record}), base]
-    return Trace(params, 10, tuple(
-        row._replace(cycle=k, time=k * 10 + 5) for k, row in enumerate(rows)
-    ))
+    return Trace(params, 10, tuple(rows))
 
 
 READ_EVERY_PATH = attrgetter(*(path for _, _, _, path in PINS))
@@ -331,26 +351,29 @@ def row_values(trace):
     assert len(set(distinct)) == len(distinct)
     assert list(dict.fromkeys(keys)) == list(range(len(distinct)))
     values = [distinct[key] for key in keys]
-    for row, row_values in zip(trace.rows, values):
-        assert row_values == READ_EVERY_PATH(row), row.cycle
+    for k, (row, row_values) in enumerate(zip(trace.rows, values)):
+        assert row_values == READ_EVERY_PATH(row), k
     return values
 
 
 def reference_table(trace):
-    """The table rendered the plain way: every cell of every row formatted."""
+    """The table rendered the plain way: every cell of every row formatted,
+    and row k stamped with cycle k at edge k's time, worked out here."""
     names = [name for name, _, _, _ in PINS]
     widths = [trace.params.width(role) for _, _, role, _ in PINS]
     getters = [attrgetter(path) for _, _, _, path in PINS]
+    period = trace.clock_period
     lines = ["\t".join(["cycle", "time_ns", *names])]
-    for row in trace.rows:
+    for k, row in enumerate(trace.rows):
         cells = [format(int(get(row)), f"0{w}b") for get, w in zip(getters, widths)]
-        lines.append("\t".join([str(row.cycle), str(row.time), *cells]))
+        lines.append("\t".join([str(k), str(k * period + period // 2), *cells]))
     return "\n".join(lines) + "\n"
 
 
 def reference_vcd(trace):
     """The VCD rendered the plain way: every pin of every row compared with
-    the row before it (the power-on values before the first)."""
+    the row before it (the power-on values before the first), row k's
+    changes stamped with edge k's time, worked out here."""
     widths = [trace.params.width(role) for _, _, role, _ in PINS]
     getters = [attrgetter(path) for _, _, _, path in PINS]
 
@@ -367,11 +390,12 @@ def reference_vcd(trace):
     previous = [0] * len(PINS)
     out += [record(i, 0) for i in range(len(PINS))]
     out.append("$end\n")
-    for row in trace.rows:
+    period = trace.clock_period
+    for k, row in enumerate(trace.rows):
         values = [int(get(row)) for get in getters]
         changes = [record(i, v) for i, (v, old) in enumerate(zip(values, previous)) if v != old]
         if changes:
-            out.append(f"#{row.time}\n")
+            out.append(f"#{k * period + period // 2}\n")
             out += changes
         previous = values
     return "".join(out)
@@ -446,6 +470,43 @@ class TestExportReference:
                     assert len(trace.rows) == 1, label
                     assert (row_values(trace)[0] == (0,) * len(PINS)) == power_on, label
                 self.assert_exports_match_the_reference(trace, label)
+
+    def test_odd_clock_period_rounds_the_half_period_down(self):
+        # At clock 7, edge k is at 7k + 3.  RST_DONE is low at edge 3 (t=24)
+        # and high from edge 4 (t=31), so expectations one before, on and
+        # one after those times fail if any of the exporters or the checker
+        # rounds the half period up or keeps the half.
+        period = 7
+        t3, t4 = (k * period + period // 2 for k in (3, 4))
+        expectations = [
+            f"expect @{t3 - 1} RST_DONE = low",
+            f"expect @{t3} RST_DONE = low",
+            f"expect @{t3 + 1} RST_DONE = high",
+            f"expect @{t3} RST_DONE = high",
+            f"expect quiet RST_DONE in 0..{t4 - 1}",
+            f"expect quiet RST_DONE in 0..{t4}",
+            f"expect quiet RST_DONE in {t4 - 1}..{t4 + 1}",
+            f"expect quiet RST_DONE in {t4 + 1}..{t4 + period}",
+            f"expect quiet RST_DONE in {t4 + 1}..{t4 + period - 1}",
+        ]
+        s = parse_scenario("\n".join([
+            "scenario odd-clock", "params addr=2 data=4 registered=0", f"clock {period}",
+            "@0 RST_N = 1", "@60 WR_EN_C1 = 1", "@60 WRADDR_C1 = 10", "@60 WRDATA_C1 = 1011",
+            "@74 WR_EN_C1 = 0", *expectations, "run 140",
+        ]) + "\n")
+        trace = run_scenario(s)
+        assert [row.outputs.rst_done for row in trace.rows[3:5]] == [LOW, HIGH]
+        report = check_assertions(trace, s)
+        assert [(r.observed, r.passed) for r in report.results] == [
+            ("0", True), ("0", True), ("1", True), ("0", False),
+            ("low throughout", True),
+            (f"high at t={t4}", False),
+            (f"high at t={t4}", False),
+            (f"high at t={t4 + period}", False),
+            ("out of range", False),  # the window holds no edge
+        ]
+        assert_vcd_matches_table(trace, s.name)
+        self.assert_exports_match_the_reference(trace, s.name)
 
     class Sink(io.StringIO):
         """Records the most lines, and the most VCD ``#<time>`` sections,
