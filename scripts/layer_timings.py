@@ -4,11 +4,15 @@
 The kernel rows record the inputs of one ``fuzz-a4`` campaign (seed 0,
 2,000 cycles at addr 4, data 8, with reset storms) and replay every
 layer's calls over that fixed stream, so each is one call's cost.
-``ram_sweep_a13`` is ``ram_step`` over the 8,193 zeroing-sweep edges of a
-power-on RAM at addr 13, which the addr-4 stream barely exercises, and
-``ram_write_a13`` is ``ram_step`` over 4,096 writes of random words to
-random addresses of that RAM after its sweep, the trie path copies of a
-``wide-a13`` campaign's traffic.  The
+``check_widths_held`` is ``_check_widths`` given the stream's first record
+on every call, as replay holds one record between two events and the
+sweep one record for all its edges.  ``ram_sweep_a13`` is ``ram_step``
+over the 8,193 zeroing-sweep edges of a power-on RAM at addr 13, which the
+addr-4 stream barely exercises; ``ram_write_a13`` is ``ram_step`` over
+4,096 writes of random words to random addresses of that RAM after its
+sweep, the trie path copies of a ``wide-a13`` campaign's traffic; and
+``ram_rewrite_a13`` is ``ram_step`` over 4,096 writes, to the same
+addresses, of the word each one then holds, which copy nothing.  The
 text rows run the 74 corpus cases (37 builtins in both output modes):
 ``parse_scenario`` per case, over each case's rendered text, and
 ``run_scenario``, ``check_assertions``, the walk over pin values
@@ -97,7 +101,8 @@ def layer_calls(stream):
 
 def wide_ram_calls():
     """The ram_step arguments of every sweep edge of a power-on SWEEP_PARAMS
-    RAM, then those of WRITES random-address writes after the sweep."""
+    RAM, then those of WRITES random-address writes after the sweep, then
+    those of a write of the stored word to each of those addresses."""
     reset = ram.RamInputs(False, False, False, 0, 0, 0)
     state, _ = ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)
     inp = reset._replace(rst_n=True)
@@ -113,7 +118,8 @@ def wide_ram_calls():
         inp = ram.RamInputs(True, False, True, 0, addr, rng.getrandbits(SWEEP_PARAMS.data_width))
         writes.append((state, inp))
         state, _ = ram.ram_step(state, inp)
-    return sweep, writes
+    rewrites = [(state, inp._replace(wr_data=state.memory[inp.wr_addr])) for _, inp in writes]
+    return sweep, writes, rewrites
 
 
 def text_layers():
@@ -187,9 +193,12 @@ def timings(layers):
 
 
 def main():
-    layers = [(fn.__name__, fn, args, len(args))
-              for fn, args in layer_calls(record_stream()).items()]
-    for name, calls in zip(("ram_sweep_a13", "ram_write_a13"), wide_ram_calls()):
+    stream = record_stream()
+    layers = [(fn.__name__, fn, args, len(args)) for fn, args in layer_calls(stream).items()]
+    held = [(stream[0][1], PARAMS)] * len(stream)
+    layers.append(("check_widths_held", system._check_widths, held, len(held)))
+    names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13")
+    for name, calls in zip(names, wide_ram_calls()):
         layers.append((name, ram.ram_step, calls, len(calls)))
     layers += text_layers()
     lines = [f"{'layer':<18}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]

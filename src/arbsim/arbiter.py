@@ -194,27 +194,25 @@ def arbiter_step(
     Returns the post-edge state and the RAM's inputs for this edge: the raw
     reset pin and the just-latched drive registers.
     """
+    (pr_read, pr_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
+     temp_wr_data, _, pre_ack, pre_ack1, pre_wr, pre_clash, reset_count) = state
+
     # The pre-edge output mux of resolve_outputs; latching it is what makes
     # the registered output an exact one-cycle shift of the unregistered one.
-    rddata_d = state.temp_wr_data if state.addr_clash else ram_rd_data
+    rddata_d = temp_wr_data if pre_clash else ram_rd_data
 
-    nx_read, nx_write, reset_count = fsm_next(
-        state.pr_read, state.pr_write, inp, state.reset_count, params
-    )
+    nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
 
-    temp_rd_en, temp_rd_addr = state.temp_rd_en, state.temp_rd_addr
-    temp_ack = state.temp_ack
+    temp_ack = pre_ack
     if nx_read is IDLE or nx_read is RESET:
         temp_rd_en, temp_rd_addr = LOW, 0
     elif nx_read is CLIENT1_READ:
         temp_rd_en, temp_rd_addr = inp.rd_en_c1, inp.rdaddr_c1
     elif nx_read is CLIENT2_READ:
-        if not state.temp_ack:
+        if not pre_ack:
             temp_rd_en, temp_rd_addr, temp_ack = HIGH, inp.addr_c2, HIGH
 
-    temp_wr_en, temp_wr_addr = state.temp_wr_en, state.temp_wr_addr
-    temp_wr_data = state.temp_wr_data
-    temp_wr = state.temp_wr
+    temp_wr = pre_wr
     if nx_write is IDLE or nx_write is RESET:
         temp_wr_en, temp_wr_addr, temp_wr_data = LOW, 0, 0
     elif nx_write is CLIENT1_WRITE:
@@ -224,7 +222,7 @@ def arbiter_step(
             inp.wrdata_c1,
         )
     elif nx_write is CLIENT2_WRITE:
-        if not state.temp_wr:
+        if not pre_wr:
             temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = (
                 HIGH,
                 inp.addr_c2,
@@ -237,10 +235,10 @@ def arbiter_step(
     # Ack cadence, guarded on pre-edge values: a set and its clear never
     # land on the same edge, so continuous client2 service produces a
     # period-2 pulse train for writes and period-3 for reads.
-    if state.temp_wr:
+    if pre_wr:
         temp_wr = LOW
-    temp_ack1 = state.temp_ack
-    if state.temp_ack1:
+    temp_ack1 = pre_ack
+    if pre_ack1:
         temp_ack1 = LOW
         temp_ack = LOW
 

@@ -13,12 +13,13 @@ address bits: 5 bits per level, the top level taking the remainder
 (path copying as in Driscoll, Sarnak, Sleator & Tarjan, "Making Data
 Structures Persistent", 1989; the branching factor as in Bagwell, "Ideal
 Hash Trees", 2001).  The power-on array is one shared node per level.  A
-client write, like each edge of the zeroing sweep that clears a nonzero
-word, copies the ``ceil(addr_width / 5)`` tuples of at most 32 entries on
-one root-to-leaf path and shares the rest, so an edge costs O(addr_width)
-rather than O(2^addr_width).  A sweep edge over a word that is already
-zero only reads it and copies nothing, so the power-on sweep costs one
-read per edge.  For ``addr_width <= 5`` the trie is one flat tuple.
+client write of a new word, like each edge of the zeroing sweep that
+clears a nonzero word, copies the ``ceil(addr_width / 5)`` tuples of at
+most 32 entries on one root-to-leaf path and shares the rest, so an edge
+costs O(addr_width) rather than O(2^addr_width).  A write of the word
+already stored, a sweep edge over a zero word among them, only reads it
+and copies nothing, so the power-on sweep costs one read per edge.  For
+``addr_width <= 5`` the trie is one flat tuple.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class Memory(Sequence):
         return node
 
     def set(self, i: int, word: int) -> "Memory":
-        """A copy with word ``i`` replaced; only the nodes on its path are new."""
+        """A copy with word ``i`` replaced; only the nodes on its path are
+        new.  Word ``i`` already equal to ``word`` returns ``self``."""
         if not 0 <= i < self._len:
             i = self._index(i)
         path, node = [], self._root
@@ -77,6 +79,8 @@ class Memory(Sequence):
             k = i >> shift & _MASK
             path.append((node, k))
             node = node[k]
+        if node == word:
+            return self
         for node, k in reversed(path):
             copy = list(node)
             copy[k] = word
@@ -156,10 +160,13 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
             return tuple.__new__(RamState, (memory, count + 1, True, rd_data)), rd_data
         return tuple.__new__(RamState, (memory, 0, False, rd_data)), rd_data
 
-    if not (inp.rd_en or inp.wr_en):
+    _, rd_en, wr_en, rd_addr, wr_addr, wr_data = inp
+    new_memory, new_rd_data = memory, rd_data
+    if rd_en:
+        new_rd_data = memory[rd_addr]
+    if wr_en:
+        # A write of the word already stored returns the memory itself.
+        new_memory = memory.set(wr_addr, wr_data)
+    if new_memory is memory and new_rd_data == rd_data:
         return state, rd_data
-    if inp.rd_en:
-        rd_data = memory[inp.rd_addr]
-    if inp.wr_en:
-        memory = memory.set(inp.wr_addr, inp.wr_data)
-    return tuple.__new__(RamState, (memory, count, False, rd_data)), rd_data
+    return tuple.__new__(RamState, (new_memory, count, False, new_rd_data)), new_rd_data

@@ -38,22 +38,33 @@ def system_new(params: Params) -> SystemState:
 _INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
 
 
+# The last (inputs, params) pair that passed: both are immutable and the
+# check reads nothing else, so a record held over many edges is checked once.
+# One tuple, read and replaced whole, so no caller matches one call's record
+# with another call's params; a list made at import holds it, so storing it
+# rebinds no module name.  A record that fails is never stored.
+_passed: list[tuple[ClientInputs | None, Params | None]] = [(None, None)]
+
+
 def _check_widths(inp: ClientInputs, params: Params) -> None:
     """A level pin must be a bool; a bus, an int that fits its width."""
-    # The check runs on every edge, so the common case is one unrolled
-    # expression; the loop over the pin table below only names the field.
+    last_inp, last_params = _passed[0]
+    if inp is last_inp and params is last_params:
+        return
+    # A fresh record is tested in one unrolled expression; the loop over the
+    # pin table below only names the field.  A bus fits its width when no bit
+    # is left after shifting the width out, and a negative int stays negative.
     (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
      request_c2, rd_not_write_c2, addr_c2, datain_c2) = inp
-    addr_end, data_end = 1 << params.addr_width, 1 << params.data_width
     if (
         type(rst_n) is bool and type(rd_en_c1) is bool and type(wr_en_c1) is bool
         and type(request_c2) is bool and type(rd_not_write_c2) is bool
-        and type(rdaddr_c1) is int and 0 <= rdaddr_c1 < addr_end
-        and type(wraddr_c1) is int and 0 <= wraddr_c1 < addr_end
-        and type(addr_c2) is int and 0 <= addr_c2 < addr_end
-        and type(wrdata_c1) is int and 0 <= wrdata_c1 < data_end
-        and type(datain_c2) is int and 0 <= datain_c2 < data_end
+        and type(rdaddr_c1) is int and type(wraddr_c1) is int and type(addr_c2) is int
+        and type(wrdata_c1) is int and type(datain_c2) is int
+        and not (rdaddr_c1 | wraddr_c1 | addr_c2) >> params.addr_width
+        and not (wrdata_c1 | datain_c2) >> params.data_width
     ):
+        _passed[0] = (inp, params)
         return
     for field, role in _INPUTS:
         v = getattr(inp, field)
@@ -76,7 +87,8 @@ def system_step(
        the post-edge RAM read data.
     """
     _check_widths(inp, params)
-    arb, ram_in = arbiter_step(state.arbiter, inp, state.ram.rd_data_reg, params)
-    ram, post_rd_data = ram_step(state.ram, ram_in)
+    arb, ram = state
+    arb, ram_in = arbiter_step(arb, inp, ram.rd_data_reg, params)
+    ram, post_rd_data = ram_step(ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, params)
     return tuple.__new__(SystemState, (arb, ram)), out

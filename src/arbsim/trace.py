@@ -176,13 +176,18 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
-            # A window a..b covers the edges whose times lie inside [a, b].
-            # The parser allows pulses and quiet only on 1-bit pins, so the
-            # raw value is the level.
+            # A window a..b covers the edges whose times lie inside [a, b]:
+            # one that reaches past the last edge is out of range, and one
+            # that falls between two edges of the run holds no edge.  The
+            # parser allows pulses and quiet only on 1-bit pins, so the raw
+            # value is the level.
             ka = trace.edge_for_time(a.start)
             kb = trace.last_edge_at_or_before(a.end)
-            if ka >= n or kb >= n or kb < ka:
+            if ka >= n or kb >= n:
                 results.append(AssertionResult(a, "out of range", False))
+                continue
+            if kb < ka:
+                results.append(AssertionResult(a, "no edge in window", False))
                 continue
             if a.kind == "pulses":
                 rising = sum(

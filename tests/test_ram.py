@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbsim import HIGH, LOW, Params, RamInputs, parse_word, ram_reset, ram_step
+from arbsim import HIGH, LOW, Params, RamInputs, RamState, parse_word, ram_reset, ram_step
 from arbsim.ram import Memory
 
 
@@ -320,6 +320,37 @@ def test_an_edge_that_changes_nothing_returns_the_state_itself(params):
     flagged, _ = ram_step(state, low)
     assert flagged is not state and flagged.reset_done_internal
     assert ram_step(flagged, low)[0] is flagged
+    # A write of the stored word, alone or beside a read of a zero word
+    # into the zero read register, changes nothing either.
+    state = write(state, params, 3, 0x5A)
+    rewrite = quiet(params, wr_en=HIGH, wr_addr=3, wr_data=0x5A)
+    for inp in (rewrite, rewrite._replace(rd_en=HIGH, rd_addr=4)):
+        same, rd_data = ram_step(state, inp)
+        assert same is state and rd_data == 0
+    # A read of the stored word changes the read register: a new state that
+    # shares the memory.  A write of another word makes a new memory.
+    new, rd_data = ram_step(state, rewrite._replace(rd_en=HIGH, rd_addr=3))
+    assert type(new) is RamState and new is not state
+    assert rd_data == new.rd_data_reg == 0x5A and new.memory is state.memory
+    changed, _ = ram_step(state, rewrite._replace(wr_data=0xC3))
+    assert changed.memory is not state.memory and state.memory[3] == 0x5A
+
+
+@pytest.mark.parametrize("addr_width", [4, 6, 13])
+def test_setting_the_stored_word_returns_the_memory_itself(addr_width):
+    # A flat tuple (addr 4) and tries of two and three levels.  A power-on
+    # zero counts as stored; a different word still copies its path.
+    zeros = Memory.zeros(addr_width)
+    top = (1 << addr_width) - 1
+    for i in (0, 1, 33 % (top + 1), top):
+        assert zeros.set(i, 0) is zeros
+        written = zeros.set(i, 0x5A)
+        assert written is not zeros and written.set(i, 0x5A) is written
+        assert zeros[i] == 0 and written[i] == 0x5A
+        rewritten = written.set(i, 0xC3)
+        assert rewritten is not written and rewritten[i] == 0xC3
+        assert written[i] == 0x5A and rewritten == zeros.set(i, 0xC3)
+    assert not any(zeros)
 
 
 @pytest.mark.parametrize("addr_width", [4, 5, 6, 13])

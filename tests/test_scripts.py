@@ -56,7 +56,8 @@ def test_layer_timings_prints_one_positive_time_per_layer():
     assert [row[0] for row in rows] == [
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
-        "ram_sweep_a13", "ram_write_a13", "parse_scenario", "run_scenario",
+        "check_widths_held", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
+        "parse_scenario", "run_scenario",
         "check_assertions", "pin_values", "write_vcd", "write_table", "reference",
     ]
     for name, *cells in rows:

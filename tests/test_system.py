@@ -121,6 +121,27 @@ def test_input_check_walks_every_input_pin(params):
         system_step(state, ClientInputs(*[None] * len(ClientInputs._fields)), params)
 
 
+def test_input_check_is_remembered_for_one_record_and_params_only():
+    # The check remembers the last record that passed, with its params, by
+    # identity: the same record under other params is checked again, and a
+    # bad record right after a good one, or twice in a row, still raises.
+    a4, a3 = Params(4, 8), Params(3, 8)
+    good = ClientInputs.quiet(rst_n=HIGH)._replace(rdaddr_c1=8)
+    bad = good._replace(wrdata_c1=256)
+    state = system_new(a4)
+    for _ in range(3):
+        state, _ = system_step(state, good, a4)
+    with pytest.raises(ValueError, match="^rdaddr_c1 = 8 does not fit params width 3$"):
+        system_step(system_new(a3), good, a3)
+    system_step(state, good, a4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^wrdata_c1 = 256 "):
+            system_step(state, bad, a4)
+    system_step(state, good, a4)
+    with pytest.raises(ValueError, match="^rdaddr_c1 = 8 "):
+        system_step(system_new(a3), good, a3)
+
+
 class TestRoundTrips:
     def test_client1_write_then_read(self, params):
         state = fresh_system(params)

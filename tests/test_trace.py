@@ -157,6 +157,20 @@ class TestCheckAssertions:
         assert not report.passed
         assert report.failures()[0].observed == "0 rising edge(s)"
 
+    def test_window_past_the_last_edge_reports_out_of_range(self):
+        # Edges at clock 50 are at 25, 75, ..., 175 in a 200 ns run.  A
+        # window that reaches past edge 175 is out of range, whether or not
+        # it holds an edge of the run; one between two edges holds no edge.
+        windows = ["170..230", "180..230", "80..120"]
+        s = parse_scenario("\n".join([
+            "scenario t", "params addr=4 data=8 registered=0", "clock 50",
+            *(f"expect {kind} ACK_C2 in {w}" for w in windows for kind in ("quiet", "pulses")),
+            "run 200",
+        ]) + "\n")
+        report = check_assertions(run_scenario(s), s)
+        assert [(r.observed, r.passed) for r in report.results] == [
+            ("out of range", False)] * 4 + [("no edge in window", False)] * 2
+
     def test_checker_is_pure(self):
         s = builtin_by_name("tc04")
         trace = run_scenario(s)
@@ -488,6 +502,7 @@ class TestExportReference:
             f"expect quiet RST_DONE in {t4 - 1}..{t4 + 1}",
             f"expect quiet RST_DONE in {t4 + 1}..{t4 + period}",
             f"expect quiet RST_DONE in {t4 + 1}..{t4 + period - 1}",
+            f"expect pulses RST_DONE in {t4 + 1}..{t4 + period - 1}",
         ]
         s = parse_scenario("\n".join([
             "scenario odd-clock", "params addr=2 data=4 registered=0", f"clock {period}",
@@ -503,7 +518,8 @@ class TestExportReference:
             (f"high at t={t4}", False),
             (f"high at t={t4}", False),
             (f"high at t={t4 + period}", False),
-            ("out of range", False),  # the window holds no edge
+            ("no edge in window", False),  # between two edges of the run
+            ("no edge in window", False),
         ]
         assert_vcd_matches_table(trace, s.name)
         self.assert_exports_match_the_reference(trace, s.name)
