@@ -19,7 +19,9 @@ text rows run the 74 corpus cases (37 builtins in both output modes):
 (``Trace.pin_values``) alone, ``write_vcd`` and ``write_table`` per
 exported row (5,722 rows), the exporters into an in-memory sink.  The walk
 and each exporter call run on a fresh copy of the trace, so each exporter's
-row includes the walk that it makes.
+row includes the walk that it makes.  ``export_one_row`` runs both
+exporters on a fresh one-row copy of each case's trace, per trace: the
+cost that every trace pays whatever its length.
 
 Each layer's stream is timed REPEATS times with the garbage collector off,
 as timeit does, and after each pass a small fixed reference computation
@@ -140,6 +142,11 @@ def text_layers():
     def export(write):
         return lambda t: write(fresh(t), io.StringIO())
 
+    def export_both(params, period, rows):
+        t = trace.Trace(params, period, rows)
+        trace.write_vcd(t, io.StringIO())
+        trace.write_table(t, io.StringIO())
+
     return [
         ("parse_scenario", parse_scenario,
          [(render_scenario(s),) for s in cases], len(cases)),
@@ -148,6 +155,8 @@ def text_layers():
         ("pin_values", lambda t: fresh(t).pin_values, [(t,) for t in traces], rows),
         ("write_vcd", export(trace.write_vcd), [(t,) for t in traces], rows),
         ("write_table", export(trace.write_table), [(t,) for t in traces], rows),
+        ("export_one_row", export_both,
+         [(t.params, t.clock_period, t.rows[:1]) for t in traces], len(traces)),
     ]
 
 

@@ -14,7 +14,9 @@ Exit status is 0 exactly when every evaluated check passes.  Usage problems
 exit 2 with one line on stderr: an unknown scenario, a scenario file that
 cannot be read or is not UTF-8, bad flag values, a bus width (one rule,
 ``scenario.check_widths``, for files and ``fuzz``) or run length past its
-limit, and an output that cannot be written (reader gone or device full).
+limit, an output that cannot be written (reader gone or device full), and
+an output sent to stdout where stdout already carries another: ``--vcd -``
+with ``--table -``, or ``--report -``, whose report is on stdout anyway.
 """
 
 from __future__ import annotations
@@ -68,9 +70,12 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
-    """Open an output file up front, so that a bad path fails before any work."""
+    """Open an output file up front, so that a bad path fails before any work.
+    ``-`` is stdout."""
     if not path:
         return nullcontext()
+    if path == "-":
+        return nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="ascii")
     except OSError as exc:
@@ -84,16 +89,24 @@ def _emit(text: str, report: IO[str] | None) -> None:
         report.write(text)
 
 
+def _report_path(path: str) -> str:
+    """A ``--report`` path: a file, since the report goes to stdout anyway."""
+    if path == "-":
+        raise argparse.ArgumentTypeError("'-' is not allowed: the report already goes to stdout")
+    return path
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.vcd == "-" and args.table == "-":
+        raise SystemExit2("--vcd - and --table - cannot both write to stdout")
     scenario = _load_scenario(args)
-    table_path = None if args.table == "-" else args.table
-    with _open_output(args.vcd) as vcd, _open_output(table_path) as table:
+    with _open_output(args.vcd) as vcd, _open_output(args.table) as table:
         trace = run_scenario(scenario)
         report = check_assertions(trace, scenario)
         if vcd:
             write_vcd(trace, vcd)
-        if args.table:
-            write_table(trace, table or sys.stdout)
+        if table:
+            write_table(trace, table)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"{status}  {r.assertion.describe()}  [observed: {r.observed}]\n")
@@ -172,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", help="builtin scenario name or unique prefix")
     src.add_argument("--file", help="path to a scenario file")
-    p_run.add_argument("--vcd", metavar="PATH", help="write a VCD waveform")
+    p_run.add_argument("--vcd", metavar="PATH", help="write a VCD waveform ('-' for stdout)")
     p_run.add_argument("--table", metavar="PATH", help="write a TSV table ('-' for stdout)")
     p_run.add_argument("--registered", type=int, choices=(0, 1), default=None,
                        help="override the scenario's output-register mode")
@@ -180,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the whole builtin corpus")
     p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--filter", help="glob over scenario names, e.g. 'tc2*'")
-    p_verify.add_argument("--report", metavar="PATH", help="write the TSV report to a file")
+    p_verify.add_argument("--report", metavar="PATH", type=_report_path,
+                          help="also write the TSV report to a file")
 
     p_fuzz = sub.add_parser("fuzz", help="random-stimulus property campaign")
     p_fuzz.set_defaults(func=cmd_fuzz)
@@ -190,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--data-width", type=int, default=8)
     p_fuzz.add_argument("--reset-storm", action="store_true",
                         help="also pull reset low at random during the run")
-    p_fuzz.add_argument("--report", metavar="PATH", help="write the summary to a file")
+    p_fuzz.add_argument("--report", metavar="PATH", type=_report_path,
+                        help="also write the summary to a file")
 
     sub.add_parser("list", help="list builtin scenarios").set_defaults(func=cmd_list)
     return parser

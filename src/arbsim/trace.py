@@ -11,10 +11,10 @@ Traces export to IEEE-1364-style VCD and to a tab-separated table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import attrgetter, itemgetter, ne
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
 from .scenario import Assertion, Scenario
@@ -93,7 +93,6 @@ class AssertionReport:
 
 # Pin name -> its index in PINS.
 _PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
-_ROLES = {role for _, _, role, _ in PINS}
 
 
 def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
@@ -129,19 +128,6 @@ def run_scenario(s: Scenario) -> Trace:
     return Trace(params, period, tuple(rows))
 
 
-def _pin_format(params: Params, role: str) -> str:
-    """The format of a pin of this role: its value in binary at the role's
-    width.  A level is a bool and a channel state an int code, so one rule
-    covers every role, for the checker and both exporters alike."""
-    return f"{{:0{params.width(role)}b}}"
-
-
-def _pin_formats(params: Params) -> list[tuple[int, str]]:
-    """Each pin's width and format, in PINS order, worked out once per role."""
-    by_role = {role: (params.width(role), _pin_format(params, role)) for role in _ROLES}
-    return [by_role[role] for _, _, role, _ in PINS]
-
-
 # The exporters read a row as its pin values in PINS order: the input and
 # output records whole, then the probes picked from the arbiter state by
 # index, at less than half the cost of one attrgetter over every dotted
@@ -159,20 +145,83 @@ _PROBES = itemgetter(*[
     ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
 ])
 
+# The checker reads one pin of a row by its dotted path in PINS, by index.
+_SAMPLERS = [attrgetter(path) for _, _, _, path in PINS]
+
+
+# A pin of at most this many bits gets the text of every value rendered
+# once, with its layout, as a lookup costs a fraction of a format; a wider
+# pin, whose table would grow too large, is formatted on use.
+_TABLE_BITS = 8
+
+
+def _renderer(fmt: str, width: int) -> Callable[[int], str]:
+    """``fmt.format`` for a pin of this width, or where the width is at
+    most ``_TABLE_BITS`` the lookup of the same text in a table of every
+    value's."""
+    if width <= _TABLE_BITS:
+        return tuple(map(fmt.format, range(1 << width))).__getitem__
+    return fmt.format
+
+
+class PinLayout(NamedTuple):
+    """The text of a trace's export and check that depends on its widths
+    alone, in ``PINS`` order.  Every pin shows its value in binary at its
+    width (a level is a bool and a channel state an int code, so one rule
+    covers every role), for the checker and both exporters alike."""
+
+    cells: tuple[Callable[[int], str], ...]  # per pin, a value's text
+    vcd_records: tuple[Callable[[int], str], ...]  # per pin, a value's VCD change record
+    vcd_preamble: str  # ``$timescale`` through the power-on ``$dumpvars ... $end``
+    table_header: str
+
+
+@lru_cache(maxsize=8)
+def _pin_layout(addr_width: int, data_width: int) -> PinLayout:
+    """The layout of one pair of widths, built on its first use.  It holds
+    no trace's data, so every trace of these widths, in either output mode,
+    shares it; the cache keeps the 8 pairs used last."""
+    params = Params(addr_width, data_width)
+    widths = [params.width(role) for _, _, role, _ in PINS]
+    formats = [f"{{:0{width}b}}" for width in widths]
+    # Pins of one width share one renderer of their cells.
+    cells = {fmt: _renderer(fmt, width) for fmt, width in zip(formats, widths)}
+    preamble = ["$timescale 1ns $end\n", "$scope module ram_arbiter $end\n"]
+    records = []
+    for i, ((name, _, _, _), width, fmt) in enumerate(zip(PINS, widths, formats)):
+        vid = chr(33 + i)
+        if width == 1:
+            preamble.append(f"$var wire 1 {vid} {name} $end\n")
+            records.append(f"{fmt}{vid}\n")
+        else:
+            preamble.append(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
+            records.append(f"b{fmt} {vid}\n")
+    # Power-on values: every pin 0, the channel states included (RESET is 0).
+    preamble += ["$upscope $end\n", "$enddefinitions $end\n", "$dumpvars\n"]
+    preamble += [record.format(0) for record in records]
+    preamble.append("$end\n")
+    return PinLayout(
+        cells=tuple(cells[fmt] for fmt in formats),
+        vcd_records=tuple(map(_renderer, records, widths)),
+        vcd_preamble="".join(preamble),
+        table_header="\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n",
+    )
+
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
     n = len(trace.rows)
+    cells = _pin_layout(trace.params.addr_width, trace.params.data_width).cells
     for a in s.assertions:
-        _, _, role, path = PINS[_PIN_INDEX[a.pin]]
-        sample = attrgetter(path)
+        i = _PIN_INDEX[a.pin]
+        sample = _SAMPLERS[i]
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            observed = _pin_format(trace.params, role).format(sample(trace.rows[k]))
+            observed = cells[i](sample(trace.rows[k]))
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
@@ -214,13 +263,14 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     """Emit a minimal VCD: header, initial values, then changes only.
 
     Scalars are 1-bit wires, buses are n-bit wires dumped as ``b<bits> <id>``
-    records.  Power-on values populate the ``$dumpvars`` block; each run of
-    rows with equal keys in ``trace.pin_values``, the walk cached on the
-    trace for both exporters, then gives at its first row's edge time (row
-    k is edge k, at ``trace.edge_time(k)``) a ``#<time>`` section of only
-    the signals that differ from the run before it (the power-on values
-    before the first run), in pieces of at most ``_LINES_PER_WRITE``
-    sections a write.
+    records.  Power-on values populate the ``$dumpvars`` block, and the
+    whole preamble and each pin's change record come from the widths'
+    ``PinLayout``.  Each run of rows with equal keys in
+    ``trace.pin_values``, the walk cached on the trace for both exporters,
+    then gives at its first row's edge time (row k is edge k, at
+    ``trace.edge_time(k)``) a ``#<time>`` section of only the signals that
+    differ from the run before it (the power-on values before the first
+    run), in pieces of at most ``_LINES_PER_WRITE`` sections a write.
 
     A change block depends only on the pair (previous run's key, run's
     key), so a dict local to the call renders it once per distinct pair,
@@ -230,21 +280,9 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     runs 40 times as long (``tests/test_trace.py`` checks both), so the memo
     grows with a scenario's events, not with its run length.
     """
-    header = ["$timescale 1ns $end\n", "$scope module ram_arbiter $end\n"]
-    records = []  # per pin, the format of its value-change record
-    for i, ((name, _, _, _), (width, fmt)) in enumerate(zip(PINS, _pin_formats(trace.params))):
-        vid = chr(33 + i)
-        if width == 1:
-            header.append(f"$var wire 1 {vid} {name} $end\n")
-            records.append(f"{fmt}{vid}\n")
-        else:
-            header.append(f"$var wire {width} {vid} {name} [{width - 1}:0] $end\n")
-            records.append(f"b{fmt} {vid}\n")
-    # Power-on values: every pin 0, the channel states included (RESET is 0).
-    header += ["$upscope $end\n", "$enddefinitions $end\n", "$dumpvars\n"]
-    header += [record.format(0) for record in records]
-    sink.write("".join(header) + "$end\n")
-
+    layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
+    sink.write(layout.vcd_preamble)
+    records = layout.vcd_records
     distinct, keys = trace.pin_values
     values = [*distinct, (0,) * len(PINS)]  # key len(distinct): the power-on values
     blocks: dict[tuple[int, int], str] = {}  # (previous key, key) -> changes
@@ -254,7 +292,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
         block = blocks.get((previous, key))
         if block is None:
             block = blocks[previous, key] = "".join([
-                record.format(v) for record, v, o in zip(records, values[key], values[previous]) if v != o
+                record(v) for record, v, o in zip(records, values[key], values[previous]) if v != o
             ])
         # A run differs from the run before it, so the block is empty only
         # for a first run that holds the power-on values; it writes nothing.
@@ -271,6 +309,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
 def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one line per row.
 
+    The header and each pin's cell come from the widths' ``PinLayout``.
     Row k is edge k, at ``trace.edge_time(k)``: its ``cycle`` and
     ``time_ns`` cells are the index and that time, counted off ranges.
     Each distinct row of ``trace.pin_values``, the walk cached on the trace
@@ -284,17 +323,19 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     - the values are bools, ints and ``ChannelState`` members (an
       ``IntEnum``), so tuple ``==`` and ``hash`` are int equality, and
       equal keys render equal text;
-    - widths differ between traces, so the rendered rows live inside one
-      call, and nothing is cached between calls or between traces.
+    - the rendered rows live inside one call; between traces only the
+      widths' ``PinLayout`` is shared, the header and each pin's text for
+      each of its values, which holds no trace's data.
 
     The rendered rows grow with a scenario's events, not with its run
     length: every builtin case replayed at 40 times its duration has at most
     13 distinct rows (``tests/test_trace.py`` checks that bound).
     """
     distinct, keys = trace.pin_values
-    sink.write("\t".join(["cycle", "time_ns"] + [name for name, _, _, _ in PINS]) + "\n")
-    cells = "\t".join([fmt for _, fmt in _pin_formats(trace.params)]) + "\n"
-    rendered = [cells.format(*values) for values in distinct]
+    layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
+    sink.write(layout.table_header)
+    cells = layout.cells
+    rendered = ["\t".join([cell(v) for cell, v in zip(cells, values)]) + "\n" for values in distinct]
     for first in range(0, len(keys), _LINES_PER_WRITE):
         stop = first + _LINES_PER_WRITE
         times = range(trace.edge_time(first), trace.edge_time(stop), trace.clock_period)

@@ -13,6 +13,14 @@ from arbsim.scenario import MAX_EDGES
 from vcd_reader import read_vcd
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -41,6 +49,17 @@ class TestRun:
         assert "PASS" in out
         vcd = read_vcd(out_path.read_text())
         assert "RDDATA_C1" in vcd.widths
+
+    def test_vcd_on_stdout(self, capsys, monkeypatch, tmp_path):
+        # '-' is stdout for --vcd as for --table: the file's bytes, then the
+        # report, and no file named '-'.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "run", "--builtin", "tc07", "--vcd", "out.vcd")[0] == 0
+        code, out, _ = run_cli(capsys, "run", "--builtin", "tc07", "--vcd", "-")
+        assert code == 0
+        vcd = (tmp_path / "out.vcd").read_text()
+        assert out.startswith(vcd) and out[len(vcd):].startswith("PASS  ")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.vcd"]
 
     def test_unknown_builtin_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--builtin", "tc99")
@@ -315,9 +334,7 @@ def test_help_prints_usage_and_exits_zero(capsys):
 def test_closed_stdout_is_one_error_line(argv):
     # The reader of stdout is gone before the first write: the CLI exits 2
     # with one error line, whether a write or the final flush hits the pipe.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env = src_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -330,6 +347,30 @@ def test_closed_stdout_is_one_error_line(argv):
         os.close(write_end)
     assert result.returncode == 2
     assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("work, argv", [
+    ("run_scenario", ["run", "--builtin", "tc07", "--vcd", "-", "--table", "-"]),
+    ("run_scenario", ["verify", "--report", "-"]),
+    ("run_fuzz", ["fuzz", "--seed", "1", "--cycles", "10", "--report", "-"]),
+], ids=["vcd-and-table", "verify-report", "fuzz-report"])
+def test_a_second_output_on_stdout_fails_before_simulating(capsys, monkeypatch, tmp_path, work, argv):
+    # Stdout carries one output: a VCD and a table together, or a report
+    # copy of what is printed anyway, is a usage error, and no file named
+    # '-' is left behind.
+    monkeypatch.chdir(tmp_path)
+    assert_fails_before(capsys, monkeypatch, work, *argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_arbsim_runs_the_cli():
+    # From a checkout, without the installed console script.
+    result = subprocess.run(
+        [sys.executable, "-m", "arbsim", "list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 37
 
 
 def test_width_cap_reads_the_same_in_fuzz_and_in_a_scenario(capsys, tmp_path):
@@ -367,9 +408,7 @@ def test_scenario_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
 def test_failed_write_is_one_error_line(argv):
     # A full device fails a write: the CLI exits 2 with one error line, not
     # 1 with a traceback.  The table goes to stdout, so stdout is the device.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env = src_env()
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "arbsim.cli", *argv],
@@ -385,9 +424,7 @@ def test_failed_write_is_one_error_line(argv):
 def test_failed_report_write_leaves_stdout_working():
     # Only the --report file is on the full device: stdout stays open for
     # whatever the calling process prints after main returns.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env = src_env()
     code = ("import sys; from arbsim.cli import main; status = main(sys.argv[1:]); "
             "print('after'); sys.exit(status)")
     result = subprocess.run(

@@ -29,7 +29,7 @@ from arbsim import (
 )
 from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
-from arbsim.trace import _LINES_PER_WRITE
+from arbsim.trace import _LINES_PER_WRITE, _pin_layout
 
 from vcd_reader import read_vcd
 
@@ -610,6 +610,62 @@ class TestSharedWalk:
             for trace in (vcd_first, table_first):
                 assert self.export(write_vcd, trace) == vcd, s.name
                 assert self.export(write_table, trace) == table, s.name
+
+
+class TestPinLayout:
+    """The text that depends on the widths alone is built once per pair of
+    widths and shared by the checker and both exporters."""
+
+    @staticmethod
+    def bus_scenario(params):
+        # Two edges with client1's write buses at 1 and the data outputs at
+        # 0 (the sweep is on): text rendered at another width pads the same
+        # value to another length.
+        a, d = params.addr_width, params.data_width
+        addr, data = "0" * (a - 1) + "1", "0" * (d - 1) + "1"
+        return parse_scenario("\n".join([
+            "scenario buses",
+            f"params addr={a} data={d} registered={int(params.registered_output)}",
+            "clock 10", "@0 RST_N = 1", f"@0 WRADDR_C1 = {addr}", f"@0 WRDATA_C1 = {data}",
+            f"expect @15 RDDATA_C1 = {'0' * d}", f"expect @15 DATAOUT_C2 = {'0' * d}", "run 20",
+        ]) + "\n")
+
+    def test_one_layout_per_width_pair(self):
+        _pin_layout.cache_clear()
+        for name in ("tc01", "tc07"):
+            for registered in (False, True):
+                base = builtin_by_name(name)
+                s = replace(base, params=replace(base.params, registered_output=registered))
+                trace = run_scenario(s)
+                assert check_assertions(trace, s).passed, s.name
+                write_vcd(trace, io.StringIO())
+                write_table(trace, io.StringIO())
+        # Four traces of one width, three reads each: one build.
+        info = _pin_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+
+    def test_interleaved_widths_check_and_export_at_their_own_width(self):
+        # The widths differ in one field at a time and alternate, so a
+        # layout cached under the wrong key hands one width's text to another.
+        # Buses of 8 bits read a table of texts and wider ones a format.
+        widths = [Params(4, 8), Params(13, 8), Params(4, 16)]
+        for _ in range(2):
+            for base in widths:
+                for registered in (False, True):
+                    params = replace(base, registered_output=registered)
+                    s = self.bus_scenario(params)
+                    trace = run_scenario(s)
+                    report = check_assertions(trace, s)
+                    assert [r.observed for r in report.results] == [
+                        a.expected for a in s.assertions], params
+                    for trace in (trace, one_pin_trace(params)):
+                        TestExportReference.assert_exports_match_the_reference(trace, str(params))
+
+    def test_the_cache_keeps_its_bound(self):
+        bound = _pin_layout.cache_info().maxsize
+        for data_width in range(1, bound + 5):
+            write_table(Trace(Params(1, data_width), 10, ()), io.StringIO())
+        assert _pin_layout.cache_info().currsize == bound
 
 
 def distinct_rows_and_transitions(trace):
