@@ -21,7 +21,12 @@ exported row (5,722 rows), the exporters into an in-memory sink.  The walk
 and each exporter call run on a fresh copy of the trace, so each exporter's
 row includes the walk that it makes.  ``export_one_row`` runs both
 exporters on a fresh one-row copy of each case's trace, per trace: the
-cost that every trace pays whatever its length.
+cost that every trace pays whatever its length.  ``import_arbsim`` is a
+fresh import of ``arbsim`` and ``arbsim.fuzz``, per import, as the
+benchmark's set-up makes one (bench/run.py's ``import_arbsim``); the
+modules loaded before are put back after each.  It includes compiling
+the package from source only where no bytecode cache is read, as under
+``PYTHONDONTWRITEBYTECODE=1`` with no ``__pycache__`` yet.
 
 Each layer's stream is timed REPEATS times with the garbage collector off,
 as timeit does, and after each pass a small fixed reference computation
@@ -39,6 +44,7 @@ Per-call times compare versions of the code on one host; the benchmark
 """
 
 import gc
+import importlib
 import io
 import random
 import statistics
@@ -160,6 +166,26 @@ def text_layers():
     ]
 
 
+def arbsim_modules():
+    """The ``sys.modules`` entries of the arbsim package and its modules."""
+    return {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "arbsim"}
+
+
+def import_arbsim():
+    """Import arbsim and arbsim.fuzz afresh, then put back the modules
+    that were loaded before, which the other layers' functions belong to."""
+    loaded = arbsim_modules()
+    for name in loaded:
+        del sys.modules[name]
+    try:
+        importlib.import_module("arbsim")
+        importlib.import_module("arbsim.fuzz")
+    finally:
+        for name in arbsim_modules():
+            del sys.modules[name]
+        sys.modules.update(loaded)
+
+
 def reference_seconds():
     """Seconds per iteration of a fixed computation of the kind the layers
     do: build small tuples, update a dict and format ints."""
@@ -210,6 +236,7 @@ def main():
     for name, calls in zip(names, wide_ram_calls()):
         layers.append((name, ram.ram_step, calls, len(calls)))
     layers += text_layers()
+    layers.append(("import_arbsim", import_arbsim, [()], 1))
     lines = [f"{'layer':<18}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]
     lines += [f"{name:<18}{lo:9.2f}{mid:11.2f}{ratio:9.2f}\n"
               for name, lo, mid, ratio in timings(layers)]

@@ -14,9 +14,10 @@ Exit status is 0 exactly when every evaluated check passes.  Usage problems
 exit 2 with one line on stderr: an unknown scenario, a scenario file that
 cannot be read or is not UTF-8, bad flag values, a bus width (one rule,
 ``scenario.check_widths``, for files and ``fuzz``) or run length past its
-limit, an output that cannot be written (reader gone or device full), and
-an output sent to stdout where stdout already carries another: ``--vcd -``
-with ``--table -``, or ``--report -``, whose report is on stdout anyway.
+limit, an output that cannot be opened (an empty path included) or written
+(reader gone or device full), and an output sent to stdout where stdout
+already carries another: ``--vcd -`` with ``--table -``, or ``--report -``,
+whose report is on stdout anyway.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
 def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
     """Open an output file up front, so that a bad path fails before any work.
-    ``-`` is stdout."""
-    if not path:
+    ``-`` is stdout; an empty path names no file, so it fails to open."""
+    if path is None:
         return nullcontext()
     if path == "-":
         return nullcontext(sys.stdout)

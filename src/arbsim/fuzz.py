@@ -12,7 +12,7 @@ values are not checked.  A run is reproducible from (seed, cycles, params).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
 from .arbiter import ArbiterState, ClientInputs, ClientOutputs
@@ -20,16 +20,14 @@ from .signals import HIGH, LOW, Params
 from .system import SystemState, system_new, system_step
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     cycle: int          # index within the measured phase
     prefix_len: int     # cycles needed to reproduce (cycle + 1)
     prop: str
     detail: str
 
 
-@dataclass(frozen=True)
-class FuzzResult:
+class FuzzResult(NamedTuple):
     seed: int
     cycles: int
     violation: Violation | None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arbiter import PINS
 from .signals import Params, parse_word, WordParseError
@@ -61,15 +62,13 @@ class ScenarioParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     time: int
     pin: str
     value: str  # binary string, already width-checked
 
 
-@dataclass(frozen=True, slots=True)
-class Assertion:
+class Assertion(NamedTuple):
     """One expectation on an output pin.
 
     kind "value": pin sampled at the first edge at or after `time` must

@@ -75,15 +75,13 @@ class Trace:
         return list(index), keys
 
 
-@dataclass(frozen=True, slots=True)
-class AssertionResult:
+class AssertionResult(NamedTuple):
     assertion: Assertion
     observed: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class AssertionReport:
+class AssertionReport(NamedTuple):
     results: tuple[AssertionResult, ...]
     passed: bool
 

@@ -363,6 +363,19 @@ def test_a_second_output_on_stdout_fails_before_simulating(capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("work, argv", [
+    ("run_scenario", ["run", "--builtin", "tc07", "--vcd", ""]),
+    ("run_scenario", ["run", "--builtin", "tc07", "--table", ""]),
+    ("run_scenario", ["verify", "--report", ""]),
+    ("run_fuzz", ["fuzz", "--seed", "1", "--cycles", "10", "--report", ""]),
+], ids=["vcd", "table", "verify-report", "fuzz-report"])
+def test_an_empty_output_path_fails_before_simulating(capsys, monkeypatch, tmp_path, work, argv):
+    # An empty path names no file: it is a usage error, not a flag left out.
+    monkeypatch.chdir(tmp_path)
+    assert_fails_before(capsys, monkeypatch, work, *argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_python_m_arbsim_runs_the_cli():
     # From a checkout, without the installed console script.
     result = subprocess.run(

@@ -59,7 +59,7 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "check_widths_held", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
         "parse_scenario", "run_scenario",
         "check_assertions", "pin_values", "write_vcd", "write_table", "export_one_row",
-        "reference",
+        "import_arbsim", "reference",
     ]
     for name, *cells in rows:
         low, median, ratio = map(float, cells)
