@@ -89,17 +89,17 @@ def layer_calls(stream):
     calls = {}
     for state, inp in stream:
         a = state.arbiter
-        arb_args = (a, inp, state.ram.rd_data_reg, PARAMS)
-        post, ram_in = arbiter.arbiter_step(*arb_args)
+        post, ram_in = arbiter.arbiter_step(a, inp, PARAMS)
         _, rd_data = ram.ram_step(state.ram, ram_in)
-        out = arbiter.resolve_outputs(post, rd_data, PARAMS)
+        resolve_args = (post, rd_data, state.ram.rd_data_reg, PARAMS)
+        out = arbiter.resolve_outputs(*resolve_args)
         for fn, args in (
             (system.system_step, (state, inp, PARAMS)),
             (system._check_widths, (inp, PARAMS)),
-            (arbiter.arbiter_step, arb_args),
+            (arbiter.arbiter_step, (a, inp, PARAMS)),
             (arbiter.fsm_next, (a.pr_read, a.pr_write, inp, a.reset_count, PARAMS)),
             (ram.ram_step, (state.ram, ram_in)),
-            (arbiter.resolve_outputs, (post, rd_data, PARAMS)),
+            (arbiter.resolve_outputs, resolve_args),
             (fuzz.random_inputs, (rng, PARAMS, inp.rst_n)),
             (fuzz.check_invariants, (a, inp, post, out, PARAMS)),
         ):

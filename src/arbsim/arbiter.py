@@ -80,7 +80,6 @@ class ArbiterState(NamedTuple):
     temp_rd_addr: int
     temp_wr_addr: int
     temp_wr_data: int     # also the clash bypass while addr_clash is high
-    rddata_d: int         # read data delayed one cycle (registered mode)
     temp_ack: Level
     temp_ack1: Level
     temp_wr: Level
@@ -122,7 +121,7 @@ PINS: tuple[tuple[str, str, str, str], ...] = (
 
 def arbiter_reset() -> ArbiterState:
     """Power-on state: both channels in reset, every register cleared."""
-    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
+    return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
 
 
 def _read_grant(inp: ClientInputs) -> ChannelState:
@@ -174,7 +173,7 @@ def detect_clash(
 
 
 def arbiter_step(
-    state: ArbiterState, inp: ClientInputs, ram_rd_data: int, params: Params
+    state: ArbiterState, inp: ClientInputs, params: Params
 ) -> tuple[ArbiterState, RamInputs]:
     """Advance the arbiter by one rising clock edge.
 
@@ -187,19 +186,14 @@ def arbiter_step(
     3. the clash flag is computed from the just-latched drive registers;
        while it is high, the write drive register is the bypass;
     4. the client2 ack registers advance (write acks self-clear one cycle
-       after they set, read acks run a set/hold/clear pattern);
-    5. the registered-output register latches the pre-edge read data: the
-       write data while the clash flag was up, else the RAM's word.
+       after they set, read acks run a set/hold/clear pattern).
 
-    Returns the post-edge state and the RAM's inputs for this edge: the raw
-    reset pin and the just-latched drive registers.
+    The next state reads only the arbiter's own registers and the pins, no
+    RAM output.  Returns the post-edge state and the RAM's inputs for this
+    edge: the raw reset pin and the just-latched drive registers.
     """
     (pr_read, pr_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
-     temp_wr_data, _, pre_ack, pre_ack1, pre_wr, pre_clash, reset_count) = state
-
-    # The pre-edge output mux of resolve_outputs; latching it is what makes
-    # the registered output an exact one-cycle shift of the unregistered one.
-    rddata_d = temp_wr_data if pre_clash else ram_rd_data
+     temp_wr_data, pre_ack, pre_ack1, pre_wr, _, reset_count) = state
 
     nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
 
@@ -242,14 +236,11 @@ def arbiter_step(
         temp_ack1 = LOW
         temp_ack = LOW
 
-    if not inp.rst_n:
-        rddata_d = 0
-
     # One C call, in field order: through the generated __new__ this
-    # 13-field record took 1.7 times as long to build, and by keyword 4 times.
+    # record took 1.7 times as long to build, and by keyword 4 times.
     new = tuple.__new__(ArbiterState, (
         nx_read, nx_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
-        temp_wr_data, rddata_d, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
+        temp_wr_data, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
     ))
     return new, tuple.__new__(RamInputs, (
         inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
@@ -257,16 +248,17 @@ def arbiter_step(
 
 
 def resolve_outputs(
-    state: ArbiterState, ram_rd_data: int, params: Params
+    state: ArbiterState, ram_rd_data: int, prev_rd_data: int, params: Params
 ) -> ClientOutputs:
     """Combinational output mux over the post-edge arbiter registers.
 
     Client2's ack is the OR of the read and write ack registers.  Both
     clients read the RAM word, or the write data while the clash flag is
-    up; in registered mode client1 reads instead that value from one edge
-    before (``rddata_d``).  ``RST_DONE`` is high once the channels leave reset.
+    up; in registered mode client1 reads instead ``prev_rd_data``, that
+    value from one edge before.  ``RST_DONE`` is high once the channels
+    leave reset.
     """
     ack_c2 = state.temp_ack1 or state.temp_wr
     data = state.temp_wr_data if state.addr_clash else ram_rd_data
-    rddata_c1 = state.rddata_d if params.registered_output else data
+    rddata_c1 = prev_rd_data if params.registered_output else data
     return tuple.__new__(ClientOutputs, (rddata_c1, data, ack_c2, state.pr_read is not RESET))

@@ -22,9 +22,13 @@ from .system import SystemState, system_new, system_step
 
 class Violation(NamedTuple):
     cycle: int          # index within the measured phase
-    prefix_len: int     # cycles needed to reproduce (cycle + 1)
     prop: str
     detail: str
+
+    @property
+    def prefix_len(self) -> int:
+        """Cycles of the measured phase needed to reproduce it."""
+        return self.cycle + 1
 
 
 class FuzzResult(NamedTuple):
@@ -121,5 +125,5 @@ def run_fuzz(
         bad = check_invariants(pre, inp, state.arbiter, out, params)
         if bad:
             prop, detail = bad[0]
-            return FuzzResult(seed, cycles, Violation(cycle, cycle + 1, prop, detail))
+            return FuzzResult(seed, cycles, Violation(cycle, prop, detail))
     return FuzzResult(seed, cycles, None)

@@ -1,10 +1,10 @@
 """Composition of the arbiter and the RAM into the full two-client system.
 
 Evaluation order within one rising edge is fixed: the arbiter steps first,
-reading the RAM's pre-edge registered output; the RAM then steps, driven by
-the arbiter's freshly latched request registers.  The feedback loop crosses
-a register in each direction, so the order is well defined and the whole
-system is a deterministic step function.
+on its own registers and the pins; the RAM then steps, driven by the
+arbiter's freshly latched request registers; the output mux then reads
+both.  No arbiter register reads a RAM output, so the path is feed-forward
+and the whole system is a deterministic step function.
 """
 
 from __future__ import annotations
@@ -80,15 +80,16 @@ def system_step(
 ) -> tuple[SystemState, ClientOutputs]:
     """Advance the whole system by one rising clock edge.
 
-    1. step the arbiter with the RAM's pre-edge registered read data; it
-       returns the RAM's inputs for this edge;
+    1. step the arbiter; it returns the RAM's inputs for this edge;
     2. step the RAM with those inputs;
     3. resolve the client outputs from the post-edge arbiter registers and
-       the post-edge RAM read data.
+       the post-edge RAM read data.  Registered RDDATA_C1 is the read mux
+       of the pre-edge state, and 0 on an edge with ``rst_n`` low.
     """
     _check_widths(inp, params)
-    arb, ram = state
-    arb, ram_in = arbiter_step(arb, inp, ram.rd_data_reg, params)
+    pre, ram = state
+    prev_rd_data = (pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg) if inp.rst_n else 0
+    arb, ram_in = arbiter_step(pre, inp, params)
     ram, post_rd_data = ram_step(ram, ram_in)
-    out = resolve_outputs(arb, post_rd_data, params)
+    out = resolve_outputs(arb, post_rd_data, prev_rd_data, params)
     return tuple.__new__(SystemState, (arb, ram)), out

@@ -136,12 +136,11 @@ class TestDetectClash:
 def idle_arbiter(params=PARAMS):
     """Arbiter that has finished its init sweep and sits idle."""
     state = arbiter_reset()
-    zero = 0
-    state, _ = arbiter_step(state, make_inputs(params, rst_n=LOW), zero, params)
+    state, _ = arbiter_step(state, make_inputs(params, rst_n=LOW), params)
     for _ in range(params.ram_depth() + 1):
-        state, _ = arbiter_step(state, make_inputs(params), zero, params)
+        state, _ = arbiter_step(state, make_inputs(params), params)
     assert state.pr_read == I and state.pr_write == I
-    assert resolve_outputs(state, 0, params).rst_done == HIGH
+    assert resolve_outputs(state, 0, 0, params).rst_done == HIGH
     return state
 
 
@@ -149,7 +148,7 @@ class TestArbiterStep:
     def test_client1_write_drives_ram(self):
         state = idle_arbiter()
         inp = make_inputs(PARAMS, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10100011")
-        state, drive = arbiter_step(state, inp, 0, PARAMS)
+        state, drive = arbiter_step(state, inp, PARAMS)
         assert drive.wr_en == HIGH
         assert drive.wr_addr == parse_word("1010", 4).value
         assert drive.wr_data == parse_word("10100011", 8).value
@@ -161,7 +160,7 @@ class TestArbiterStep:
             PARAMS, request_c2=HIGH, rd_not_write_c2=LOW, addr_c2="1110",
             datain_c2="11100011",
         )
-        state, drive = arbiter_step(state, inp, 0, PARAMS)
+        state, drive = arbiter_step(state, inp, PARAMS)
         assert drive.wr_en == HIGH
         assert drive.wr_addr == parse_word("1110", 4).value
         assert drive.wr_data == parse_word("11100011", 8).value
@@ -173,19 +172,19 @@ class TestArbiterStep:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, drive = arbiter_step(state, inp, 0, PARAMS)
+        state, drive = arbiter_step(state, inp, PARAMS)
         assert state.addr_clash == HIGH
         # Client2 reads the in-flight write data, not the RAM's stale word.
         stale = parse_word("01000100", 8).value
-        out = resolve_outputs(state, stale, PARAMS)
+        out = resolve_outputs(state, stale, 0, PARAMS)
         assert out.dataout_c2 == parse_word("10111011", 8).value
         assert drive.rd_en and drive.wr_en
 
     def test_idle_channels_clear_their_drive(self):
         state = idle_arbiter()
         inp = make_inputs(PARAMS, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10100011")
-        state, _ = arbiter_step(state, inp, 0, PARAMS)
-        state, drive = arbiter_step(state, make_inputs(PARAMS), 0, PARAMS)
+        state, _ = arbiter_step(state, inp, PARAMS)
+        state, drive = arbiter_step(state, make_inputs(PARAMS), PARAMS)
         assert drive.wr_en == LOW
         assert drive.wr_addr == 0
         assert drive.wr_data == 0
@@ -196,24 +195,19 @@ class TestArbiterStep:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, _ = arbiter_step(state, inp, 0, PARAMS)
+        state, _ = arbiter_step(state, inp, PARAMS)
         assert state.addr_clash == HIGH
-        state, drive = arbiter_step(
-            state, make_inputs(PARAMS, rst_n=LOW), 0, PARAMS
-        )
+        state, drive = arbiter_step(state, make_inputs(PARAMS, rst_n=LOW), PARAMS)
         assert state.pr_read == R and state.pr_write == R
         assert state.addr_clash == LOW
-        assert state.rddata_d == 0
         assert drive.rd_en == LOW and drive.wr_en == LOW
 
     def test_enables_stay_low_during_whole_sweep(self):
         state = idle_arbiter()
         busy = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
-        state, _ = arbiter_step(
-            state, make_inputs(PARAMS, rst_n=LOW, rd_en_c1=HIGH), 0, PARAMS
-        )
+        state, _ = arbiter_step(state, make_inputs(PARAMS, rst_n=LOW, rd_en_c1=HIGH), PARAMS)
         for _ in range(PARAMS.ram_depth() + 1):
-            state, drive = arbiter_step(state, busy, 0, PARAMS)
+            state, drive = arbiter_step(state, busy, PARAMS)
             if state.pr_read == R:
                 assert drive.rd_en == LOW and drive.wr_en == LOW
 
@@ -221,11 +215,10 @@ class TestArbiterStep:
 def ack_series(inp, cycles=12):
     """ACK_C2 levels over consecutive edges of constant stimulus."""
     state = idle_arbiter()
-    zero = 0
     acks = []
     for _ in range(cycles):
-        state, _ = arbiter_step(state, inp, zero, PARAMS)
-        acks.append(resolve_outputs(state, zero, PARAMS).ack_c2)
+        state, _ = arbiter_step(state, inp, PARAMS)
+        acks.append(resolve_outputs(state, 0, 0, PARAMS).ack_c2)
     return acks
 
 
@@ -259,23 +252,23 @@ class TestResolveOutputs:
             PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
-        state, _ = arbiter_step(state, inp, 0, PARAMS)
-        out = resolve_outputs(state, parse_word("10100011", 8).value, PARAMS)
+        state, _ = arbiter_step(state, inp, PARAMS)
+        out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
         assert out.rddata_c1 == parse_word("10111011", 8).value
         assert out.dataout_c2 == parse_word("10111011", 8).value
 
     def test_unregistered_clash_low_returns_ram_data(self):
         state = idle_arbiter()
-        out = resolve_outputs(state, parse_word("10100011", 8).value, PARAMS)
+        out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
         assert out.rddata_c1 == parse_word("10100011", 8).value
         assert out.dataout_c2 == parse_word("10100011", 8).value
 
     def test_rst_done_follows_reset_register(self):
         params = PARAMS
         state = arbiter_reset()
-        assert resolve_outputs(state, 0, params).rst_done == LOW
+        assert resolve_outputs(state, 0, 0, params).rst_done == LOW
         state = idle_arbiter()
-        assert resolve_outputs(state, 0, params).rst_done == HIGH
+        assert resolve_outputs(state, 0, 0, params).rst_done == HIGH
 
 
 @settings(deadline=None, max_examples=120)
@@ -288,8 +281,8 @@ def test_structural_invariants_under_random_stimulus(seed, cycles):
         inp = random_inputs(rng, params)
         ram_word = rng.getrandbits(params.data_width)
         pre = state
-        state, _ = arbiter_step(state, inp, ram_word, params)
-        out = resolve_outputs(state, ram_word, params)
+        state, _ = arbiter_step(state, inp, params)
+        out = resolve_outputs(state, ram_word, 0, params)
         assert check_invariants(pre, inp, state, out, params) == []
 
 
@@ -301,7 +294,7 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
         temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
         temp_wr_addr=0b1010, temp_wr_data=0b10100011, addr_clash=HIGH,
     )
-    out = resolve_outputs(post, 0, PARAMS)._replace(dataout_c2=0b00000101)
+    out = resolve_outputs(post, 0, 0, PARAMS)._replace(dataout_c2=0b00000101)
     bad = check_invariants(idle, make_inputs(PARAMS), post, out, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
 
@@ -311,13 +304,13 @@ def test_violation_details_name_states_in_lower_case():
     # and the state expected instead.
     idle = idle_arbiter()
     inp = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
-    idle_out = resolve_outputs(idle, 0, PARAMS)
+    idle_out = resolve_outputs(idle, 0, 0, PARAMS)
     assert check_invariants(idle, inp, idle, idle_out, PARAMS) == [
         ("read-grant", "read=idle expected=client1_read"),
         ("write-grant", "write=idle expected=client1_write"),
     ]
     swapped = idle._replace(pr_read=C1W, pr_write=C2R)
-    swapped_out = resolve_outputs(swapped, 0, PARAMS)
+    swapped_out = resolve_outputs(swapped, 0, 0, PARAMS)
     assert check_invariants(idle, make_inputs(PARAMS), swapped, swapped_out, PARAMS) == [
         ("read-grant", "read=client1_write expected=idle"),
         ("write-grant", "write=client2_read expected=idle"),
@@ -385,27 +378,5 @@ EDGES = {
 @pytest.mark.parametrize("pre, inputs, post, bad", EDGES.values(), ids=EDGES.keys())
 def test_each_property_reports_its_hand_built_edge(pre, inputs, post, bad):
     inp = make_inputs(PARAMS, **inputs)
-    out = resolve_outputs(post, 0, PARAMS)
+    out = resolve_outputs(post, 0, 0, PARAMS)
     assert check_invariants(pre, inp, post, out, PARAMS) == bad
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_registered_mode_is_unregistered_delayed_one_cycle(seed):
-    # Mirrors the system wiring: the step consumes the previous cycle's RAM
-    # word (the registered RAM output), resolve sees the current one.
-    params = Params(3, 6)
-    unreg = Params(3, 6, registered_output=False)
-    reg = Params(3, 6, registered_output=True)
-    rng = random.Random(seed)
-    state = idle_arbiter(params)
-    prev_word = 0
-    unreg_series, reg_series = [], []
-    for _ in range(60):
-        inp = random_inputs(rng, params)
-        state, _ = arbiter_step(state, inp, prev_word, params)
-        cur_word = rng.getrandbits(params.data_width)
-        unreg_series.append(resolve_outputs(state, cur_word, unreg).rddata_c1)
-        reg_series.append(resolve_outputs(state, cur_word, reg).rddata_c1)
-        prev_word = cur_word
-    assert reg_series[1:] == unreg_series[:-1]

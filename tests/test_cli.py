@@ -292,7 +292,7 @@ class TestFuzz:
         from arbsim.fuzz import FuzzResult, Violation
 
         def fake_run_fuzz(seed, cycles, params, reset_storm=False):
-            return FuzzResult(seed, cycles, Violation(41, 42, "clash-bypass", "x"))
+            return FuzzResult(seed, cycles, Violation(41, "clash-bypass", "x"))
 
         monkeypatch.setattr(cli_mod, "run_fuzz", fake_run_fuzz)
         code, out, _ = run_cli(capsys, "fuzz", "--seed", "9", "--cycles", "100")

@@ -24,7 +24,7 @@ TUPLE_RECORDS = {
     Assertion: ("kind", "pin", "time", "expected", "start", "end"),
     AssertionResult: ("assertion", "observed", "passed"),
     AssertionReport: ("results", "passed"),
-    Violation: ("cycle", "prefix_len", "prop", "detail"),
+    Violation: ("cycle", "prop", "detail"),
     FuzzResult: ("seed", "cycles", "violation"),
 }
 
@@ -90,5 +90,5 @@ def test_parsed_and_checked_records_have_their_exact_types():
 def test_fuzz_result_keeps_ok():
     result = run_fuzz(1, 50, Params(4, 8))
     assert type(result) is FuzzResult and result.ok and result.violation is None
-    failed = FuzzResult(9, 50, Violation(41, 42, "clash-bypass", "x"))
+    failed = FuzzResult(9, 50, Violation(41, "clash-bypass", "x"))
     assert not failed.ok and failed.violation.prefix_len == 42

@@ -331,6 +331,40 @@ def test_state_graph_does_not_depend_on_the_output_mode():
     assert [o for _, o in runs[False]] != [o for _, o in runs[True]]
 
 
+def test_the_arbiter_reads_no_ram_output(monkeypatch):
+    # The arbiter's next state and the RAM's inputs are functions of the
+    # arbiter's registers and the pins alone, so nothing flows from the RAM
+    # back into the arbiter.  From every state of a reset storm, the same
+    # edge over a RAM with another registered read word and another memory
+    # word must step the arbiter alike; only the outputs may differ.
+    params = Params(3, 6)
+    ram_step = arbsim.system.ram_step
+    ram_inputs = []
+
+    def spy_ram(ram, ram_in):
+        ram_inputs.append(ram_in)
+        return ram_step(ram, ram_in)
+
+    monkeypatch.setattr(arbsim.system, "ram_step", spy_ram)
+    flip = (1 << params.data_width) - 1
+    rng = random.Random(0)
+    state, outputs_differ = system_new(params), 0
+    for inp in reset_storm(params):
+        ram, addr = state.ram, rng.getrandbits(params.addr_width)
+        other_ram = ram._replace(
+            memory=ram.memory.set(addr, ram.memory[addr] ^ flip),
+            rd_data_reg=ram.rd_data_reg ^ flip,
+        )
+        post, out = system_step(state, inp, params)
+        other, other_out = system_step(SystemState(state.arbiter, other_ram), inp, params)
+        assert other.arbiter == post.arbiter, (state, inp)
+        assert ram_inputs[-1] == ram_inputs[-2], (state, inp)
+        outputs_differ += other_out != out
+        state = post
+    # The swap reaches the outputs, so it is one the edge could see.
+    assert outputs_differ > 0
+
+
 def test_rst_done_and_read_mux_facts_hold_on_every_row():
     # The kernel keeps no RST_DONE register and one read-data mux: the two
     # channels leave reset together, RST_DONE shows exactly that, and
@@ -355,7 +389,6 @@ WORD_FIELDS = [
     (f"arbiter.{name}", role)
     for name, role in [
         ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
-        ("rddata_d", "data"),
     ]
 ] + [
     (path, role) for _, d, role, path in PINS if d != "in" and role in ("addr", "data")
@@ -396,9 +429,9 @@ def broken_mux(mux):
     """A resolve_outputs whose read data is mux(state, RAM word)."""
     resolve = arbsim.system.resolve_outputs
 
-    def broken(arb, ram_word, params):
+    def broken(arb, ram_word, prev_rd_data, params):
         data = mux(arb, ram_word)
-        out = resolve(arb, ram_word, params)
+        out = resolve(arb, ram_word, prev_rd_data, params)
         return out._replace(
             rddata_c1=out.rddata_c1 if params.registered_output else data, dataout_c2=data
         )
