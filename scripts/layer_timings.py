@@ -15,13 +15,10 @@ sweep, the trie path copies of a ``wide-a13`` campaign's traffic; and
 addresses, of the word each one then holds, which copy nothing.  The
 text rows run the 74 corpus cases (37 builtins in both output modes):
 ``parse_scenario`` per case, over each case's rendered text, and
-``run_scenario``, ``check_assertions``, the walk over pin values
-(``Trace.pin_values``) alone, ``write_vcd`` and ``write_table`` per
-exported row (5,722 rows), the exporters into an in-memory sink.  The walk
-and each exporter call run on a fresh copy of the trace, so each exporter's
-row includes the walk that it makes.  ``export_one_row`` runs both
-exporters on a fresh one-row copy of each case's trace, per trace: the
-cost that every trace pays whatever its length.  ``import_arbsim`` is a
+``run_scenario``, ``check_assertions``, ``write_vcd`` and ``write_table``
+per exported row (5,722 rows), the exporters into an in-memory sink.
+``export_one_row`` runs both exporters on a one-row copy of each case's
+trace, per trace: the cost that every trace pays whatever its length.  ``import_arbsim`` is a
 fresh import of ``arbsim`` and ``arbsim.fuzz``, per import, as the
 benchmark's set-up makes one (bench/run.py's ``import_arbsim``); the
 modules loaded before are put back after each.  It includes compiling
@@ -140,13 +137,8 @@ def text_layers():
     traces = [trace.run_scenario(s) for s in cases]
     rows = sum(len(t.rows) for t in traces)
 
-    # A trace caches its walk over pin values on first read, so each call
-    # gets a fresh copy of its trace: every pass times the walk, not a cache.
-    def fresh(t):
-        return trace.Trace(t.params, t.clock_period, t.rows)
-
     def export(write):
-        return lambda t: write(fresh(t), io.StringIO())
+        return lambda t: write(t, io.StringIO())
 
     def export_both(params, period, rows):
         t = trace.Trace(params, period, rows)
@@ -158,7 +150,6 @@ def text_layers():
          [(render_scenario(s),) for s in cases], len(cases)),
         ("run_scenario", trace.run_scenario, [(s,) for s in cases], rows),
         ("check_assertions", trace.check_assertions, list(zip(traces, cases)), rows),
-        ("pin_values", lambda t: fresh(t).pin_values, [(t,) for t in traces], rows),
         ("write_vcd", export(trace.write_vcd), [(t,) for t in traces], rows),
         ("write_table", export(trace.write_table), [(t,) for t in traces], rows),
         ("export_one_row", export_both,

@@ -27,7 +27,6 @@ from .trace import (
     AssertionReport,
     AssertionResult,
     Trace,
-    TraceRow,
     check_assertions,
     run_scenario,
     write_table,
@@ -53,7 +52,6 @@ __all__ = [
     "ScenarioParseError",
     "SystemState",
     "Trace",
-    "TraceRow",
     "Word",
     "arbiter_reset",
     "arbiter_step",

@@ -39,8 +39,8 @@ class ChannelState(enum.IntEnum):
 RESET, IDLE, CLIENT1_READ, CLIENT2_READ, CLIENT1_WRITE, CLIENT2_WRITE = ChannelState
 
 
-# The records built on every edge (these three, RamInputs, RamState,
-# SystemState and TraceRow) are NamedTuples: a frozen dataclass sets each
+# The records built on every edge (these three, RamInputs, RamState and
+# SystemState) are NamedTuples: a frozen dataclass sets each
 # field through object.__setattr__, which made building them the largest
 # cost of an edge outside the arbiter logic.  Each is built by one C call,
 # tuple.__new__(Record, (...)), without the frame and the arity check of the
@@ -87,12 +87,14 @@ class ArbiterState(NamedTuple):
     reset_count: int
 
 
-# Every pin, in VCD/TSV column order: (name, direction, role, trace.TraceRow
-# attribute path).  Direction "in" and "out" are the top-level pins; a
-# "probe" is an internal register of the arbiter: a drive register (the
-# RAM's inputs), a channel state or the clash flag.  The role sets the width
-# (Params.width); every pin exports as its value in binary at that width,
-# a channel state as its ChannelState code.
+# Every pin, in VCD/TSV column order and in the order of a trace row's
+# values: (name, direction, role, path).  The path names the pin's field in
+# the ClientInputs ("inputs."), the ClientOutputs ("outputs.") or the
+# post-edge ArbiterState ("arbiter.") of a system step.  Direction "in" and
+# "out" are the top-level pins; a "probe" is an internal register of the
+# arbiter: a drive register (the RAM's inputs), a channel state or the clash
+# flag.  The role sets the width (Params.width); every pin exports as its
+# value in binary at that width, a channel state as its ChannelState code.
 PINS: tuple[tuple[str, str, str, str], ...] = (
     ("RST_N", "in", "level", "inputs.rst_n"),
     ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),

@@ -15,9 +15,10 @@ exit 2 with one line on stderr: an unknown scenario, a scenario file that
 cannot be read or is not UTF-8, bad flag values, a bus width (one rule,
 ``scenario.check_widths``, for files and ``fuzz``) or run length past its
 limit, an output that cannot be opened (an empty path included) or written
-(reader gone or device full), and an output sent to stdout where stdout
+(reader gone or device full), an output sent to stdout where stdout
 already carries another: ``--vcd -`` with ``--table -``, or ``--report -``,
-whose report is on stdout anyway.
+whose report is on stdout anyway, and ``--vcd`` and ``--table`` that open
+one file (``-`` is stdout's file where stdout has a descriptor).
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
         raise SystemExit2(f"cannot write output file: {exc}")
 
 
+def _same_file(a: IO[str], b: IO[str]) -> bool:
+    """Whether two opened outputs are one file, by device and inode.  An
+    output without a descriptor (a captured stdout) is no file's."""
+    try:
+        return os.path.sameopenfile(a.fileno(), b.fileno())
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 def _emit(text: str, report: IO[str] | None) -> None:
     """Print ``text`` and copy it to the ``--report`` file, if there is one."""
     sys.stdout.write(text)
@@ -102,6 +112,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit2("--vcd - and --table - cannot both write to stdout")
     scenario = _load_scenario(args)
     with _open_output(args.vcd) as vcd, _open_output(args.table) as table:
+        if vcd and table and _same_file(vcd, table):
+            raise SystemExit2("--vcd and --table cannot both write to one file")
         trace = run_scenario(scenario)
         report = check_assertions(trace, scenario)
         if vcd:
@@ -204,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--addr-width", type=int, default=4)
     p_fuzz.add_argument("--data-width", type=int, default=8)
     p_fuzz.add_argument("--reset-storm", action="store_true",
-                        help="also pull reset low at random during the run")
+                        help="also pull reset low on about 2%% of edges (from --addr-width 8"
+                             " up, the run then stays in reset almost throughout)")
     p_fuzz.add_argument("--report", metavar="PATH", type=_report_path,
                         help="also write the summary to a file")
 

@@ -44,12 +44,11 @@ MAX_ADDR_WIDTH = 20
 MAX_DATA_WIDTH = 64
 # Most edges that a scenario's run line, and most measured cycles that
 # ``fuzz --cycles``, may ask for: twice the sweep at MAX_ADDR_WIDTH.  A replay
-# keeps every row, its edge's inputs, outputs and arbiter state (312 bytes a
-# row under tracemalloc, about 340 of peak RSS); an export adds an 8-byte key
-# a row.  A client2 write train of 2**18 edges peaked at 100 MB and one of
-# 2**20 at 353 MB, with or without export, so a run at the cap should peak
-# near 0.7 GB (not measured at the cap).  A campaign keeps no rows and at the
-# cap takes tens of seconds, not forever.
+# keeps every row, but equal rows are one tuple, so a row costs one 8-byte
+# reference; the exporters keep text per distinct row or transition only.
+# With the check and both exports, a client2 write train of 2**20 edges
+# peaked at 32 MB of RSS and one at the cap at 48 MB (CPython 3.11).  A
+# campaign keeps no rows and at the cap takes tens of seconds, not forever.
 MAX_EDGES = 1 << 21
 # Latest time that a clock, run, @t or expect line may name: the largest
 # 64-bit VCD timestamp.  Its 19 digits bound a literal before int() sees it.

@@ -1,19 +1,20 @@
 """Per-cycle recording, assertion evaluation, and waveform export.
 
-A trace holds one row per rising clock edge: the inputs sampled at that
-edge, the post-edge outputs and the post-edge arbiter state, whose drive
-registers, channel states and clash flag are the probed signals.  Row k is
-edge k, at ``trace.edge_time(k)``, ``k * clock_period + clock_period // 2``
-(the clock starts low); a row stores neither its cycle nor its time.
+A trace holds one row per rising clock edge: the values of every pin in
+``PINS`` order, one plain tuple.  Those are the inputs sampled at that
+edge, the post-edge outputs and the probes of the post-edge arbiter state
+(its drive registers, channel states and clash flag).  Row k is edge k, at
+``trace.edge_time(k)``, ``k * clock_period + clock_period // 2`` (the clock
+starts low); a row stores neither its cycle nor its time.  Equal rows of
+one replay are one tuple object, so a row costs the trace one reference.
 Traces export to IEEE-1364-style VCD and to a tab-separated table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress
-from operator import attrgetter, itemgetter, ne
+from operator import is_not, itemgetter
 from typing import IO, Callable, NamedTuple
 
 from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
@@ -22,21 +23,10 @@ from .signals import LOW, Params, parse_word
 from .system import SystemState, system_new, system_step
 
 
-class TraceRow(NamedTuple):
-    """What one edge made: row k of a trace is edge k, at
-    ``trace.edge_time(k)``, so its cycle is its index and its time is
-    worked out from that, not stored."""
-
-    inputs: ClientInputs
-    outputs: ClientOutputs
-    arbiter: ArbiterState
-
-
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     params: Params
     clock_period: int
-    rows: tuple[TraceRow, ...]
+    rows: tuple[tuple, ...]  # row k: edge k's pin values in PINS order
 
     def edge_time(self, k: int) -> int:
         """Time of rising edge k, the edge that row k records."""
@@ -55,24 +45,6 @@ class Trace:
         if t < first:
             return -1
         return (t - first) // self.clock_period
-
-    @cached_property
-    def pin_values(self) -> tuple[list[tuple], list[int]]:
-        """The one walk over the rows' pin values, made when first read:
-        ``(distinct, keys)``, where ``distinct`` holds each distinct row of
-        values in ``PINS`` order as it first appears and ``keys[k]`` is row
-        ``k``'s index into it.  Both exporters read it, so a trace exported
-        in both formats is walked once; it lives and dies with the trace."""
-        index: dict[tuple, int] = {}
-        keys: list[int] = []
-        values, key = None, 0
-        for row in self.rows:
-            row_values = row.inputs + row.outputs + _PROBES(row.arbiter)
-            if row_values != values:
-                values = row_values
-                key = index.setdefault(values, len(index))
-            keys.append(key)
-        return list(index), keys
 
 
 class AssertionResult(NamedTuple):
@@ -113,7 +85,8 @@ def run_scenario(s: Scenario) -> Trace:
     edge_for_time = Trace(params, period, ()).edge_for_time
     state: SystemState = system_new(params)
     inputs = ClientInputs.quiet(rst_n=LOW)
-    rows: list[TraceRow] = []
+    rows: list[tuple] = []
+    interned: dict[tuple, tuple] = {}  # each distinct row: equal rows are one tuple
     idx, next_edge = 0, edge_for_time(events[0].time) if events else edges
     for k in range(edges):
         while next_edge <= k:
@@ -122,16 +95,17 @@ def run_scenario(s: Scenario) -> Trace:
             idx += 1
             next_edge = edge_for_time(events[idx].time) if idx < len(events) else edges
         state, out = system_step(state, inputs, params)
-        rows.append(tuple.__new__(TraceRow, (inputs, out, state.arbiter)))
+        row = inputs + out + _PROBES(state.arbiter)
+        rows.append(interned.setdefault(row, row))
     return Trace(params, period, tuple(rows))
 
 
-# The exporters read a row as its pin values in PINS order: the input and
-# output records whole, then the probes picked from the arbiter state by
-# index, at less than half the cost of one attrgetter over every dotted
-# path.  That holds only while PINS lists the ClientInputs fields, then the
-# ClientOutputs fields, each in field order, then the probes, so it is
-# checked here (by a raise, which -O keeps).
+# A row is its pin values in PINS order: the input and output records
+# whole, then the probes picked from the arbiter state by index, at less
+# than half the cost of one attrgetter over every dotted path.  That holds
+# only while PINS lists the ClientInputs fields, then the ClientOutputs
+# fields, each in field order, then the probes, so it is checked here (by a
+# raise, which -O keeps).
 _IO_PINS = [("in", f"inputs.{field}") for field in ClientInputs._fields]
 _IO_PINS += [("out", f"outputs.{field}") for field in ClientOutputs._fields]
 _PROBE_PINS = PINS[len(_IO_PINS) :]
@@ -142,9 +116,6 @@ if [(d, path) for _, d, _, path in PINS[: len(_IO_PINS)]] != _IO_PINS or any(
 _PROBES = itemgetter(*[
     ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
 ])
-
-# The checker reads one pin of a row by its dotted path in PINS, by index.
-_SAMPLERS = [attrgetter(path) for _, _, _, path in PINS]
 
 
 # A pin of at most this many bits gets the text of every value rendered
@@ -209,17 +180,17 @@ def _pin_layout(addr_width: int, data_width: int) -> PinLayout:
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
     """Evaluate every assertion of a scenario against its trace."""
     results: list[AssertionResult] = []
-    n = len(trace.rows)
+    rows = trace.rows
+    n = len(rows)
     cells = _pin_layout(trace.params.addr_width, trace.params.data_width).cells
     for a in s.assertions:
         i = _PIN_INDEX[a.pin]
-        sample = _SAMPLERS[i]
         if a.kind == "value":
             k = trace.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
-            observed = cells[i](sample(trace.rows[k]))
+            observed = cells[i](rows[k][i])
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
@@ -240,13 +211,13 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
                 rising = sum(
                     1
                     for k in range(max(ka, 1), kb + 1)
-                    if not sample(trace.rows[k - 1]) and sample(trace.rows[k])
+                    if not rows[k - 1][i] and rows[k][i]
                 )
                 results.append(
                     AssertionResult(a, f"{rising} rising edge(s)", rising >= 1)
                 )
             else:  # quiet
-                high = next((k for k in range(ka, kb + 1) if sample(trace.rows[k])), None)
+                high = next((k for k in range(ka, kb + 1) if rows[k][i]), None)
                 observed = "low throughout" if high is None else f"high at t={trace.edge_time(high)}"
                 results.append(AssertionResult(a, observed, high is None))
     return AssertionReport(tuple(results), all(r.passed for r in results))
@@ -263,43 +234,48 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     Scalars are 1-bit wires, buses are n-bit wires dumped as ``b<bits> <id>``
     records.  Power-on values populate the ``$dumpvars`` block, and the
     whole preamble and each pin's change record come from the widths'
-    ``PinLayout``.  Each run of rows with equal keys in
-    ``trace.pin_values``, the walk cached on the trace for both exporters,
-    then gives at its first row's edge time (row k is edge k, at
-    ``trace.edge_time(k)``) a ``#<time>`` section of only the signals that
-    differ from the run before it (the power-on values before the first
-    run), in pieces of at most ``_LINES_PER_WRITE`` sections a write.
+    ``PinLayout``.  Each run of rows that are one object (equal rows of a
+    replay are) then gives at its first row's edge time (row k is edge k,
+    at ``trace.edge_time(k)``) a ``#<time>`` section of only the signals
+    that differ from the run before it (the power-on values before the
+    first run), in pieces of at most ``_LINES_PER_WRITE`` sections a write.
 
-    A change block depends only on the pair (previous run's key, run's
-    key), so a dict local to the call renders it once per distinct pair,
-    and the period-2 and period-3 ack trains reuse a few blocks.  Reusing
-    the text is byte-safe for the reasons that ``write_table`` gives.  Every
-    builtin case has at most 16 distinct transitions, and as many when it
-    runs 40 times as long (``tests/test_trace.py`` checks both), so the memo
-    grows with a scenario's events, not with its run length.
+    A change block depends only on the pair (previous run's row, run's
+    row), so a dict local to the call, keyed by the two rows' ``id()``,
+    renders it once per distinct pair, and the period-2 and period-3 ack
+    trains reuse a few blocks.  The trace keeps every row alive for the
+    call, so no id is reused while the memo lives.  Reusing the text is
+    byte-safe for the reasons that ``write_table`` gives.  Every builtin
+    case has at most 16 distinct transitions, and as many when it runs 40
+    times as long (``tests/test_trace.py`` checks both), so the memo grows
+    with a scenario's events, not with its run length.
     """
     layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
     sink.write(layout.vcd_preamble)
     records = layout.vcd_records
-    distinct, keys = trace.pin_values
-    values = [*distinct, (0,) * len(PINS)]  # key len(distinct): the power-on values
-    blocks: dict[tuple[int, int], str] = {}  # (previous key, key) -> changes
-    previous, sections = len(distinct), []
-    # The first row of each run: each row whose key differs from the one before.
-    for k, key in compress(enumerate(keys), map(ne, keys, chain((None,), keys))):
-        block = blocks.get((previous, key))
+    rows = trace.rows
+    power_on = previous = (0,) * len(PINS)
+    blocks: dict[tuple[int, int], str] = {}  # (id of previous row, id of row) -> changes
+    sections = []
+    # The first row of each run: each row that is not the row before it
+    # (row 0 is never the power-on values).
+    for k, row in compress(enumerate(rows), map(is_not, rows, chain((power_on,), rows))):
+        pair = (id(previous), id(row))
+        block = blocks.get(pair)
         if block is None:
-            block = blocks[previous, key] = "".join([
-                record(v) for record, v, o in zip(records, values[key], values[previous]) if v != o
+            block = blocks[pair] = "".join([
+                record(v) for record, v, o in zip(records, row, previous) if v != o
             ])
-        # A run differs from the run before it, so the block is empty only
-        # for a first run that holds the power-on values; it writes nothing.
+        # The block is empty only for a run equal to the one before it: a
+        # first run that holds the power-on values, or, in a trace whose
+        # equal rows are separate objects, a run that repeats the last one.
+        # It writes nothing.
         if block:
             sections.append(f"#{trace.edge_time(k)}\n{block}")
             if len(sections) == _LINES_PER_WRITE:
                 sink.write("".join(sections))
                 sections.clear()
-        previous = key
+        previous = row
     if sections:
         sink.write("".join(sections))
 
@@ -310,17 +286,16 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     The header and each pin's cell come from the widths' ``PinLayout``.
     Row k is edge k, at ``trace.edge_time(k)``: its ``cycle`` and
     ``time_ns`` cells are the index and that time, counted off ranges.
-    Each distinct row of ``trace.pin_values``, the walk cached on the trace
-    for both exporters, is rendered once per call; every row formats only
-    its cycle and time, and the lines go to the sink in pieces of at most
-    ``_LINES_PER_WRITE``, so the text held at once does not grow with the
-    trace.  Reusing the text is byte-safe:
+    Each row object is rendered once per call, into a dict keyed by its
+    ``id()`` (the trace keeps every row alive for the call), so the equal
+    rows of a replay, which are one object, share one text; every row
+    formats only its cycle and time, and the lines go to the sink in pieces
+    of at most ``_LINES_PER_WRITE``, so the text held at once does not grow
+    with the trace.  Reusing the text is byte-safe:
 
     - every cell is its value in binary at its pin's width, text that
-      depends only on the value's int;
-    - the values are bools, ints and ``ChannelState`` members (an
-      ``IntEnum``), so tuple ``==`` and ``hash`` are int equality, and
-      equal keys render equal text;
+      depends only on the value's int, so a row's text is a function of
+      its values and not of which object holds them;
     - the rendered rows live inside one call; between traces only the
       widths' ``PinLayout`` is shared, the header and each pin's text for
       each of its values, which holds no trace's data.
@@ -329,15 +304,18 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     length: every builtin case replayed at 40 times its duration has at most
     13 distinct rows (``tests/test_trace.py`` checks that bound).
     """
-    distinct, keys = trace.pin_values
+    rows = trace.rows
     layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
     sink.write(layout.table_header)
     cells = layout.cells
-    rendered = ["\t".join([cell(v) for cell, v in zip(cells, values)]) + "\n" for values in distinct]
-    for first in range(0, len(keys), _LINES_PER_WRITE):
+    rendered = {
+        key: "\t".join([cell(v) for cell, v in zip(cells, row)]) + "\n"
+        for key, row in {id(row): row for row in rows}.items()
+    }
+    for first in range(0, len(rows), _LINES_PER_WRITE):
         stop = first + _LINES_PER_WRITE
         times = range(trace.edge_time(first), trace.edge_time(stop), trace.clock_period)
         sink.write("".join([
-            f"{k}\t{t}\t{rendered[key]}"
-            for k, t, key in zip(range(first, stop), times, keys[first:stop])
+            f"{k}\t{t}\t{rendered[id(row)]}"
+            for k, t, row in zip(range(first, stop), times, rows[first:stop])
         ]))

@@ -1,6 +1,10 @@
 import pytest
 
 from arbsim import HIGH, LOW, ClientInputs, Params, parse_word, system_new, system_step
+from arbsim.arbiter import PINS
+
+# Pin name -> the index of its value in a trace row.
+PIN = {name: i for i, (name, _, _, _) in enumerate(PINS)}
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from arbsim import (
 from arbsim.cli import _verify_lines
 from arbsim.fuzz import random_inputs, run_fuzz
 
-from conftest import fresh_system, make_inputs
+from conftest import PIN, fresh_system, make_inputs
 from test_ram import MapRam, random_ram_inputs, swept
 from test_trace import assert_vcd_matches_table
 
@@ -42,12 +42,15 @@ def criterion(number, title):
     print(f"ACCEPTANCE {number} ({title}): PASS")
 
 
+RDDATA_C1, DATAOUT_C2, ACK_C2 = PIN["RDDATA_C1"], PIN["DATAOUT_C2"], PIN["ACK_C2"]
+
+
 def rddata_timeline(scenario, registered):
     s = dataclasses.replace(
         scenario,
         params=dataclasses.replace(scenario.params, registered_output=registered),
     )
-    return [row.outputs.rddata_c1 for row in run_scenario(s).rows]
+    return [row[RDDATA_C1] for row in run_scenario(s).rows]
 
 
 def test_criterion_1_corpus_fidelity():
@@ -62,33 +65,33 @@ def test_criterion_1_corpus_fidelity():
         # Key quantitative checks, asserted directly on the traces.
         tc02 = run_scenario(builtin_by_name("tc02"))
         k = tc02.edge_for_time(3000)
-        assert tc02.rows[k].outputs.rddata_c1 == parse_word("10100011", 8).value
+        assert tc02.rows[k][RDDATA_C1] == parse_word("10100011", 8).value
 
         tc04 = run_scenario(builtin_by_name("tc04"))
         k = tc04.edge_for_time(2500)
-        assert tc04.rows[k].outputs.dataout_c2 == parse_word("11100011", 8).value
-        assert any(r.outputs.ack_c2 for r in tc04.rows)
+        assert tc04.rows[k][DATAOUT_C2] == parse_word("11100011", 8).value
+        assert any(r[ACK_C2] for r in tc04.rows)
 
         stale = parse_word("10100011", 8).value
         fresh = parse_word("10111011", 8).value
         tc07 = run_scenario(builtin_by_name("tc07"))
-        assert all(r.outputs.rddata_c1 != stale for r in tc07.rows)
-        assert any(r.outputs.rddata_c1 == fresh for r in tc07.rows)
+        assert all(r[RDDATA_C1] != stale for r in tc07.rows)
+        assert any(r[RDDATA_C1] == fresh for r in tc07.rows)
         tc08 = run_scenario(builtin_by_name("tc08"))
         late = tc08.rows[tc08.edge_for_time(2900):]
-        assert all(r.outputs.rddata_c1 == fresh for r in late)
+        assert all(r[RDDATA_C1] == fresh for r in late)
 
         tc22 = run_scenario(builtin_by_name("tc22"))
-        assert all(not r.outputs.ack_c2 for r in tc22.rows)
+        assert all(not r[ACK_C2] for r in tc22.rows)
 
         tc33 = run_scenario(builtin_by_name("tc33"))
         k = tc33.edge_for_time(2500)
-        assert tc33.rows[k].outputs.rddata_c1 == parse_word("00000000", 8).value
+        assert tc33.rows[k][RDDATA_C1] == parse_word("00000000", 8).value
         k = tc33.edge_for_time(3400)
-        assert tc33.rows[k].outputs.rddata_c1 == fresh
+        assert tc33.rows[k][RDDATA_C1] == fresh
         pre_reset = parse_word("10101111", 8).value
         after_release = tc33.rows[tc33.edge_for_time(2300):]
-        assert all(r.outputs.rddata_c1 != pre_reset for r in after_release)
+        assert all(r[RDDATA_C1] != pre_reset for r in after_release)
 
         assert time.perf_counter() - start < 5.0
 

@@ -363,6 +363,30 @@ def test_a_second_output_on_stdout_fails_before_simulating(capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("table", ["same.txt", "./same.txt", "link.txt"])
+def test_two_outputs_that_are_one_file_fail_before_simulating(capsys, monkeypatch, tmp_path, table):
+    # A VCD and a table written to one file would leave their bytes mixed:
+    # the same path, another spelling of it, or a hard link to it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.txt").write_text("kept\n")
+    os.link(tmp_path / "same.txt", tmp_path / "link.txt")
+    assert_fails_before(capsys, monkeypatch, "run_scenario",
+                        "run", "--builtin", "tc01", "--vcd", "same.txt", "--table", table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "same.txt"]
+
+
+@pytest.mark.parametrize("vcd, table", [("-", "/dev/stdout"), ("/dev/stdout", "-")])
+def test_stdout_under_another_name_is_one_file_with_stdout(vcd, table):
+    # '-' is stdout's own file, so /dev/stdout next to it is a second output
+    # on stdout, caught before anything is written.
+    result = subprocess.run(
+        [sys.executable, "-m", "arbsim", "run", "--builtin", "tc01", "--vcd", vcd, "--table", table],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("work, argv", [
     ("run_scenario", ["run", "--builtin", "tc07", "--vcd", ""]),
     ("run_scenario", ["run", "--builtin", "tc07", "--table", ""]),

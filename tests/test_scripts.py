@@ -58,7 +58,7 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
         "check_widths_held", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
         "parse_scenario", "run_scenario",
-        "check_assertions", "pin_values", "write_vcd", "write_table", "export_one_row",
+        "check_assertions", "write_vcd", "write_table", "export_one_row",
         "import_arbsim", "reference",
     ]
     for name, *cells in rows:

@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +23,6 @@ from arbsim import (
     RamInputs,
     RamState,
     SystemState,
-    TraceRow,
     Word,
     builtin_by_name,
     builtin_scenarios,
@@ -34,9 +33,9 @@ from arbsim import (
     system_step,
 )
 from arbsim.arbiter import PINS
-from arbsim.fuzz import random_inputs, run_fuzz
+from arbsim.fuzz import check_invariants, random_inputs, run_fuzz
 
-from conftest import fresh_system, make_inputs
+from conftest import PIN, fresh_system, make_inputs
 
 
 def run_cycles(state, inp, n, params):
@@ -369,19 +368,51 @@ def test_rst_done_and_read_mux_facts_hold_on_every_row():
     # The kernel keeps no RST_DONE register and one read-data mux: the two
     # channels leave reset together, RST_DONE shows exactly that, and
     # unregistered client1 reads the same word as client2.
+    pick = itemgetter(*[PIN[name] for name in (
+        "READ_STATE", "WRITE_STATE", "RST_DONE", "RDDATA_C1", "DATAOUT_C2")])
     rows = []
     for base in builtin_scenarios():
         for registered in (False, True):
             s = replace(base, params=replace(base.params, registered_output=registered))
-            rows += [(registered, row.arbiter, row.outputs) for row in run_scenario(s).rows]
+            rows += [(registered, *pick(row)) for row in run_scenario(s).rows]
     assert len(rows) == 5722
     params = Params(4, 8)
-    rows += [(False, arb, out) for arb, out in outputs_of(params, reset_storm(params))]
-    for registered, arb, out in rows:
-        in_reset = arb.pr_read is ChannelState.RESET
-        assert in_reset == (arb.pr_write is ChannelState.RESET)
-        assert out.rst_done == (not in_reset)
-        assert registered or out.rddata_c1 == out.dataout_c2
+    rows += [
+        (False, arb.pr_read, arb.pr_write, out.rst_done, out.rddata_c1, out.dataout_c2)
+        for arb, out in outputs_of(params, reset_storm(params))
+    ]
+    for registered, read_state, write_state, rst_done, rddata_c1, dataout_c2 in rows:
+        in_reset = read_state is ChannelState.RESET
+        assert in_reset == (write_state is ChannelState.RESET)
+        assert rst_done == (not in_reset)
+        assert registered or rddata_c1 == dataout_c2
+
+
+# The pins that a trace row holds after its edge's inputs, read by their
+# PINS paths off the step's outputs and post-edge arbiter state.
+_STEPPED_PINS = attrgetter(*[path for _, d, _, path in PINS if d != "in"])
+
+
+def test_every_corpus_row_is_its_edge_stepped_again():
+    # Row k holds edge k's inputs; stepping them from the row before's state
+    # gives the rest of the row, so a row is what its edge made.  No
+    # structural invariant breaks on any of the corpus's edges.
+    n_in = len(ClientInputs._fields)
+    edges = 0
+    for base in builtin_scenarios():
+        for registered in (False, True):
+            s = replace(base, params=replace(base.params, registered_output=registered))
+            params, state = s.params, system_new(s.params)
+            for k, row in enumerate(run_scenario(s).rows):
+                inp = ClientInputs(*row[:n_in])
+                post, out = system_step(state, inp, params)
+                view = SimpleNamespace(outputs=out, arbiter=post.arbiter)
+                assert _STEPPED_PINS(view) == row[n_in:], (s.name, registered, k)
+                assert check_invariants(state.arbiter, inp, post.arbiter, out, params) == [], (
+                    s.name, registered, k)
+                state = post
+                edges += 1
+    assert edges == 5722
 
 
 # (object path, role) of every bus register and output that the kernel keeps.
@@ -567,8 +598,9 @@ def test_write_read_round_trip_any_client_pair(seed, writer, reader, gap):
 
 
 def test_ram_inputs_are_built_once_per_edge(monkeypatch):
-    # The RAM steps on the very RamInputs that the arbiter returned, and a
-    # trace row holds its edge's post-edge arbiter state, not a copy.
+    # The RAM steps on the very RamInputs that the arbiter returned, once
+    # for each trace row, and drives it from the row's reset pin and the
+    # arbiter's drive registers.
     arbiter_step, ram_step = arbsim.system.arbiter_step, arbsim.system.ram_step
     returned, received = [], []
 
@@ -586,9 +618,8 @@ def test_ram_inputs_are_built_once_per_edge(monkeypatch):
     assert len(returned) == len(received) == len(trace.rows) > 0
     for (post, ram_in), got, row in zip(returned, received, trace.rows):
         assert got is ram_in
-        assert row.arbiter is post
         assert ram_in == RamInputs(
-            row.inputs.rst_n, post.temp_rd_en, post.temp_wr_en, post.temp_rd_addr,
+            row[PIN["RST_N"]], post.temp_rd_en, post.temp_wr_en, post.temp_rd_addr,
             post.temp_wr_addr, post.temp_wr_data,
         )
 
@@ -624,7 +655,7 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
     assert len(ram_inputs) == 300
     assert all(type(r) is RamInputs for r in ram_inputs)
     rows = run_scenario(builtin_by_name("tc07")).rows
-    assert rows and all(type(row) is TraceRow for row in rows)
+    assert rows and all(type(row) is tuple and len(row) == len(PINS) for row in rows)
 
 
 def assert_whole_records(value, seen):
@@ -659,17 +690,20 @@ def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
     for module, name in [
         (arbsim.fuzz, "system_step"), (arbsim.fuzz, "random_inputs"),
         (arbsim.system, "arbiter_step"), (arbsim.system, "ram_step"),
+        (arbsim.trace, "system_step"), (arbsim.trace, "_apply_event"),
     ]:
         spy(module, name)
     for params in (Params(1, 1, registered), Params(4, 8, registered)):
         assert run_fuzz(0, 2000, params, reset_storm=True).ok
     for s in builtin_scenarios():
-        results.append(run_scenario(
+        rows = run_scenario(
             replace(s, params=replace(s.params, registered_output=registered))
-        ).rows)
+        ).rows
+        # A row is a plain tuple of one value per pin, not a record.
+        assert all(type(row) is tuple and len(row) == len(PINS) for row in rows), s.name
     seen = set()
     for result in results:
         assert_whole_records(result, seen)
     assert seen == {
-        SystemState, ArbiterState, RamState, RamInputs, ClientInputs, ClientOutputs, TraceRow,
+        SystemState, ArbiterState, RamState, RamInputs, ClientInputs, ClientOutputs,
     }

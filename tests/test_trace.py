@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,6 @@ from arbsim import (
     LOW,
     Params,
     Trace,
-    TraceRow,
     builtin_by_name,
     builtin_scenarios,
     check_assertions,
@@ -31,6 +31,7 @@ from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
 from arbsim.ram import RamInputs
 from arbsim.trace import _LINES_PER_WRITE, _pin_layout
 
+from conftest import PIN
 from vcd_reader import read_vcd
 
 
@@ -52,9 +53,9 @@ def assert_vcd_matches_table(trace, label=""):
     for k, (row, cells) in enumerate(zip(trace.rows, lines)):
         t = k * trace.clock_period + trace.clock_period // 2
         assert cells[:2] == [str(k), str(t)]
-        for (name, _, _, path), cell in zip(PINS, cells[2:]):
+        for (name, _, _, _), value, cell in zip(PINS, row, cells[2:], strict=True):
             assert vcd.value_at(name, t) == cell, f"{label}: {name} at t={t}"
-            assert int(cell, 2) == attrgetter(path)(row), f"{label}: {name} at t={t}"
+            assert int(cell, 2) == value, f"{label}: {name} at t={t}"
 
 
 class TestRunScenario:
@@ -62,9 +63,9 @@ class TestRunScenario:
         trace = run_scenario(builtin_by_name("tc01"))
         granted = [
             k for k, r in enumerate(trace.rows)
-            if r.arbiter.temp_wr_en
-            and r.arbiter.temp_wr_addr == parse_word("1010", 4).value
-            and r.arbiter.temp_wr_data == parse_word("10100011", 8).value
+            if r[PIN["WR_EN"]]
+            and r[PIN["WR_ADDR"]] == parse_word("1010", 4).value
+            and r[PIN["WR_DATA"]] == parse_word("10100011", 8).value
         ]
         assert granted, "write request never reached the RAM drive"
         assert trace.edge_time(min(granted)) > 600
@@ -76,15 +77,15 @@ class TestRunScenario:
 
     def test_tc07_records_the_clash_window(self):
         trace = run_scenario(builtin_by_name("tc07"))
-        clash_times = [trace.edge_time(k) for k, r in enumerate(trace.rows) if r.arbiter.addr_clash]
+        clash_times = [trace.edge_time(k) for k, r in enumerate(trace.rows) if r[PIN["ADDR_CLASH"]]]
         assert clash_times, "no clash recorded"
         assert min(clash_times) >= 2300
 
-    def test_a_replay_keeps_under_340_bytes_a_row(self):
+    def test_a_replay_keeps_under_16_bytes_a_row(self):
         # A replay keeps every row, so a row's size bounds a long run's
-        # memory.  A row is its edge's inputs, outputs and arbiter state:
-        # 312 bytes a row here on CPython 3.11, and 392 while each row
-        # also stored its cycle and time, which its index gives.
+        # memory.  A row is its edge's pin values, and equal rows are one
+        # tuple, so this run, which settles into a few distinct rows, keeps
+        # one 8-byte reference a row.
         edges = 1 << 16
         s = parse_scenario("\n".join([
             "scenario row-memory", "params addr=4 data=8 registered=0", "clock 10",
@@ -101,7 +102,17 @@ class TestRunScenario:
         finally:
             tracemalloc.stop()
         assert len(trace.rows) == edges
-        assert kept / edges < 340
+        assert kept / edges < 16
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+    def test_equal_rows_are_one_tuple(self, registered):
+        # Every row is a plain tuple of one value per pin, and the replay
+        # interns them: as many row objects as distinct rows.
+        for base in builtin_scenarios():
+            s = replace(base, params=replace(base.params, registered_output=registered))
+            rows = run_scenario(s).rows
+            assert rows and all(type(r) is tuple and len(r) == len(PINS) for r in rows), s.name
+            assert len({id(r) for r in rows}) == len(set(rows)), s.name
 
 
 class TestCheckAssertions:
@@ -331,43 +342,43 @@ def random_walk_trace(params):
                 new = rng.getrandbits(params.width("addr" if "addr" in field else "data"))
             inputs = inputs._replace(**{field: new})
         state, out = system_step(state, inputs, params)
-        rows.append(TraceRow(inputs, out, state.arbiter))
+        rows.append(pin_row(inputs, out, state.arbiter))
     return Trace(params, 10, tuple(rows))
 
 
 def one_pin_trace(params):
     """The power-on row, then twice over each pin in PINS order at its
     largest value for one row and back to power-on: rows that differ in one
-    pin only, and the second pass repeats every transition of the first."""
+    pin only, and the second pass repeats every transition of the first.
+    The power-on row is one object; each changed row is a new one, so the
+    second pass repeats the first's rows as equal, separate objects."""
     quiet = ClientInputs.quiet(rst_n=LOW)
     state, out = system_step(system_new(params), quiet, params)
-    base = TraceRow(quiet, out, state.arbiter)
+    base = pin_row(quiet, out, state.arbiter)
     largest = {"level": HIGH, "state": max(ChannelState)}
     rows = [base]
-    for _, _, role, path in PINS * 2:
-        part, field = path.split(".")
-        value = largest.get(role) or (1 << params.width(role)) - 1
-        record = getattr(base, part)._replace(**{field: value})
-        rows += [base._replace(**{part: record}), base]
+    for _ in range(2):
+        for i, (_, _, role, _) in enumerate(PINS):
+            value = largest.get(role) or (1 << params.width(role)) - 1
+            rows += [(*base[:i], value, *base[i + 1 :]), base]
     return Trace(params, 10, tuple(rows))
 
 
 READ_EVERY_PATH = attrgetter(*(path for _, _, _, path in PINS))
 
 
+def pin_row(inputs, outputs, arbiter):
+    """A row built the plain way, not interned: every PINS path read off
+    one edge's records, into a new tuple on every call."""
+    return READ_EVERY_PATH(SimpleNamespace(inputs=inputs, outputs=outputs, arbiter=arbiter))
+
+
 def row_values(trace):
-    """Each row's pin values as the exporters read them: the distinct row
-    that ``trace.pin_values`` keys the row to, checked against that row's
-    every PINS path.  The distinct rows must differ from each other and be
-    numbered in the order they first appear."""
-    distinct, keys = trace.pin_values
-    assert len(keys) == len(trace.rows)
-    assert len(set(distinct)) == len(distinct)
-    assert list(dict.fromkeys(keys)) == list(range(len(distinct)))
-    values = [distinct[key] for key in keys]
-    for k, (row, row_values) in enumerate(zip(trace.rows, values)):
-        assert row_values == READ_EVERY_PATH(row), k
-    return values
+    """Each row's pin values, as the checker and the exporters read them:
+    a plain tuple of one value per pin."""
+    for k, row in enumerate(trace.rows):
+        assert type(row) is tuple and len(row) == len(PINS), k
+    return list(trace.rows)
 
 
 def reference_table(trace):
@@ -375,11 +386,10 @@ def reference_table(trace):
     and row k stamped with cycle k at edge k's time, worked out here."""
     names = [name for name, _, _, _ in PINS]
     widths = [trace.params.width(role) for _, _, role, _ in PINS]
-    getters = [attrgetter(path) for _, _, _, path in PINS]
     period = trace.clock_period
     lines = ["\t".join(["cycle", "time_ns", *names])]
     for k, row in enumerate(trace.rows):
-        cells = [format(int(get(row)), f"0{w}b") for get, w in zip(getters, widths)]
+        cells = [format(int(v), f"0{w}b") for v, w in zip(row, widths, strict=True)]
         lines.append("\t".join([str(k), str(k * period + period // 2), *cells]))
     return "\n".join(lines) + "\n"
 
@@ -389,7 +399,6 @@ def reference_vcd(trace):
     the row before it (the power-on values before the first), row k's
     changes stamped with edge k's time, worked out here."""
     widths = [trace.params.width(role) for _, _, role, _ in PINS]
-    getters = [attrgetter(path) for _, _, _, path in PINS]
 
     def record(i, value):
         bits = format(value, f"0{widths[i]}b")
@@ -406,7 +415,7 @@ def reference_vcd(trace):
     out.append("$end\n")
     period = trace.clock_period
     for k, row in enumerate(trace.rows):
-        values = [int(get(row)) for get in getters]
+        values = [int(v) for v in row]
         changes = [record(i, v) for i, (v, old) in enumerate(zip(values, previous)) if v != old]
         if changes:
             out.append(f"#{k * period + period // 2}\n")
@@ -419,9 +428,10 @@ EXPORT_PARAMS = [Params(1, 1), Params(4, 8), Params(6, 12)]
 
 
 class TestExportReference:
-    """The exporters walk a trace as runs of equal rows, render each
-    distinct row and each distinct transition once; their bytes must equal
-    a renderer that does neither, at every width."""
+    """The exporters walk a trace as runs of one row object, render each
+    row object and each transition between two once; their bytes must
+    equal a renderer that does neither, at every width, whether equal rows
+    are one object (a replay) or separate ones (the hand-built traces)."""
 
     @staticmethod
     def traces(kind, registered):
@@ -461,6 +471,13 @@ class TestExportReference:
             # (the VCD's memo is reused).
             changes = [(old, v) for old, v in zip(values, values[1:]) if old != v]
             assert len(set(changes)) < len(changes), label
+            # A hand-built trace holds equal rows that are separate objects,
+            # and the random walk holds them next to each other (a change
+            # block that is empty, and writes nothing).
+            if kind != "ack-trains":
+                assert len({id(v) for v in values}) > len(set(values)), label
+            if kind == "random-walk":
+                assert any(old == v and old is not v for old, v in zip(values, values[1:])), label
             self.assert_exports_match_the_reference(trace, label)
 
     @pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
@@ -510,7 +527,7 @@ class TestExportReference:
             "@74 WR_EN_C1 = 0", *expectations, "run 140",
         ]) + "\n")
         trace = run_scenario(s)
-        assert [row.outputs.rst_done for row in trace.rows[3:5]] == [LOW, HIGH]
+        assert [row[PIN["RST_DONE"]] for row in trace.rows[3:5]] == [LOW, HIGH]
         report = check_assertions(trace, s)
         assert [(r.observed, r.passed) for r in report.results] == [
             ("0", True), ("0", True), ("1", True), ("0", False),
@@ -541,9 +558,8 @@ class TestExportReference:
         trace = run_scenario(parse_scenario(
             "scenario quiet\nparams addr=4 data=8 registered=0\nclock 10\n@0 RST_N = 1\nrun 30000\n"
         ))
-        _, keys = trace.pin_values
         tail = 2 * _LINES_PER_WRITE + 1
-        assert keys[-tail:] == [keys[-1]] * tail
+        assert all(row is trace.rows[-1] for row in trace.rows[-tail:])
         sink = self.Sink()
         write_table(trace, sink)
         assert sink.getvalue() == reference_table(trace)
@@ -568,12 +584,14 @@ class TestExportReference:
     def test_ack_trains_reach_both_periods(self):
         # The scenario above does produce the trains it is named for.
         for params in EXPORT_PARAMS:
-            acks = "".join(str(int(r.outputs.ack_c2)) for r in run_scenario(ack_train_scenario(params)).rows)
+            rows = run_scenario(ack_train_scenario(params)).rows
+            acks = "".join(str(int(r[PIN["ACK_C2"]])) for r in rows)
             assert "101010" in acks and "1001001" in acks, params
 
 
 class TestSharedWalk:
-    """Both exporters read one walk over a trace's pin values, made once."""
+    """The replay's walk over each edge's pin values is the only one: the
+    checker and both exporters read the rows it made."""
 
     @staticmethod
     def export(write, trace):
@@ -581,20 +599,21 @@ class TestSharedWalk:
         write(trace, sink)
         return sink.getvalue()
 
-    def test_both_exports_walk_the_rows_once(self, monkeypatch):
-        # Each row's probes are picked once, by the walk; replaying and
-        # checking do not walk, and a second pair of exports walks no more.
+    def test_only_the_replay_picks_the_probes(self, monkeypatch):
+        # Each edge's probes are picked once, by the replay; checking and
+        # two pairs of exports pick none.
         probes, picked = arbsim.trace._PROBES, []
         monkeypatch.setattr(arbsim.trace, "_PROBES", lambda state: picked.append(state) or probes(state))
         s = builtin_by_name("tc07")
         trace = run_scenario(s)
+        assert len(picked) == len(trace.rows) > 0
+        assert [probes(state) for state in picked] == [row[-len(probes(picked[0])):] for row in trace.rows]
         check_assertions(trace, s)
-        assert picked == []
         for _ in range(2):
             self.export(write_vcd, trace)
             self.export(write_table, trace)
-        assert picked == [row.arbiter for row in trace.rows]
-        # The cached walk is not a field: equality and hash are unchanged.
+        assert len(picked) == len(trace.rows)
+        # A trace is its values: two replays are equal and hash alike.
         replayed = run_scenario(s)
         assert trace == replayed and hash(trace) == hash(replayed)
 
