@@ -12,13 +12,12 @@ Subcommands:
 
 Exit status is 0 exactly when every evaluated check passes.  Usage problems
 exit 2 with one line on stderr: an unknown scenario, a scenario file that
-cannot be read or is not UTF-8, bad flag values, a bus width (one rule,
-``scenario.check_widths``, for files and ``fuzz``) or run length past its
-limit, an output that cannot be opened (an empty path included) or written
-(reader gone or device full), an output sent to stdout where stdout
-already carries another: ``--vcd -`` with ``--table -``, or ``--report -``,
-whose report is on stdout anyway, and ``--vcd`` and ``--table`` that open
-one file (``-`` is stdout's file where stdout has a descriptor).
+cannot be read, is not UTF-8 or is longer than its limit, bad flag values, a
+bus width (one rule, ``scenario.check_widths``, for files and ``fuzz``) or
+run length past its limit, an output that cannot be opened (an empty path
+included) or written (reader gone or device full), and two outputs that are
+one file, where ``-`` is stdout and ``verify`` and ``fuzz`` count stdout as
+an output.  Only a write that fails part-way changes a file before exit 2.
 """
 
 from __future__ import annotations
@@ -26,14 +25,18 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import os
+import stat
 import sys
-from contextlib import AbstractContextManager, nullcontext
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from typing import IO, NoReturn
 
 from .corpus import builtin_by_name, builtin_scenarios
 from .fuzz import run_fuzz
-from .scenario import MAX_EDGES, Scenario, ScenarioParseError, check_widths, parse_scenario
+from .scenario import (
+    MAX_EDGES, MAX_SCENARIO_CHARS, Scenario, ScenarioParseError, check_widths, parse_scenario,
+)
 from .signals import Params
 from .trace import check_assertions, run_scenario, write_table, write_vcd
 
@@ -59,9 +62,11 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     else:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_SCENARIO_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise SystemExit2(f"cannot read scenario file: {exc}")
+        if len(text) > MAX_SCENARIO_CHARS:
+            raise SystemExit2(f"{args.file}: longer than the maximum {MAX_SCENARIO_CHARS} characters")
         try:
             s = parse_scenario(text)
         except ScenarioParseError as exc:
@@ -71,26 +76,51 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return s
 
 
-def _open_output(path: str | None) -> AbstractContextManager[IO[str] | None]:
-    """Open an output file up front, so that a bad path fails before any work.
-    ``-`` is stdout; an empty path names no file, so it fails to open."""
-    if path is None:
-        return nullcontext()
-    if path == "-":
-        return nullcontext(sys.stdout)
-    try:
-        return open(path, "w", encoding="ascii")
-    except OSError as exc:
-        raise SystemExit2(f"cannot write output file: {exc}")
-
-
 def _same_file(a: IO[str], b: IO[str]) -> bool:
-    """Whether two opened outputs are one file, by device and inode.  An
-    output without a descriptor (a captured stdout) is no file's."""
+    """Whether two opened outputs are one file: one object, or one device
+    and inode.  An output without a descriptor (a captured stdout) is no
+    other file's."""
     try:
-        return os.path.sameopenfile(a.fileno(), b.fileno())
+        return a is b or os.path.sameopenfile(a.fileno(), b.fileno())
     except (AttributeError, OSError, ValueError):
         return False
+
+
+@contextmanager
+def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
+    """Open a command's outputs, ``-`` being stdout, under one rule: no two
+    may be one file.  Each path opens without truncation, noting the files
+    the open creates; only once every open and the rule have passed is each
+    regular file emptied.  On a usage error the files are closed and those
+    created are removed, so every file is as it was."""
+    with ExitStack() as opened:
+        outs: list[IO[str] | None] = []
+        created: list[str] = []
+        try:
+            for path in paths:
+                if path is None or path == "-":
+                    outs.append(sys.stdout if path else None)
+                    continue
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+                    created.append(path)
+                except FileExistsError:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+                outs.append(opened.enter_context(open(fd, "w", encoding="ascii")))
+            files = [out for out in outs if out]
+            if any(_same_file(a, b) for i, a in enumerate(files) for b in files[:i]):
+                raise SystemExit2("two outputs are one file ('-' is stdout, where"
+                                  " verify and fuzz print their report)")
+        except (OSError, SystemExit2) as exc:
+            for path in created:  # closed as the error leaves the ExitStack
+                os.remove(path)
+            if isinstance(exc, OSError):
+                raise SystemExit2(f"cannot open output file: {exc}")
+            raise
+        for out in files:
+            if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
+        yield outs
 
 
 def _emit(text: str, report: IO[str] | None) -> None:
@@ -100,20 +130,9 @@ def _emit(text: str, report: IO[str] | None) -> None:
         report.write(text)
 
 
-def _report_path(path: str) -> str:
-    """A ``--report`` path: a file, since the report goes to stdout anyway."""
-    if path == "-":
-        raise argparse.ArgumentTypeError("'-' is not allowed: the report already goes to stdout")
-    return path
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.vcd == "-" and args.table == "-":
-        raise SystemExit2("--vcd - and --table - cannot both write to stdout")
     scenario = _load_scenario(args)
-    with _open_output(args.vcd) as vcd, _open_output(args.table) as table:
-        if vcd and table and _same_file(vcd, table):
-            raise SystemExit2("--vcd and --table cannot both write to one file")
+    with _outputs(args.vcd, args.table) as (vcd, table):
         trace = run_scenario(scenario)
         report = check_assertions(trace, scenario)
         if vcd:
@@ -147,10 +166,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scenarios = builtin_scenarios()
     if args.filter:
         scenarios = [s for s in scenarios if fnmatch.fnmatch(s.name, args.filter)]
-    # Before the report is opened, so that no match leaves an existing report intact.
     if not scenarios:
         raise SystemExit2(f"no scenarios match filter {args.filter!r}")
-    with _open_output(args.report) as report:
+    with _outputs("-", args.report) as (_, report):
         lines, all_ok = _verify_lines(scenarios)
         _emit("\n".join(["scenario\tmode\tstatus\tassertions"] + lines) + "\n", report)
         _emit(f"{'PASS' if all_ok else 'FAIL'}: {len(lines)} run(s)\n", report)
@@ -165,7 +183,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise SystemExit2(str(exc))
     if not 1 <= args.cycles <= MAX_EDGES:
         raise SystemExit2(f"cycles {args.cycles} is out of range 1..{MAX_EDGES}")
-    with _open_output(args.report) as report:
+    with _outputs("-", args.report) as (_, report):
         result = run_fuzz(args.seed, args.cycles, params, reset_storm=args.reset_storm)
         if result.ok:
             line = f"OK\tseed={args.seed}\tcycles={args.cycles}\tviolations=0\n"
@@ -206,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the whole builtin corpus")
     p_verify.set_defaults(func=cmd_verify)
     p_verify.add_argument("--filter", help="glob over scenario names, e.g. 'tc2*'")
-    p_verify.add_argument("--report", metavar="PATH", type=_report_path,
-                          help="also write the TSV report to a file")
+    p_verify.add_argument("--report", metavar="PATH", help="also write the TSV report to a file")
 
     p_fuzz = sub.add_parser("fuzz", help="random-stimulus property campaign")
     p_fuzz.set_defaults(func=cmd_fuzz)
@@ -218,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--reset-storm", action="store_true",
                         help="also pull reset low on about 2%% of edges (from --addr-width 8"
                              " up, the run then stays in reset almost throughout)")
-    p_fuzz.add_argument("--report", metavar="PATH", type=_report_path,
-                        help="also write the summary to a file")
+    p_fuzz.add_argument("--report", metavar="PATH", help="also write the summary to a file")
 
     sub.add_parser("list", help="list builtin scenarios").set_defaults(func=cmd_list)
     return parser

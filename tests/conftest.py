@@ -1,7 +1,12 @@
+import os
+import pathlib
+
 import pytest
 
 from arbsim import HIGH, LOW, ClientInputs, Params, parse_word, system_new, system_step
 from arbsim.arbiter import PINS
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Pin name -> the index of its value in a trace row.
 PIN = {name: i for i, (name, _, _, _) in enumerate(PINS)}
@@ -39,3 +44,11 @@ def settle_reset(state, params, extra=0):
 def fresh_system(params, extra=0):
     """A system that has completed its init sweep and sits idle."""
     return settle_reset(system_new(params), params, extra=extra)
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    a subprocess that imports arbsim."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env

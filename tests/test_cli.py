@@ -1,24 +1,17 @@
 """Command-line front end: exit codes, reports, waveform export, fuzz."""
 
 import os
-import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from arbsim.cli import main
-from arbsim.scenario import MAX_EDGES
+from arbsim.scenario import MAX_EDGES, MAX_SCENARIO_CHARS
 
+from conftest import src_env
 from vcd_reader import read_vcd
-
-
-def src_env():
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    return env
 
 
 def run_cli(capsys, *argv):
@@ -373,18 +366,69 @@ def test_two_outputs_that_are_one_file_fail_before_simulating(capsys, monkeypatc
     assert_fails_before(capsys, monkeypatch, "run_scenario",
                         "run", "--builtin", "tc01", "--vcd", "same.txt", "--table", table)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "same.txt"]
+    assert (tmp_path / "same.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("vcd, table", [
+    ("a.txt", "no/x"), ("new.txt", "no/x"), ("new.txt", "new.txt"), ("no/x", "a.txt"),
+    ("a.txt", ""),
+])
+def test_a_usage_error_at_an_output_leaves_every_file_as_it_was(
+    capsys, monkeypatch, tmp_path, vcd, table
+):
+    # Every output is opened and checked before any file is emptied, and a
+    # file that the open created is removed again.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("keep\n")
+    assert_fails_before(capsys, monkeypatch, "run_scenario",
+                        "run", "--builtin", "tc01", "--vcd", vcd, "--table", table)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "keep\n"
+
+
+def test_an_output_is_emptied_before_it_is_written(capsys, tmp_path):
+    # An existing file longer than the new VCD keeps none of its old bytes.
+    fresh, old = tmp_path / "fresh.vcd", tmp_path / "old.vcd"
+    old.write_text("x" * 100_000)
+    assert run_cli(capsys, "run", "--builtin", "tc07", "--vcd", str(fresh))[0] == 0
+    assert run_cli(capsys, "run", "--builtin", "tc07", "--vcd", str(old))[0] == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_dev_null_is_an_output_beside_a_file(capsys, tmp_path):
+    table = tmp_path / "t.tsv"
+    assert run_cli(capsys, "run", "--builtin", "tc01", "--vcd", os.devnull,
+                   "--table", str(table))[0] == 0
+    _, out, _ = run_cli(capsys, "run", "--builtin", "tc01", "--table", "-")
+    assert out.startswith(table.read_text())
+
+
+def assert_one_file_with_stdout(argv):
+    """``arbsim argv``, with stdout a pipe, exits 2 with one line before
+    writing anything."""
+    result = subprocess.run(
+        [sys.executable, "-m", "arbsim", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("vcd, table", [("-", "/dev/stdout"), ("/dev/stdout", "-")])
 def test_stdout_under_another_name_is_one_file_with_stdout(vcd, table):
     # '-' is stdout's own file, so /dev/stdout next to it is a second output
     # on stdout, caught before anything is written.
-    result = subprocess.run(
-        [sys.executable, "-m", "arbsim", "run", "--builtin", "tc01", "--vcd", vcd, "--table", table],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
-    )
-    assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
+    assert_one_file_with_stdout(["run", "--builtin", "tc01", "--vcd", vcd, "--table", table])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--filter", "tc01*", "--report", "/dev/stdout"],
+    ["fuzz", "--seed", "1", "--cycles", "10", "--report", "/dev/stdout"],
+], ids=["verify", "fuzz"])
+def test_a_report_to_dev_stdout_is_one_file_with_stdout(argv):
+    # verify and fuzz print their report on stdout, so a copy of it sent to
+    # /dev/stdout is a second output on stdout, not the report twice.
+    assert_one_file_with_stdout(argv)
 
 
 @pytest.mark.parametrize("work, argv", [
@@ -433,6 +477,34 @@ def test_scenario_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--file", str(scn))
     assert (code, out) == (2, "")
     assert err.startswith("arbsim: error: cannot read scenario file:") and err.count("\n") == 1
+
+
+def test_scenario_file_past_the_read_cap_is_usage_error(capsys, monkeypatch, tmp_path):
+    # A valid scenario padded with a comment to the cap runs; one character
+    # more is rejected after reading at most that many.
+    head = "scenario x\nparams addr=2 data=4 registered=0\nrun 100\n#"
+    scn = tmp_path / "long.scn"
+    scn.write_text(head + "x" * (MAX_SCENARIO_CHARS - len(head)))
+    assert run_cli(capsys, "run", "--file", str(scn))[0] == 0
+    scn.write_text(head + "x" * (MAX_SCENARIO_CHARS - len(head) + 1))
+    assert_fails_before(capsys, monkeypatch, "parse_scenario", "run", "--file", str(scn))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_scenario_file_is_one_error_line_in_bounded_memory():
+    # Under a 512 MB address-space limit an unbounded read of /dev/zero ends
+    # in a MemoryError; the capped read stops after MAX_SCENARIO_CHARS + 1.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "arbsim", "run", "--file", "/dev/zero"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (f"arbsim: error: /dev/zero: longer than the maximum"
+                             f" {MAX_SCENARIO_CHARS} characters\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

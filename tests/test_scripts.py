@@ -8,17 +8,15 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args, folder="scripts", stdout=subprocess.PIPE):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / folder / name), *args],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
     )
 
 

@@ -312,6 +312,31 @@ def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
     assert any(word and not inp.rst_n for inp, word in zip(stimulus, before))
 
 
+@pytest.mark.parametrize("registered", [False, True])
+def test_the_read_register_outlives_reset(registered):
+    # The RAM's read register is never cleared: after a read of word 9 at
+    # address 3, both read outputs show 9 through two rst_n-low edges and
+    # the whole zeroing sweep, although word 3 is 0 by then, until the next
+    # read.  Registered RDDATA_C1 alone is 0 on the rst_n-low edges.
+    params = Params(2, 4, registered_output=registered)
+    state = fresh_system(params)
+    write = make_inputs(params, wr_en_c1=HIGH, wraddr_c1="11", wrdata_c1="1001")
+    read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="11")
+    low, idle = make_inputs(params, rst_n=LOW), make_inputs(params)
+    state, _ = run_cycles(state, write, 2, params)
+    state, _ = run_cycles(state, read, 2, params)
+    timeline = []
+    for inp in [low] * 2 + [idle] * (params.ram_depth() + 1):
+        state, out = system_step(state, inp, params)
+        timeline.append((out.rddata_c1, out.dataout_c2, out.rst_done))
+    reset_rddata = 0 if registered else 9
+    assert timeline == ([(reset_rddata, 9, LOW)] * 2 + [(9, 9, LOW)] * params.ram_depth()
+                        + [(9, 9, HIGH)])
+    assert state.ram.memory[3] == 0
+    state, out = system_step(state, read, params)
+    assert (out.rddata_c1, out.dataout_c2) == ((9 if registered else 0), 0)
+
+
 def test_state_graph_does_not_depend_on_the_output_mode():
     # A SystemState is the arbiter's registers and the RAM; the output
     # register option is an argument of each step and changes only how the
