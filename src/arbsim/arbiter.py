@@ -126,22 +126,6 @@ def arbiter_reset() -> ArbiterState:
     return ArbiterState(RESET, RESET, LOW, LOW, 0, 0, 0, LOW, LOW, LOW, LOW, 0)
 
 
-def _read_grant(inp: ClientInputs) -> ChannelState:
-    if inp.rd_en_c1:
-        return CLIENT1_READ
-    if inp.request_c2 and inp.rd_not_write_c2:
-        return CLIENT2_READ
-    return IDLE
-
-
-def _write_grant(inp: ClientInputs) -> ChannelState:
-    if inp.wr_en_c1:
-        return CLIENT1_WRITE
-    if inp.request_c2 and not inp.rd_not_write_c2:
-        return CLIENT2_WRITE
-    return IDLE
-
-
 def fsm_next(
     pr_read: ChannelState,
     pr_write: ChannelState,
@@ -164,7 +148,11 @@ def fsm_next(
         if reset_count < params.ram_depth():
             return RESET, RESET, reset_count + 1
         return IDLE, IDLE, 0
-    return _read_grant(inp), _write_grant(inp), reset_count
+    nx_read = (CLIENT1_READ if inp.rd_en_c1
+               else CLIENT2_READ if inp.request_c2 and inp.rd_not_write_c2 else IDLE)
+    nx_write = (CLIENT1_WRITE if inp.wr_en_c1
+                else CLIENT2_WRITE if inp.request_c2 and not inp.rd_not_write_c2 else IDLE)
+    return nx_read, nx_write, reset_count
 
 
 def detect_clash(

@@ -76,49 +76,66 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return s
 
 
-def _same_file(a: IO[str], b: IO[str]) -> bool:
-    """Whether two opened outputs are one file: one object, or one device
-    and inode.  An output without a descriptor (a captured stdout) is no
-    other file's."""
+def _identity(out: IO[str]) -> object:
+    """What two opened outputs that are one file share: its device and
+    inode.  An output without a descriptor (a captured stdout) is only
+    itself."""
     try:
-        return a is b or os.path.sameopenfile(a.fileno(), b.fileno())
+        st = os.fstat(out.fileno())
     except (AttributeError, OSError, ValueError):
-        return False
+        return out
+    return st.st_dev, st.st_ino
 
 
 @contextmanager
 def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
     """Open a command's outputs, ``-`` being stdout, under one rule: no two
     may be one file.  Each path opens without truncation, noting the files
-    the open creates; only once every open and the rule have passed is each
-    regular file emptied.  On a usage error the files are closed and those
-    created are removed, so every file is as it was."""
+    the open creates; a FIFO, whose open waits for a reader, opens only
+    after every other output and the rule, which compares it by the
+    device and inode of its ``os.stat``.  Only once all that has passed is
+    each regular file emptied.  On a usage error the files are closed and
+    those created are removed, so every file is as it was."""
     with ExitStack() as opened:
         outs: list[IO[str] | None] = []
         created: list[str] = []
+        fifos: list[tuple[int, str, os.stat_result]] = []
         try:
             for path in paths:
                 if path is None or path == "-":
                     outs.append(sys.stdout if path else None)
                     continue
                 try:
+                    st: os.stat_result | None = os.stat(path)
+                except OSError:
+                    st = None
+                if st and stat.S_ISFIFO(st.st_mode):
+                    fifos.append((len(outs), path, st))
+                    outs.append(None)
+                    continue
+                try:
                     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
                     created.append(path)
                 except FileExistsError:
                     fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+                    if st is None:  # a dangling symlink, whose target the open made
+                        created.append(os.path.realpath(path))
                 outs.append(opened.enter_context(open(fd, "w", encoding="ascii")))
-            files = [out for out in outs if out]
-            if any(_same_file(a, b) for i, a in enumerate(files) for b in files[:i]):
+            keys = [_identity(out) for out in outs if out]
+            keys += [(st.st_dev, st.st_ino) for _, _, st in fifos]
+            if len(set(keys)) < len(keys):
                 raise SystemExit2("two outputs are one file ('-' is stdout, where"
                                   " verify and fuzz print their report)")
+            for i, path, _ in fifos:
+                outs[i] = opened.enter_context(open(path, "w", encoding="ascii"))
         except (OSError, SystemExit2) as exc:
             for path in created:  # closed as the error leaves the ExitStack
                 os.remove(path)
             if isinstance(exc, OSError):
                 raise SystemExit2(f"cannot open output file: {exc}")
             raise
-        for out in files:
-            if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        for out in outs:
+            if out and out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
                 out.truncate()
         yield outs
 

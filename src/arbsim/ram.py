@@ -8,18 +8,21 @@ return the pre-edge memory content, so a read and a write to the same
 address in the same cycle yields the old word.  Addresses and words are
 plain ints of the widths given by :class:`Params`.
 
-The array is a :class:`Memory`, a persistent 32-way radix trie over the
+A RAM of up to ``2**5`` words, one trie leaf, is the exact ``tuple`` of
+its words, which :func:`ram_step` reads and rewrites inline, without a
+Python frame.  A
+wider array is a :class:`Memory`, a persistent 32-way radix trie over the
 address bits: 5 bits per level, the top level taking the remainder
 (path copying as in Driscoll, Sarnak, Sleator & Tarjan, "Making Data
 Structures Persistent", 1989; the branching factor as in Bagwell, "Ideal
-Hash Trees", 2001).  The power-on array is one shared node per level.  A
-client write of a new word, like each edge of the zeroing sweep that
-clears a nonzero word, copies the ``ceil(addr_width / 5)`` tuples of at
-most 32 entries on one root-to-leaf path and shares the rest, so an edge
-costs O(addr_width) rather than O(2^addr_width).  A write of the word
-already stored, a sweep edge over a zero word among them, only reads it
-and copies nothing, so the power-on sweep costs one read per edge.  For
-``addr_width <= 5`` the trie is one flat tuple.
+Hash Trees", 2001).  The power-on
+array is one shared node per level.  A client write of a new word, like
+each edge of the zeroing sweep that clears a nonzero word, copies the
+``ceil(addr_width / 5)`` tuples of at most 32 entries on one root-to-leaf
+path and shares the rest, so an edge costs O(addr_width) rather than
+O(2^addr_width).  In either form a write of the word already stored, a
+sweep edge over a zero word among them, only reads it and copies nothing,
+so the power-on sweep costs one read per edge.
 """
 
 from __future__ import annotations
@@ -123,16 +126,19 @@ class RamInputs(NamedTuple):
 
 
 class RamState(NamedTuple):
-    memory: Memory
+    memory: tuple[int, ...] | Memory
     count: int
     reset_done_internal: bool
     rd_data_reg: int
 
 
 def ram_reset(params: Params) -> RamState:
-    """Power-on state: all-zero memory, idle sweep counter, zero read register."""
+    """Power-on state: all-zero memory, idle sweep counter, zero read
+    register.  The memory is a plain tuple up to ``2**_BITS`` words and a
+    :class:`Memory` trie beyond."""
+    width = params.addr_width
     return RamState(
-        memory=Memory.zeros(params.addr_width),
+        memory=(0,) * (1 << width) if width <= _BITS else Memory.zeros(width),
         count=0,
         reset_done_internal=False,
         rd_data_reg=0,
@@ -153,10 +159,20 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
             return state, rd_data
         return tuple.__new__(RamState, (memory, count, True, rd_data)), rd_data
 
+    # A flat memory is rewritten here as one list copy, one store and one
+    # tuple, a trie through Memory.set; a store of the word already there
+    # keeps the memory object either way.
+    flat = type(memory) is tuple
     if reset_done:
-        if count < memory._len:  # len(memory) without the __len__ frame
+        # The trie's length without the frame of Memory.__len__.
+        if count < (len(memory) if flat else memory._len):
             if memory[count]:
-                memory = memory.set(count, 0)
+                if flat:
+                    words = list(memory)
+                    words[count] = 0
+                    memory = tuple(words)
+                else:
+                    memory = memory.set(count, 0)
             return tuple.__new__(RamState, (memory, count + 1, True, rd_data)), rd_data
         return tuple.__new__(RamState, (memory, 0, False, rd_data)), rd_data
 
@@ -165,8 +181,12 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
     if rd_en:
         new_rd_data = memory[rd_addr]
     if wr_en:
-        # A write of the word already stored returns the memory itself.
-        new_memory = memory.set(wr_addr, wr_data)
+        if not flat:
+            new_memory = memory.set(wr_addr, wr_data)
+        elif memory[wr_addr] != wr_data:
+            words = list(memory)
+            words[wr_addr] = wr_data
+            new_memory = tuple(words)
     if new_memory is memory and new_rd_data == rd_data:
         return state, rd_data
     return tuple.__new__(RamState, (new_memory, count, False, new_rd_data)), new_rd_data

@@ -386,6 +386,58 @@ def test_a_usage_error_at_an_output_leaves_every_file_as_it_was(
     assert (tmp_path / "a.txt").read_text() == "keep\n"
 
 
+def test_a_dangling_symlink_output_stays_dangling_after_a_usage_error(
+    capsys, monkeypatch, tmp_path
+):
+    # The open through a dangling symlink creates the link's target; a usage
+    # error at a later output removes that target again and keeps the link.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("target.txt", "dangle")
+    assert_fails_before(capsys, monkeypatch, "run_scenario",
+                        "run", "--builtin", "tc01", "--vcd", "dangle", "--table", "no/x")
+    assert [p.name for p in tmp_path.iterdir()] == ["dangle"]
+    assert os.readlink("dangle") == "target.txt"
+
+
+@pytest.mark.parametrize("table", ["no/x", "ff", "ff2", ""])
+def test_a_fifo_output_does_not_hide_a_later_usage_error(tmp_path, table):
+    # A FIFO's open waits for a reader, so it opens after every other
+    # output and the same-file rule: the error comes first and the FIFO
+    # is never opened, even with no reader at all.
+    os.mkfifo(tmp_path / "ff")
+    os.link(tmp_path / "ff", tmp_path / "ff2")
+    result = subprocess.run(
+        [sys.executable, "-m", "arbsim", "run", "--builtin", "tc01", "--vcd", "ff",
+         "--table", table],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=src_env(), timeout=20,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("arbsim: error:") and result.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ff", "ff2"]
+
+
+def test_a_fifo_output_is_written_when_nothing_else_fails(capsys, tmp_path):
+    fifo, table = tmp_path / "ff", tmp_path / "t.tsv"
+    os.mkfifo(fifo)
+    # A reader that never blocks, so the open for writing need not wait; the
+    # pipe keeps what was written until it is read.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "arbsim", "run", "--builtin", "tc01", "--vcd", str(fifo),
+             "--table", str(table)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=60,
+        )
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert result.returncode == 0, result.stderr
+    _, vcd, _ = run_cli(capsys, "run", "--builtin", "tc01", "--vcd", "-")
+    assert vcd.startswith(received) and received.startswith("$")
+    assert table.stat().st_size > 0
+
+
 def test_an_output_is_emptied_before_it_is_written(capsys, tmp_path):
     # An existing file longer than the new VCD keeps none of its old bytes.
     fresh, old = tmp_path / "fresh.vcd", tmp_path / "old.vcd"

@@ -336,6 +336,32 @@ def test_an_edge_that_changes_nothing_returns_the_state_itself(params):
     assert changed.memory is not state.memory and state.memory[3] == 0x5A
 
 
+@pytest.mark.parametrize("addr_width", [1, 2, 3, 4, 5, 6])
+def test_a_ram_of_up_to_32_words_is_its_tuple_of_words(addr_width):
+    # Up to the trie's leaf size of 32 words the memory is the exact tuple
+    # of its words, which ram_step rewrites inline; from 6 address bits on
+    # it is a Memory trie.
+    params = Params(addr_width, 8)
+    power_on = ram_reset(params).memory
+    if addr_width == 6:
+        assert type(power_on) is Memory
+        return
+    assert type(power_on) is tuple and power_on == (0,) * params.ram_depth()
+    top = params.ram_depth() - 1
+    state = write(swept(params), params, top, 0x5A)
+    old = state.memory
+    assert type(old) is tuple and old == (0,) * top + (0x5A,)
+    # A rewrite of the stored word, and a sweep edge over a zero word, keep
+    # the tuple itself.
+    assert write(state, params, top, 0x5A).memory is old
+    flagged, _ = ram_step(state, quiet(params, rst_n=LOW))
+    assert ram_step(flagged, quiet(params))[0].memory is old
+    # A new word makes a new exact tuple and leaves the old one as it was.
+    new = write(state, params, top, 0xC3).memory
+    assert type(new) is tuple and new == (0,) * top + (0xC3,)
+    assert old == (0,) * top + (0x5A,)
+
+
 @pytest.mark.parametrize("addr_width", [4, 6, 13])
 def test_setting_the_stored_word_returns_the_memory_itself(addr_width):
     # A flat tuple (addr 4) and tries of two and three levels.  A power-on

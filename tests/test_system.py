@@ -375,10 +375,9 @@ def test_the_arbiter_reads_no_ram_output(monkeypatch):
     state, outputs_differ = system_new(params), 0
     for inp in reset_storm(params):
         ram, addr = state.ram, rng.getrandbits(params.addr_width)
-        other_ram = ram._replace(
-            memory=ram.memory.set(addr, ram.memory[addr] ^ flip),
-            rd_data_reg=ram.rd_data_reg ^ flip,
-        )
+        words = list(ram.memory)  # an 8-word RAM is its tuple of words
+        words[addr] ^= flip
+        other_ram = ram._replace(memory=tuple(words), rd_data_reg=ram.rd_data_reg ^ flip)
         post, out = system_step(state, inp, params)
         other, other_out = system_step(SystemState(state.arbiter, other_ram), inp, params)
         assert other.arbiter == post.arbiter, (state, inp)
