@@ -13,6 +13,12 @@ from arbsim import (
     system_new,
     system_step,
 )
+from arbsim.arbiter import PINS
+
+
+# Output pin name -> its index in a step's outputs, which are the output
+# pins' values in PINS order.
+OUT = {name: i for i, name in enumerate(name for name, d, _, _ in PINS if d == "out")}
 
 
 def sweep_edges(params):
@@ -23,7 +29,7 @@ def sweep_edges(params):
     while True:
         state, out = system_step(state, ClientInputs.quiet(), params)
         edges += 1
-        if out.rst_done:
+        if out[OUT["RST_DONE"]]:
             return edges, state
 
 
@@ -36,7 +42,7 @@ def read_latency(params, state):
     read = ClientInputs.quiet()._replace(rd_en_c1=HIGH, rdaddr_c1=addr)
     for lag in range(6):
         state, out = system_step(state, read, params)
-        if out.rddata_c1 == data:
+        if out[OUT["RDDATA_C1"]] == data:
             return lag
     return None
 
@@ -51,7 +57,7 @@ def ack_cadence(params, state, rd_not_write):
     acks = []
     for _ in range(12):
         state, out = system_step(state, req, params)
-        acks.append("1" if out.ack_c2 else "0")
+        acks.append("1" if out[OUT["ACK_C2"]] else "0")
     return "".join(acks)
 
 

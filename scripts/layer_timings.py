@@ -64,7 +64,8 @@ REFERENCE_ITERATIONS = 2000
 
 
 def record_stream():
-    """The (pre-edge SystemState, ClientInputs) of every measured edge."""
+    """The (pre-edge system state, inputs) of every measured edge: the pair
+    (arbiter, ram) and the plain tuple of the ten input pins."""
     seen = []
     step = fuzz.system_step
 
@@ -85,19 +86,19 @@ def layer_calls(stream):
     rng = random.Random(0)
     calls = {}
     for state, inp in stream:
-        a = state.arbiter
+        a, r = state
         post, ram_in = arbiter.arbiter_step(a, inp, PARAMS)
-        _, rd_data = ram.ram_step(state.ram, ram_in)
-        resolve_args = (post, rd_data, state.ram.rd_data_reg, PARAMS)
+        _, rd_data = ram.ram_step(r, ram_in)
+        resolve_args = (post, rd_data, r.rd_data_reg, PARAMS)
         out = arbiter.resolve_outputs(*resolve_args)
         for fn, args in (
             (system.system_step, (state, inp, PARAMS)),
             (system._check_widths, (inp, PARAMS)),
             (arbiter.arbiter_step, (a, inp, PARAMS)),
             (arbiter.fsm_next, (a.pr_read, a.pr_write, inp, a.reset_count, PARAMS)),
-            (ram.ram_step, (state.ram, ram_in)),
+            (ram.ram_step, (r, ram_in)),
             (arbiter.resolve_outputs, resolve_args),
-            (fuzz.random_inputs, (rng, PARAMS, inp.rst_n)),
+            (fuzz.random_inputs, (rng, PARAMS, inp[0])),
             (fuzz.check_invariants, (a, inp, post, out, PARAMS)),
         ):
             calls.setdefault(fn, []).append(args)

@@ -4,7 +4,6 @@ from .arbiter import (
     ArbiterState,
     ChannelState,
     ClientInputs,
-    ClientOutputs,
     arbiter_reset,
     arbiter_step,
     detect_clash,
@@ -22,7 +21,7 @@ from .scenario import (
     render_scenario,
 )
 from .signals import HIGH, LOW, Level, Params, Word, parse_word
-from .system import SystemState, system_new, system_step
+from .system import system_new, system_step
 from .trace import (
     AssertionReport,
     AssertionResult,
@@ -40,7 +39,6 @@ __all__ = [
     "AssertionResult",
     "ChannelState",
     "ClientInputs",
-    "ClientOutputs",
     "Event",
     "HIGH",
     "LOW",
@@ -50,7 +48,6 @@ __all__ = [
     "RamState",
     "Scenario",
     "ScenarioParseError",
-    "SystemState",
     "Trace",
     "Word",
     "arbiter_reset",

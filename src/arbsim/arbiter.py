@@ -39,13 +39,16 @@ class ChannelState(enum.IntEnum):
 RESET, IDLE, CLIENT1_READ, CLIENT2_READ, CLIENT1_WRITE, CLIENT2_WRITE = ChannelState
 
 
-# The records built on every edge (these three, RamInputs, RamState and
-# SystemState) are NamedTuples: a frozen dataclass sets each
-# field through object.__setattr__, which made building them the largest
-# cost of an edge outside the arbiter logic.  Each is built by one C call,
+# Three records built on every edge stay NamedTuples, ArbiterState here and
+# RamState and RamInputs in ram.py, because the benchmark's wrappers read
+# their fields by name.  Each is built by one C call,
 # tuple.__new__(Record, (...)), without the frame and the arity check of the
 # generated __new__; tests/test_system.py checks the arity and pins the types
-# the steps return (a NamedTuple equals any tuple of the same values).
+# the steps return (a NamedTuple equals any tuple of the same values).  The
+# other per-edge bundles are plain tuples, which cost a quarter as much or
+# less to build: the inputs in ClientInputs field order, the outputs in
+# PINS order, and the system state (arbiter, ram).  ClientInputs names the
+# inputs for hand-written stimulus; every step reads them by position.
 class ClientInputs(NamedTuple):
     """Per-cycle snapshot of every top-level input pin."""
 
@@ -65,13 +68,6 @@ class ClientInputs(NamedTuple):
         return cls(rst_n, LOW, LOW, 0, 0, 0, LOW, LOW, 0, 0)
 
 
-class ClientOutputs(NamedTuple):
-    rddata_c1: int
-    dataout_c2: int
-    ack_c2: Level
-    rst_done: Level
-
-
 class ArbiterState(NamedTuple):
     pr_read: ChannelState
     pr_write: ChannelState
@@ -89,8 +85,9 @@ class ArbiterState(NamedTuple):
 
 # Every pin, in VCD/TSV column order and in the order of a trace row's
 # values: (name, direction, role, path).  The path names the pin's field in
-# the ClientInputs ("inputs."), the ClientOutputs ("outputs.") or the
-# post-edge ArbiterState ("arbiter.") of a system step.  Direction "in" and
+# the ClientInputs ("inputs.") or the post-edge ArbiterState ("arbiter.") of
+# a system step, or its name among the step's outputs ("outputs."), which
+# resolve_outputs returns in this order.  Direction "in" and
 # "out" are the top-level pins; a "probe" is an internal register of the
 # arbiter: a drive register (the RAM's inputs), a channel state or the clash
 # flag.  The role sets the width (Params.width); every pin exports as its
@@ -129,7 +126,7 @@ def arbiter_reset() -> ArbiterState:
 def fsm_next(
     pr_read: ChannelState,
     pr_write: ChannelState,
-    inp: ClientInputs,
+    inp: tuple,
     reset_count: int,
     params: Params,
 ) -> tuple[ChannelState, ChannelState, int]:
@@ -142,16 +139,17 @@ def fsm_next(
     client1 first (its enable always wins), then client2 when requested on
     the matching side of the read-not-write selector, and otherwise idles.
     """
-    if not inp.rst_n:
+    rst_n, rd_en_c1, wr_en_c1, _, _, _, request_c2, rd_not_write_c2, _, _ = inp
+    if not rst_n:
         return RESET, RESET, 0
     if pr_read is RESET or pr_write is RESET:
         if reset_count < params.ram_depth():
             return RESET, RESET, reset_count + 1
         return IDLE, IDLE, 0
-    nx_read = (CLIENT1_READ if inp.rd_en_c1
-               else CLIENT2_READ if inp.request_c2 and inp.rd_not_write_c2 else IDLE)
-    nx_write = (CLIENT1_WRITE if inp.wr_en_c1
-                else CLIENT2_WRITE if inp.request_c2 and not inp.rd_not_write_c2 else IDLE)
+    nx_read = (CLIENT1_READ if rd_en_c1
+               else CLIENT2_READ if request_c2 and rd_not_write_c2 else IDLE)
+    nx_write = (CLIENT1_WRITE if wr_en_c1
+                else CLIENT2_WRITE if request_c2 and not rd_not_write_c2 else IDLE)
     return nx_read, nx_write, reset_count
 
 
@@ -163,7 +161,7 @@ def detect_clash(
 
 
 def arbiter_step(
-    state: ArbiterState, inp: ClientInputs, params: Params
+    state: ArbiterState, inp: tuple, params: Params
 ) -> tuple[ArbiterState, RamInputs]:
     """Advance the arbiter by one rising clock edge.
 
@@ -184,6 +182,8 @@ def arbiter_step(
     """
     (pr_read, pr_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
      temp_wr_data, pre_ack, pre_ack1, pre_wr, _, reset_count) = state
+    (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
+     _, _, addr_c2, datain_c2) = inp
 
     nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
 
@@ -191,28 +191,19 @@ def arbiter_step(
     if nx_read is IDLE or nx_read is RESET:
         temp_rd_en, temp_rd_addr = LOW, 0
     elif nx_read is CLIENT1_READ:
-        temp_rd_en, temp_rd_addr = inp.rd_en_c1, inp.rdaddr_c1
+        temp_rd_en, temp_rd_addr = rd_en_c1, rdaddr_c1
     elif nx_read is CLIENT2_READ:
         if not pre_ack:
-            temp_rd_en, temp_rd_addr, temp_ack = HIGH, inp.addr_c2, HIGH
+            temp_rd_en, temp_rd_addr, temp_ack = HIGH, addr_c2, HIGH
 
     temp_wr = pre_wr
     if nx_write is IDLE or nx_write is RESET:
         temp_wr_en, temp_wr_addr, temp_wr_data = LOW, 0, 0
     elif nx_write is CLIENT1_WRITE:
-        temp_wr_en, temp_wr_addr, temp_wr_data = (
-            inp.wr_en_c1,
-            inp.wraddr_c1,
-            inp.wrdata_c1,
-        )
+        temp_wr_en, temp_wr_addr, temp_wr_data = wr_en_c1, wraddr_c1, wrdata_c1
     elif nx_write is CLIENT2_WRITE:
         if not pre_wr:
-            temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = (
-                HIGH,
-                inp.addr_c2,
-                inp.datain_c2,
-                HIGH,
-            )
+            temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = HIGH, addr_c2, datain_c2, HIGH
 
     addr_clash = detect_clash(temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr)
 
@@ -233,22 +224,23 @@ def arbiter_step(
         temp_wr_data, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
     ))
     return new, tuple.__new__(RamInputs, (
-        inp.rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
+        rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
     ))
 
 
 def resolve_outputs(
     state: ArbiterState, ram_rd_data: int, prev_rd_data: int, params: Params
-) -> ClientOutputs:
+) -> tuple[int, int, Level, Level]:
     """Combinational output mux over the post-edge arbiter registers.
 
     Client2's ack is the OR of the read and write ack registers.  Both
     clients read the RAM word, or the write data while the clash flag is
     up; in registered mode client1 reads instead ``prev_rd_data``, that
     value from one edge before.  ``RST_DONE`` is high once the channels
-    leave reset.
+    leave reset.  Returns the four output pins' values in ``PINS`` order:
+    ``RDDATA_C1``, ``DATAOUT_C2``, ``ACK_C2``, ``RST_DONE``.
     """
     ack_c2 = state.temp_ack1 or state.temp_wr
     data = state.temp_wr_data if state.addr_clash else ram_rd_data
     rddata_c1 = prev_rd_data if params.registered_output else data
-    return tuple.__new__(ClientOutputs, (rddata_c1, data, ack_c2, state.pr_read is not RESET))
+    return rddata_c1, data, ack_c2, state.pr_read is not RESET

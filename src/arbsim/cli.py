@@ -94,8 +94,9 @@ def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
     the open creates; a FIFO, whose open waits for a reader, opens only
     after every other output and the rule, which compares it by the
     device and inode of its ``os.stat``.  Only once all that has passed is
-    each regular file emptied.  On a usage error the files are closed and
-    those created are removed, so every file is as it was."""
+    each regular file emptied.  A file the open creates gets mode 0o666
+    less the umask, as ``open`` gives.  On a usage error the files are
+    closed and those created are removed, so every file is as it was."""
     with ExitStack() as opened:
         outs: list[IO[str] | None] = []
         created: list[str] = []
@@ -114,10 +115,10 @@ def _outputs(*paths: str | None) -> Iterator[list[IO[str] | None]]:
                     outs.append(None)
                     continue
                 try:
-                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                     created.append(path)
                 except FileExistsError:
-                    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
                     if st is None:  # a dangling symlink, whose target the open made
                         created.append(os.path.realpath(path))
                 outs.append(opened.enter_context(open(fd, "w", encoding="ascii")))

@@ -15,9 +15,9 @@ import random
 from typing import NamedTuple
 
 from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
-from .arbiter import ArbiterState, ClientInputs, ClientOutputs
+from .arbiter import ArbiterState, ClientInputs
 from .signals import HIGH, LOW, Params
-from .system import SystemState, system_new, system_step
+from .system import system_new, system_step
 
 
 class Violation(NamedTuple):
@@ -41,32 +41,36 @@ class FuzzResult(NamedTuple):
         return self.violation is None
 
 
-def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> ClientInputs:
-    # Positional, drawn in field order: a level is rand() < 0.5, a bus
-    # getrandbits of its width.  The order fixes every campaign's stimulus.
+def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> tuple:
+    """One edge of random stimulus: the ten input pins, a plain tuple in
+    ``ClientInputs`` field order."""
+    # Drawn in field order: a level is rand() < 0.5, a bus getrandbits of
+    # its width.  The order fixes every campaign's stimulus.
     rand, word = rng.random, rng.getrandbits
     a, d = params.addr_width, params.data_width
-    return tuple.__new__(ClientInputs, (
+    return (
         rst_n, rand() < 0.5, rand() < 0.5, word(a), word(a), word(d),
         rand() < 0.5, rand() < 0.5, word(a), word(d),
-    ))
+    )
 
 
 def check_invariants(
-    pre: ArbiterState, inp: ClientInputs, post: ArbiterState, out: ClientOutputs, params: Params
+    pre: ArbiterState, inp: tuple, post: ArbiterState, out: tuple, params: Params
 ) -> list[tuple[str, str]]:
-    """Return (property, detail) pairs for every invariant violated this edge."""
+    """Return (property, detail) pairs for every invariant violated this edge,
+    given its inputs and outputs as ``system_step`` takes and returns them."""
     bad: list[tuple[str, str]] = []
     rd, wr = post.pr_read, post.pr_write
+    rst_n, rd_en_c1, wr_en_c1, _, _, _, request_c2, rd_not_write_c2, _, _ = inp
 
-    if inp.rst_n and pre.pr_read is not RESET:
-        exp_rd = (CLIENT1_READ if inp.rd_en_c1
-                  else CLIENT2_READ if inp.request_c2 and inp.rd_not_write_c2 else IDLE)
-        exp_wr = (CLIENT1_WRITE if inp.wr_en_c1
-                  else CLIENT2_WRITE if inp.request_c2 and not inp.rd_not_write_c2 else IDLE)
+    if rst_n and pre.pr_read is not RESET:
+        exp_rd = (CLIENT1_READ if rd_en_c1
+                  else CLIENT2_READ if request_c2 and rd_not_write_c2 else IDLE)
+        exp_wr = (CLIENT1_WRITE if wr_en_c1
+                  else CLIENT2_WRITE if request_c2 and not rd_not_write_c2 else IDLE)
     else:
         # Not from reset_count, so that the check does not trust what it checks.
-        exp_rd = exp_wr = IDLE if inp.rst_n and rd is IDLE else RESET
+        exp_rd = exp_wr = IDLE if rst_n and rd is IDLE else RESET
     if rd is not exp_rd:
         bad.append(("read-grant", f"read={rd.name.lower()} expected={exp_rd.name.lower()}"))
     if wr is not exp_wr:
@@ -76,12 +80,12 @@ def check_invariants(
     clash = post.temp_rd_en and post.temp_wr_en and post.temp_rd_addr == post.temp_wr_addr
     if post.addr_clash is not clash:
         bad.append(("clash-flag", f"clash={post.addr_clash:d} expected={clash:d}"))
-    if post.addr_clash and out.dataout_c2 != post.temp_wr_data:
+    if post.addr_clash and out[1] != post.temp_wr_data:  # out[1] is DATAOUT_C2
         w = params.data_width
         bad.append(
             (
                 "clash-bypass",
-                f"bypass={out.dataout_c2:0{w}b} write={post.temp_wr_data:0{w}b}",
+                f"bypass={out[1]:0{w}b} write={post.temp_wr_data:0{w}b}",
             )
         )
 
@@ -106,7 +110,7 @@ def run_fuzz(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     rng = random.Random(seed)
-    state: SystemState = system_new(params)
+    state = system_new(params)
 
     quiet = ClientInputs.quiet(rst_n=LOW)
     for _ in range(2):
@@ -120,9 +124,9 @@ def run_fuzz(
         if reset_storm and rng.random() < 0.02:
             rst_n = LOW
         inp = random_inputs(rng, params, rst_n=rst_n)
-        pre = state.arbiter
+        pre = state[0]
         state, out = system_step(state, inp, params)
-        bad = check_invariants(pre, inp, state.arbiter, out, params)
+        bad = check_invariants(pre, inp, state[0], out, params)
         if bad:
             prop, detail = bad[0]
             return FuzzResult(seed, cycles, Violation(cycle, prop, detail))

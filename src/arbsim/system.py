@@ -9,32 +9,17 @@ and the whole system is a deterministic step function.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .arbiter import (
-    PINS,
-    ArbiterState,
-    ClientInputs,
-    ClientOutputs,
-    arbiter_reset,
-    arbiter_step,
-    resolve_outputs,
-)
+from .arbiter import PINS, ArbiterState, arbiter_reset, arbiter_step, resolve_outputs
 from .ram import RamState, ram_reset, ram_step
-from .signals import Params
+from .signals import Level, Params
 
 
-class SystemState(NamedTuple):
-    arbiter: ArbiterState
-    ram: RamState
+def system_new(params: Params) -> tuple[ArbiterState, RamState]:
+    """Both blocks at power-on: the system state, the pair ``(arbiter, ram)``."""
+    return arbiter_reset(), ram_reset(params)
 
 
-def system_new(params: Params) -> SystemState:
-    """Both blocks at power-on."""
-    return SystemState(arbiter_reset(), ram_reset(params))
-
-
-# (ClientInputs field, role) of every input pin.
+# (ClientInputs field, role) of every input pin, in field order.
 _INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
 
 
@@ -42,20 +27,28 @@ _INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
 # check reads nothing else, so a record held over many edges is checked once.
 # One tuple, read and replaced whole, so no caller matches one call's record
 # with another call's params; a list made at import holds it, so storing it
-# rebinds no module name.  A record that fails is never stored.
-_passed: list[tuple[ClientInputs | None, Params | None]] = [(None, None)]
+# rebinds no module name.  A record that fails is never stored, nor inputs
+# that are not a tuple: a list could change between two edges.
+_passed: list[tuple[tuple | None, Params | None]] = [(None, None)]
 
 
-def _check_widths(inp: ClientInputs, params: Params) -> None:
-    """A level pin must be a bool; a bus, an int that fits its width."""
+def _check_widths(inp: tuple, params: Params) -> None:
+    """The inputs must be one value per input pin, in ``ClientInputs`` field
+    order: for a level a bool, for a bus an int that fits its width."""
     last_inp, last_params = _passed[0]
     if inp is last_inp and params is last_params:
         return
     # A fresh record is tested in one unrolled expression; the loop over the
     # pin table below only names the field.  A bus fits its width when no bit
     # is left after shifting the width out, and a negative int stays negative.
-    (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
-     request_c2, rd_not_write_c2, addr_c2, datain_c2) = inp
+    try:
+        (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
+         request_c2, rd_not_write_c2, addr_c2, datain_c2) = inp
+    except (TypeError, ValueError):
+        names = ", ".join(field for field, _ in _INPUTS)
+        raise ValueError(
+            f"inputs must be one value per input pin, {len(_INPUTS)} in all: {names}"
+        ) from None
     if (
         type(rst_n) is bool and type(rd_en_c1) is bool and type(wr_en_c1) is bool
         and type(request_c2) is bool and type(rd_not_write_c2) is bool
@@ -64,10 +57,10 @@ def _check_widths(inp: ClientInputs, params: Params) -> None:
         and not (rdaddr_c1 | wraddr_c1 | addr_c2) >> params.addr_width
         and not (wrdata_c1 | datain_c2) >> params.data_width
     ):
-        _passed[0] = (inp, params)
+        if isinstance(inp, tuple):
+            _passed[0] = (inp, params)
         return
-    for field, role in _INPUTS:
-        v = getattr(inp, field)
+    for (field, role), v in zip(_INPUTS, inp):
         if role == "level":
             if type(v) is not bool:
                 raise ValueError(f"{field} = {v!r} is not a level (a bool)")
@@ -76,9 +69,13 @@ def _check_widths(inp: ClientInputs, params: Params) -> None:
 
 
 def system_step(
-    state: SystemState, inp: ClientInputs, params: Params
-) -> tuple[SystemState, ClientOutputs]:
+    state: tuple[ArbiterState, RamState], inp: tuple, params: Params
+) -> tuple[tuple[ArbiterState, RamState], tuple[int, int, Level, Level]]:
     """Advance the whole system by one rising clock edge.
+
+    The state is the pair ``(arbiter, ram)`` and ``inp`` a ``ClientInputs``
+    or the plain tuple of its values.  Returns the post-edge state and the
+    output pins' values in ``PINS`` order.
 
     1. step the arbiter; it returns the RAM's inputs for this edge;
     2. step the RAM with those inputs;
@@ -88,8 +85,8 @@ def system_step(
     """
     _check_widths(inp, params)
     pre, ram = state
-    prev_rd_data = (pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg) if inp.rst_n else 0
+    prev_rd_data = (pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg) if inp[0] else 0
     arb, ram_in = arbiter_step(pre, inp, params)
     ram, post_rd_data = ram_step(ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, prev_rd_data, params)
-    return tuple.__new__(SystemState, (arb, ram)), out
+    return (arb, ram), out

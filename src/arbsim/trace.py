@@ -17,10 +17,10 @@ from itertools import chain, compress
 from operator import is_not, itemgetter
 from typing import IO, Callable, NamedTuple
 
-from .arbiter import PINS, ArbiterState, ClientInputs, ClientOutputs
+from .arbiter import PINS, ArbiterState, ClientInputs
 from .scenario import Assertion, Scenario
 from .signals import LOW, Params, parse_word
-from .system import SystemState, system_new, system_step
+from .system import system_new, system_step
 
 
 class Trace(NamedTuple):
@@ -65,11 +65,12 @@ class AssertionReport(NamedTuple):
 _PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
 
 
-def _apply_event(inputs: ClientInputs, pin: str, value: str) -> ClientInputs:
-    # The input pins lead PINS in ClientInputs field order (checked below).
+def _apply_event(inputs: tuple, pin: str, value: str) -> tuple:
+    # The input pins lead PINS in ClientInputs field order (checked below),
+    # and the inputs are a plain tuple in that order.
     i = _PIN_INDEX[pin]
     v = value == "1" if PINS[i][2] == "level" else parse_word(value, len(value)).value
-    return tuple.__new__(ClientInputs, (*inputs[:i], v, *inputs[i + 1 :]))
+    return (*inputs[:i], v, *inputs[i + 1 :])
 
 
 def run_scenario(s: Scenario) -> Trace:
@@ -83,7 +84,7 @@ def run_scenario(s: Scenario) -> Trace:
     # Each event is mapped to its edge by the trace's own rule, which reads
     # the clock only, so the loop compares edge indices, not times.
     edge_for_time = Trace(params, period, ()).edge_for_time
-    state: SystemState = system_new(params)
+    state = system_new(params)
     inputs = ClientInputs.quiet(rst_n=LOW)
     rows: list[tuple] = []
     interned: dict[tuple, tuple] = {}  # each distinct row: equal rows are one tuple
@@ -95,24 +96,27 @@ def run_scenario(s: Scenario) -> Trace:
             idx += 1
             next_edge = edge_for_time(events[idx].time) if idx < len(events) else edges
         state, out = system_step(state, inputs, params)
-        row = inputs + out + _PROBES(state.arbiter)
+        row = inputs + out + _PROBES(state[0])
         rows.append(interned.setdefault(row, row))
     return Trace(params, period, tuple(rows))
 
 
-# A row is its pin values in PINS order: the input and output records
-# whole, then the probes picked from the arbiter state by index, at less
-# than half the cost of one attrgetter over every dotted path.  That holds
-# only while PINS lists the ClientInputs fields, then the ClientOutputs
-# fields, each in field order, then the probes, so it is checked here (by a
-# raise, which -O keeps).
-_IO_PINS = [("in", f"inputs.{field}") for field in ClientInputs._fields]
-_IO_PINS += [("out", f"outputs.{field}") for field in ClientOutputs._fields]
-_PROBE_PINS = PINS[len(_IO_PINS) :]
-if [(d, path) for _, d, _, path in PINS[: len(_IO_PINS)]] != _IO_PINS or any(
-    d != "probe" or not path.startswith("arbiter.") for _, d, _, path in _PROBE_PINS
+# A row is its pin values in PINS order: the inputs and the outputs whole,
+# then the probes picked from the arbiter state by index, at less than half
+# the cost of one attrgetter over every dotted path.  The outputs are in
+# PINS order by definition; the inputs are in ClientInputs field order,
+# which holds only while PINS lists those fields in that order, then the
+# outputs, then the probes, so it is checked here (by a raise, which -O
+# keeps).
+_IN_PINS = [("in", f"inputs.{field}") for field in ClientInputs._fields]
+_N_IO = len(_IN_PINS) + sum(d == "out" for _, d, _, _ in PINS)
+_PROBE_PINS = PINS[_N_IO:]
+if (
+    [(d, path) for _, d, _, path in PINS[: len(_IN_PINS)]] != _IN_PINS
+    or any(d != "out" for _, d, _, _ in PINS[len(_IN_PINS) : _N_IO])
+    or any(d != "probe" or not path.startswith("arbiter.") for _, d, _, path in _PROBE_PINS)
 ):
-    raise RuntimeError("PINS must list the ClientInputs, then the ClientOutputs fields, then the probes")
+    raise RuntimeError("PINS must list the ClientInputs fields, then the outputs, then the probes")
 _PROBES = itemgetter(*[
     ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
 ])

@@ -1,5 +1,7 @@
 import os
 import pathlib
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +12,29 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Pin name -> the index of its value in a trace row.
 PIN = {name: i for i, (name, _, _, _) in enumerate(PINS)}
+
+# The output pins, in PINS order: the order of a step's outputs.
+OUTPUTS = [name for name, direction, _, _ in PINS if direction == "out"]
+
+
+def pin(values, name):
+    """The value of pin ``name`` in a step's outputs (the four output pins'
+    values) or in a trace row (all 22)."""
+    if len(values) == len(PINS):
+        return values[PIN[name]]
+    assert len(values) == len(OUTPUTS), values
+    return values[OUTPUTS.index(name)]
+
+
+def pin_row(inputs, outputs, arbiter):
+    """A row built the plain way, not interned: every input and probe read
+    off one edge's records by its PINS path, and every output by its name,
+    into a new tuple on every call."""
+    view = SimpleNamespace(inputs=ClientInputs(*inputs), arbiter=arbiter)
+    return tuple(
+        pin(outputs, name) if d == "out" else attrgetter(path)(view)
+        for name, d, _, path in PINS
+    )
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from arbsim import (
 from arbsim.cli import _verify_lines
 from arbsim.fuzz import random_inputs, run_fuzz
 
-from conftest import PIN, fresh_system, make_inputs
+from conftest import PIN, fresh_system, make_inputs, pin
 from test_ram import MapRam, random_ram_inputs, swept
 from test_trace import assert_vcd_matches_table
 
@@ -113,20 +113,22 @@ def test_criterion_2_reset_sweep(addr_width):
             wrdata_c1="10101111",
         )
         state, _ = system_step(state, write, params)
-        assert state.ram.memory[params.ram_depth() - 1] == parse_word("10101111", 8).value
+        _, ram = state
+        assert ram.memory[params.ram_depth() - 1] == parse_word("10101111", 8).value
         state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
-        assert out.rst_done == LOW
+        assert pin(out, "RST_DONE") == LOW
         # Locked constant: rst_done rises exactly depth + 1 edges after the
         # release, counting from the first edge stepped with rst_n high.
         edges = 0
         while True:
             state, out = system_step(state, make_inputs(params), params)
             edges += 1
-            if out.rst_done:
+            if pin(out, "RST_DONE"):
                 break
             assert edges <= params.ram_depth() + 4
         assert edges == params.ram_depth() + 1
-        assert all(w == 0 for w in state.ram.memory)
+        _, ram = state
+        assert all(w == 0 for w in ram.memory)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -160,7 +162,7 @@ def test_criterion_4_registered_mode_equivalence():
             outs = []
             for inp in stimulus:
                 state, out = system_step(state, inp, params)
-                outs.append(out.rddata_c1)
+                outs.append(pin(out, "RDDATA_C1"))
             return outs
 
         assert timeline(params_r)[1:] == timeline(params_u)[:-1]

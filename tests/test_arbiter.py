@@ -21,7 +21,7 @@ from arbsim import (
 from arbsim import arbiter
 from arbsim.fuzz import check_invariants, random_inputs
 
-from conftest import make_inputs
+from conftest import make_inputs, pin
 
 R = ChannelState.RESET
 I = ChannelState.IDLE
@@ -140,7 +140,7 @@ def idle_arbiter(params=PARAMS):
     for _ in range(params.ram_depth() + 1):
         state, _ = arbiter_step(state, make_inputs(params), params)
     assert state.pr_read == I and state.pr_write == I
-    assert resolve_outputs(state, 0, 0, params).rst_done == HIGH
+    assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == HIGH
     return state
 
 
@@ -177,7 +177,7 @@ class TestArbiterStep:
         # Client2 reads the in-flight write data, not the RAM's stale word.
         stale = parse_word("01000100", 8).value
         out = resolve_outputs(state, stale, 0, PARAMS)
-        assert out.dataout_c2 == parse_word("10111011", 8).value
+        assert pin(out, "DATAOUT_C2") == parse_word("10111011", 8).value
         assert drive.rd_en and drive.wr_en
 
     def test_idle_channels_clear_their_drive(self):
@@ -218,7 +218,7 @@ def ack_series(inp, cycles=12):
     acks = []
     for _ in range(cycles):
         state, _ = arbiter_step(state, inp, PARAMS)
-        acks.append(resolve_outputs(state, 0, 0, PARAMS).ack_c2)
+        acks.append(pin(resolve_outputs(state, 0, 0, PARAMS), "ACK_C2"))
     return acks
 
 
@@ -254,21 +254,21 @@ class TestResolveOutputs:
         )
         state, _ = arbiter_step(state, inp, PARAMS)
         out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
-        assert out.rddata_c1 == parse_word("10111011", 8).value
-        assert out.dataout_c2 == parse_word("10111011", 8).value
+        assert pin(out, "RDDATA_C1") == parse_word("10111011", 8).value
+        assert pin(out, "DATAOUT_C2") == parse_word("10111011", 8).value
 
     def test_unregistered_clash_low_returns_ram_data(self):
         state = idle_arbiter()
         out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
-        assert out.rddata_c1 == parse_word("10100011", 8).value
-        assert out.dataout_c2 == parse_word("10100011", 8).value
+        assert pin(out, "RDDATA_C1") == parse_word("10100011", 8).value
+        assert pin(out, "DATAOUT_C2") == parse_word("10100011", 8).value
 
     def test_rst_done_follows_reset_register(self):
         params = PARAMS
         state = arbiter_reset()
-        assert resolve_outputs(state, 0, 0, params).rst_done == LOW
+        assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == LOW
         state = idle_arbiter()
-        assert resolve_outputs(state, 0, 0, params).rst_done == HIGH
+        assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == HIGH
 
 
 @settings(deadline=None, max_examples=120)
@@ -294,7 +294,8 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
         temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
         temp_wr_addr=0b1010, temp_wr_data=0b10100011, addr_clash=HIGH,
     )
-    out = resolve_outputs(post, 0, 0, PARAMS)._replace(dataout_c2=0b00000101)
+    rddata_c1, _, ack_c2, rst_done = resolve_outputs(post, 0, 0, PARAMS)
+    out = (rddata_c1, 0b00000101, ack_c2, rst_done)  # DATAOUT_C2 replaced
     bad = check_invariants(idle, make_inputs(PARAMS), post, out, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
 

@@ -2,6 +2,7 @@
 
 import os
 import resource
+import stat
 import subprocess
 import sys
 
@@ -445,6 +446,24 @@ def test_an_output_is_emptied_before_it_is_written(capsys, tmp_path):
     assert run_cli(capsys, "run", "--builtin", "tc07", "--vcd", str(fresh))[0] == 0
     assert run_cli(capsys, "run", "--builtin", "tc07", "--vcd", str(old))[0] == 0
     assert old.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_a_created_output_has_mode_0o666_less_the_umask(capsys, tmp_path, umask):
+    # As ``open(path, "w")`` gives: no output is created executable.
+    vcd, table, report, fuzz_report = (
+        tmp_path / name for name in ("w.vcd", "t.tsv", "r.tsv", "f.txt"))
+    old = os.umask(umask)
+    try:
+        assert run_cli(capsys, "run", "--builtin", "tc01", "--vcd", str(vcd),
+                       "--table", str(table))[0] == 0
+        assert run_cli(capsys, "verify", "--filter", "tc01*", "--report", str(report))[0] == 0
+        assert run_cli(capsys, "fuzz", "--seed", "1", "--cycles", "10",
+                       "--report", str(fuzz_report))[0] == 0
+    finally:
+        os.umask(old)
+    for path in (vcd, table, report, fuzz_report):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_dev_null_is_an_output_beside_a_file(capsys, tmp_path):

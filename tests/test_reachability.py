@@ -1,6 +1,6 @@
 """Exhaustive walk of every reachable system state at the smallest widths.
 
-A breadth-first search over ``SystemState`` from power-on, in the style of
+A breadth-first search over system states from power-on, in the style of
 explicit-state model checking (Holzmann, "The Model Checker SPIN", IEEE TSE
 1997).  Inputs that cannot matter are collapsed first (a cone-of-influence
 reduction; Clarke, Grumberg & Peled, *Model Checking*, 1999): with ``rst_n``
@@ -20,9 +20,10 @@ from itertools import product
 from arbsim import (
     HIGH,
     LOW,
+    ArbiterState,
     ClientInputs,
     Params,
-    SystemState,
+    RamState,
     system_new,
     system_step,
 )
@@ -53,14 +54,15 @@ def input_classes(params):
 def walk(params):
     """BFS from power-on: (states, transitions, violations).
 
-    The seen-set holds ``SystemState`` records, ``(arbiter, ram)`` only.  A
-    NamedTuple equals any tuple with the same values, so a bare tuple in the
-    set could stand in for a state it is not.
+    The seen-set holds system states, the pairs ``(arbiter, ram)`` only.
+    Both halves are NamedTuples, which equal any tuple with the same
+    values, so a pair of bare tuples in the set could stand in for a state
+    it is not.
     """
     registered = replace(params, registered_output=True)
     classes = input_classes(params)
     order = [system_new(params)]
-    seen: set[SystemState] = set(order)
+    seen: set[tuple[ArbiterState, RamState]] = set(order)
     transitions = 0
     violations = []
     for state in order:  # the list grows as the walk finds states
@@ -68,8 +70,9 @@ def walk(params):
             post, out = system_step(state, inp, params)
             post_reg, out_reg = system_step(state, inp, registered)
             assert post_reg == post, (state, inp)
+            (pre_arb, _), (post_arb, _) = state, post
             for o in (out, out_reg):
-                for bad in check_invariants(state.arbiter, inp, post.arbiter, o, params):
+                for bad in check_invariants(pre_arb, inp, post_arb, o, params):
                     violations.append((state, inp, bad))
             transitions += 1
             if post not in seen:
@@ -86,6 +89,9 @@ def test_reduced_walk_reaches_379_states_without_violation():
     # the state before, so states that differed only there had the same
     # successors and outputs, and the graph without it is their quotient.
     states, transitions, violations = walk(PARAMS)
-    assert all(type(s) is SystemState for s in states)
+    assert all(
+        type(s) is tuple and len(s) == 2 and (type(s[0]), type(s[1])) == (ArbiterState, RamState)
+        for s in states
+    )
     assert (len(states), transitions) == (379, 40174)
     assert violations == []

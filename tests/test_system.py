@@ -18,11 +18,9 @@ from arbsim import (
     ArbiterState,
     ChannelState,
     ClientInputs,
-    ClientOutputs,
     Params,
     RamInputs,
     RamState,
-    SystemState,
     Word,
     builtin_by_name,
     builtin_scenarios,
@@ -35,7 +33,7 @@ from arbsim import (
 from arbsim.arbiter import PINS
 from arbsim.fuzz import check_invariants, random_inputs, run_fuzz
 
-from conftest import PIN, fresh_system, make_inputs
+from conftest import OUTPUTS, PIN, fresh_system, make_inputs, pin, pin_row
 
 
 def run_cycles(state, inp, n, params):
@@ -48,25 +46,25 @@ def run_cycles(state, inp, n, params):
 class TestSystemNew:
     def test_power_on_default(self):
         params = Params(4, 8)
-        state = system_new(params)
-        assert all(w == 0 for w in state.ram.memory)
-        assert state.arbiter.pr_read == ChannelState.RESET
-        assert state.arbiter.pr_write == ChannelState.RESET
+        arb, ram = system_new(params)
+        assert all(w == 0 for w in ram.memory)
+        assert arb.pr_read == ChannelState.RESET
+        assert arb.pr_write == ChannelState.RESET
 
     def test_power_on_scaled_registered(self):
         params = Params(2, 4, registered_output=True)
-        state = system_new(params)
-        assert len(state.ram.memory) == 4
-        assert state.arbiter.pr_read == ChannelState.RESET
+        arb, ram = system_new(params)
+        assert len(ram.memory) == 4
+        assert arb.pr_read == ChannelState.RESET
 
     def test_power_on_outputs_all_zero(self):
         params = Params(4, 8)
         state = system_new(params)
         state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
-        assert out.rddata_c1 == 0
-        assert out.dataout_c2 == 0
-        assert out.ack_c2 == LOW
-        assert out.rst_done == LOW
+        assert pin(out, "RDDATA_C1") == 0
+        assert pin(out, "DATAOUT_C2") == 0
+        assert pin(out, "ACK_C2") == LOW
+        assert pin(out, "RST_DONE") == LOW
 
     def test_width_mismatch_rejected_before_stepping(self):
         # A word input must be an int that fits its width and a level input a
@@ -141,6 +139,60 @@ def test_input_check_is_remembered_for_one_record_and_params_only():
         system_step(system_new(a3), good, a3)
 
 
+def test_input_check_remembers_no_inputs_that_can_change():
+    # Only a tuple is remembered: a list of the ten values steps like the
+    # tuple, and a bad value written into it later is still caught.
+    params = Params(4, 8)
+    state = system_new(params)
+    inp = list(ClientInputs.quiet(rst_n=HIGH))
+    state, _ = system_step(state, inp, params)
+    inp[3] = 16  # rdaddr_c1, one past the widest 4-bit address
+    with pytest.raises(ValueError, match="^rdaddr_c1 = 16 does not fit params width 4$"):
+        system_step(state, inp, params)
+
+
+@pytest.mark.parametrize("params", [Params(4, 8), Params(13, 8)], ids=["a4", "a13"])
+def test_input_check_reads_a_plain_tuple_by_position(params):
+    # Stimulus may be a plain tuple in ClientInputs field order, as fuzz and
+    # replay build it: a bad value is named in the same words as in the
+    # ClientInputs form, and inputs that are not ten values are one
+    # ValueError that names the ten input pins.
+    state = system_new(params)
+    quiet = ClientInputs.quiet(rst_n=HIGH)
+    for field, (_, _, role, _) in zip(ClientInputs._fields, PINS):
+        bad = [1, None, "1"] if role == "level" else [1 << params.width(role), -1, True, None]
+        for value in bad:
+            named = quiet._replace(**{field: value})
+            with pytest.raises(ValueError) as want:
+                system_step(state, named, params)
+            with pytest.raises(ValueError) as got:
+                system_step(state, tuple(named), params)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"{field} = {value!r} ")
+    names = ", ".join(ClientInputs._fields)
+    for bad in [tuple(quiet)[:9], (*quiet, LOW), (), None, 0]:
+        with pytest.raises(ValueError) as info:
+            system_step(state, bad, params)
+        assert str(info.value) == f"inputs must be one value per input pin, 10 in all: {names}"
+
+
+@pytest.mark.parametrize("registered", [False, True])
+def test_client_inputs_and_the_equal_plain_tuple_step_alike(registered):
+    # ClientInputs names the inputs for hand-written stimulus; the steps read
+    # them by position, so a record and the plain tuple of its values give
+    # equal successors and equal outputs from every state of a reset storm.
+    params = Params(3, 6, registered_output=registered)
+    state = system_new(params)
+    for inp in reset_storm(params):
+        assert type(inp) is tuple
+        named = ClientInputs(*inp)
+        post, out = system_step(state, inp, params)
+        named_post, named_out = system_step(state, named, params)
+        assert named_post == post and named_out == out, (state, inp)
+        assert [type(r) for r in named_post] == [type(r) for r in post]
+        state = post
+
+
 class TestRoundTrips:
     def test_client1_write_then_read(self, params):
         state = fresh_system(params)
@@ -152,7 +204,7 @@ class TestRoundTrips:
         state, out = run_cycles(
             state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2, params
         )
-        assert out.rddata_c1 == parse_word("10100011", 8).value
+        assert pin(out, "RDDATA_C1") == parse_word("10100011", 8).value
 
     def test_client2_write_then_read_with_acks(self, params):
         state = fresh_system(params)
@@ -163,13 +215,13 @@ class TestRoundTrips:
         write_acks = []
         for _ in range(6):
             state, out = system_step(state, write, params)
-            write_acks.append(out.ack_c2)
+            write_acks.append(pin(out, "ACK_C2"))
         read = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2="1110")
         read_acks = []
         for _ in range(6):
             state, out = system_step(state, read, params)
-            read_acks.append(out.ack_c2)
-        assert out.dataout_c2 == parse_word("11100011", 8).value
+            read_acks.append(pin(out, "ACK_C2"))
+        assert pin(out, "DATAOUT_C2") == parse_word("11100011", 8).value
         assert any(write_acks) and any(read_acks)
 
     def test_clash_bypass_delivers_in_flight_write(self, params):
@@ -184,8 +236,9 @@ class TestRoundTrips:
             wr_en_c1=HIGH, wraddr_c1="1001", wrdata_c1="10100011",
         )
         state, out = system_step(state, clash, params)
-        assert out.rddata_c1 == parse_word("10100011", 8).value  # never the stale word
-        assert state.arbiter.addr_clash == HIGH
+        assert pin(out, "RDDATA_C1") == parse_word("10100011", 8).value  # never the stale word
+        arb, _ = state
+        assert arb.addr_clash == HIGH
 
     def test_reset_midrun_wipes_memory(self, params):
         state = fresh_system(params)
@@ -194,17 +247,19 @@ class TestRoundTrips:
             make_inputs(params, wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10101111"),
             3, params,
         )
-        assert state.ram.memory[0b1010] == parse_word("10101111", 8).value
+        _, ram = state
+        assert ram.memory[0b1010] == parse_word("10101111", 8).value
         state, _ = run_cycles(state, make_inputs(params, rst_n=LOW), 2, params)
         state, out = run_cycles(
             state, make_inputs(params), params.ram_depth() + 1, params
         )
-        assert out.rst_done == HIGH
-        assert all(w == 0 for w in state.ram.memory)
+        assert pin(out, "RST_DONE") == HIGH
+        _, ram = state
+        assert all(w == 0 for w in ram.memory)
         state, out = run_cycles(
             state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="1010"), 2, params
         )
-        assert out.rddata_c1 == 0
+        assert pin(out, "RDDATA_C1") == 0
 
 
 def rise_after_release(params):
@@ -213,14 +268,14 @@ def rise_after_release(params):
     out = None
     for _ in range(3):
         state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
-    assert out.rst_done == LOW
+    assert pin(out, "RST_DONE") == LOW
     idle = make_inputs(params)
     edges = 0
     while True:
         state, out = system_step(state, idle, params)
         edges += 1
         assert edges <= params.ram_depth() + 8, "rst_done never rose"
-        if out.rst_done:
+        if pin(out, "RST_DONE"):
             return edges, state
 
 
@@ -229,10 +284,10 @@ def test_rst_done_rises_depth_plus_one_edges_after_release(addr_width):
     # Regression-locked constant: the sweep spends one edge per word plus a
     # single hand-over edge, so the rise lands depth+1 edges after release.
     params = Params(addr_width, 8)
-    edges, state = rise_after_release(params)
+    edges, (_, ram) = rise_after_release(params)
     assert edges == params.ram_depth() + 1
-    assert all(w == 0 for w in state.ram.memory)
-    assert not state.ram.reset_done_internal
+    assert all(w == 0 for w in ram.memory)
+    assert not ram.reset_done_internal
 
 
 class TestReadLatency:
@@ -252,15 +307,15 @@ class TestReadLatency:
         params, state = self.prepared(registered=False)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
         _, out = system_step(state, read, params)
-        assert out.rddata_c1 == parse_word("11011011", 8).value
+        assert pin(out, "RDDATA_C1") == parse_word("11011011", 8).value
 
     def test_registered_data_valid_one_edge_later(self):
         params, state = self.prepared(registered=True)
         read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
         state, out = system_step(state, read, params)
-        assert out.rddata_c1 == 0
+        assert pin(out, "RDDATA_C1") == 0
         _, out = system_step(state, read, params)
-        assert out.rddata_c1 == parse_word("11011011", 8).value
+        assert pin(out, "RDDATA_C1") == parse_word("11011011", 8).value
 
 
 def test_registered_timeline_is_unregistered_shifted_by_one():
@@ -274,7 +329,7 @@ def test_registered_timeline_is_unregistered_shifted_by_one():
         outs = []
         for inp in stimulus:
             state, out = system_step(state, inp, params)
-            outs.append(out.rddata_c1)
+            outs.append(pin(out, "RDDATA_C1"))
         return outs
 
     unreg = timeline(unreg_params)
@@ -289,12 +344,13 @@ def reset_storm(params):
 
 
 def outputs_of(params, stimulus):
-    """(post-edge ArbiterState, ClientOutputs) of each edge, from power-on."""
+    """(post-edge ArbiterState, outputs) of each edge, from power-on."""
     state = system_new(params)
     rows = []
     for inp in stimulus:
         state, out = system_step(state, inp, params)
-        rows.append((state.arbiter, out))
+        arb, _ = state
+        rows.append((arb, out))
     return rows
 
 
@@ -305,11 +361,12 @@ def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
     stimulus = reset_storm(Params(addr_width, data_width))
     unreg = outputs_of(Params(addr_width, data_width, registered_output=False), stimulus)
     reg = outputs_of(Params(addr_width, data_width, registered_output=True), stimulus)
-    before = [0] + [out.dataout_c2 for _, out in unreg[:-1]]
-    expected = [word if inp.rst_n else 0 for inp, word in zip(stimulus, before)]
-    assert [out.rddata_c1 for _, out in reg] == expected
+    before = [0] + [pin(out, "DATAOUT_C2") for _, out in unreg[:-1]]
+    rst_n = [ClientInputs(*inp).rst_n for inp in stimulus]
+    expected = [word if high else 0 for high, word in zip(rst_n, before)]
+    assert [pin(out, "RDDATA_C1") for _, out in reg] == expected
     # A reset edge lands right after nonzero read data, so the zeroing is seen.
-    assert any(word and not inp.rst_n for inp, word in zip(stimulus, before))
+    assert any(word and not high for high, word in zip(rst_n, before))
 
 
 @pytest.mark.parametrize("registered", [False, True])
@@ -328,21 +385,23 @@ def test_the_read_register_outlives_reset(registered):
     timeline = []
     for inp in [low] * 2 + [idle] * (params.ram_depth() + 1):
         state, out = system_step(state, inp, params)
-        timeline.append((out.rddata_c1, out.dataout_c2, out.rst_done))
+        timeline.append((pin(out, "RDDATA_C1"), pin(out, "DATAOUT_C2"), pin(out, "RST_DONE")))
     reset_rddata = 0 if registered else 9
     assert timeline == ([(reset_rddata, 9, LOW)] * 2 + [(9, 9, LOW)] * params.ram_depth()
                         + [(9, 9, HIGH)])
-    assert state.ram.memory[3] == 0
+    _, ram = state
+    assert ram.memory[3] == 0
     state, out = system_step(state, read, params)
-    assert (out.rddata_c1, out.dataout_c2) == ((9 if registered else 0), 0)
+    assert (pin(out, "RDDATA_C1"), pin(out, "DATAOUT_C2")) == ((9 if registered else 0), 0)
 
 
 def test_state_graph_does_not_depend_on_the_output_mode():
-    # A SystemState is the arbiter's registers and the RAM; the output
-    # register option is an argument of each step and changes only how the
-    # outputs resolve.  So the same stimulus steps both modes through equal
-    # states, while the outputs differ.
-    assert SystemState._fields == ("arbiter", "ram")
+    # A system state is the pair of the arbiter's registers and the RAM; the
+    # output register option is an argument of each step and changes only
+    # how the outputs resolve.  So the same stimulus steps both modes
+    # through equal states, while the outputs differ.
+    arb, ram = system_new(Params(3, 6))
+    assert (type(arb), type(ram)) == (ArbiterState, RamState)
     stimulus = reset_storm(Params(3, 6))
     runs = {}
     for registered in (False, True):
@@ -374,13 +433,14 @@ def test_the_arbiter_reads_no_ram_output(monkeypatch):
     rng = random.Random(0)
     state, outputs_differ = system_new(params), 0
     for inp in reset_storm(params):
-        ram, addr = state.ram, rng.getrandbits(params.addr_width)
+        (arb, ram), addr = state, rng.getrandbits(params.addr_width)
         words = list(ram.memory)  # an 8-word RAM is its tuple of words
         words[addr] ^= flip
         other_ram = ram._replace(memory=tuple(words), rd_data_reg=ram.rd_data_reg ^ flip)
         post, out = system_step(state, inp, params)
-        other, other_out = system_step(SystemState(state.arbiter, other_ram), inp, params)
-        assert other.arbiter == post.arbiter, (state, inp)
+        other, other_out = system_step((arb, other_ram), inp, params)
+        (post_arb, _), (other_arb, _) = post, other
+        assert other_arb == post_arb, (state, inp)
         assert ram_inputs[-1] == ram_inputs[-2], (state, inp)
         outputs_differ += other_out != out
         state = post
@@ -402,7 +462,8 @@ def test_rst_done_and_read_mux_facts_hold_on_every_row():
     assert len(rows) == 5722
     params = Params(4, 8)
     rows += [
-        (False, arb.pr_read, arb.pr_write, out.rst_done, out.rddata_c1, out.dataout_c2)
+        (False, arb.pr_read, arb.pr_write,
+         pin(out, "RST_DONE"), pin(out, "RDDATA_C1"), pin(out, "DATAOUT_C2"))
         for arb, out in outputs_of(params, reset_storm(params))
     ]
     for registered, read_state, write_state, rst_done, rddata_c1, dataout_c2 in rows:
@@ -410,11 +471,6 @@ def test_rst_done_and_read_mux_facts_hold_on_every_row():
         assert in_reset == (write_state is ChannelState.RESET)
         assert rst_done == (not in_reset)
         assert registered or rddata_c1 == dataout_c2
-
-
-# The pins that a trace row holds after its edge's inputs, read by their
-# PINS paths off the step's outputs and post-edge arbiter state.
-_STEPPED_PINS = attrgetter(*[path for _, d, _, path in PINS if d != "in"])
 
 
 def test_every_corpus_row_is_its_edge_stepped_again():
@@ -430,24 +486,26 @@ def test_every_corpus_row_is_its_edge_stepped_again():
             for k, row in enumerate(run_scenario(s).rows):
                 inp = ClientInputs(*row[:n_in])
                 post, out = system_step(state, inp, params)
-                view = SimpleNamespace(outputs=out, arbiter=post.arbiter)
-                assert _STEPPED_PINS(view) == row[n_in:], (s.name, registered, k)
-                assert check_invariants(state.arbiter, inp, post.arbiter, out, params) == [], (
+                (pre_arb, _), (post_arb, _) = state, post
+                assert pin_row(inp, out, post_arb) == row, (s.name, registered, k)
+                assert check_invariants(pre_arb, inp, post_arb, out, params) == [], (
                     s.name, registered, k)
                 state = post
                 edges += 1
     assert edges == 5722
 
 
-# (object path, role) of every bus register and output that the kernel keeps.
+# (object path, role) of every bus register that the kernel keeps, and
+# (pin name, role) of every bus output.
 WORD_FIELDS = [
     (f"arbiter.{name}", role)
     for name, role in [
         ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
     ]
 ] + [
-    (path, role) for _, d, role, path in PINS if d != "in" and role in ("addr", "data")
+    (path, role) for _, d, role, path in PINS if d == "probe" and role in ("addr", "data")
 ] + [("ram.rd_data_reg", "data")]
+WORD_OUTPUTS = [(name, role) for name, d, role, _ in PINS if d == "out" and role != "level"]
 
 
 @settings(deadline=None, max_examples=40)
@@ -459,11 +517,13 @@ def test_kernel_words_are_ints_within_their_width(seed, registered):
     for _ in range(80):
         inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
         state, out = system_step(state, inp, params)
-        view = SimpleNamespace(arbiter=state.arbiter, ram=state.ram, outputs=out)
-        for path, role in WORD_FIELDS:
-            v = attrgetter(path)(view)
+        arb, ram = state
+        view = SimpleNamespace(arbiter=arb, ram=ram)
+        words = [(path, attrgetter(path)(view), role) for path, role in WORD_FIELDS]
+        words += [(name, pin(out, name), role) for name, role in WORD_OUTPUTS]
+        for path, v, role in words:
             assert type(v) is int and 0 <= v < 1 << params.width(role), (path, v)
-        assert all(type(w) is int and 0 <= w < 1 << 6 for w in state.ram.memory)
+        assert all(type(w) is int and 0 <= w < 1 << 6 for w in ram.memory)
 
 
 def test_kernel_builds_no_word(monkeypatch):
@@ -486,10 +546,8 @@ def broken_mux(mux):
 
     def broken(arb, ram_word, prev_rd_data, params):
         data = mux(arb, ram_word)
-        out = resolve(arb, ram_word, prev_rd_data, params)
-        return out._replace(
-            rddata_c1=out.rddata_c1 if params.registered_output else data, dataout_c2=data
-        )
+        rddata_c1, _, ack_c2, rst_done = resolve(arb, ram_word, prev_rd_data, params)
+        return rddata_c1 if params.registered_output else data, data, ack_c2, rst_done
 
     return arbsim.system, "resolve_outputs", broken
 
@@ -512,6 +570,7 @@ def drop_client2(rd, wr, inp):
 
 
 def client2_write_first(rd, wr, inp):
+    inp = ClientInputs(*inp)
     wins = wr is ChannelState.CLIENT1_WRITE and inp.request_c2 and not inp.rd_not_write_c2
     return rd, ChannelState.CLIENT2_WRITE if wins else wr
 
@@ -613,12 +672,12 @@ def test_write_read_round_trip_any_client_pair(seed, writer, reader, gap):
     if reader == "c1":
         rd = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1=addr.render())
         state, out = run_cycles(state, rd, 3, params)
-        assert out.rddata_c1 == data.value
+        assert pin(out, "RDDATA_C1") == data.value
     else:
         rd = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH,
                          addr_c2=addr.render())
         state, out = run_cycles(state, rd, 3, params)
-        assert out.dataout_c2 == data.value
+        assert pin(out, "DATAOUT_C2") == data.value
 
 
 def test_ram_inputs_are_built_once_per_edge(monkeypatch):
@@ -650,9 +709,12 @@ def test_ram_inputs_are_built_once_per_edge(monkeypatch):
 
 @pytest.mark.parametrize("registered", [False, True])
 def test_steps_return_their_declared_record_types(monkeypatch, registered):
-    # The per-edge records are NamedTuples, which compare equal to any tuple
-    # with the same values; so equality alone cannot tell a step that
-    # returns a bare tuple or another record type.  Pin the exact types.
+    # The arbiter's state, the RAM's state and the RAM's inputs are
+    # NamedTuples, which compare equal to any tuple with the same values;
+    # so equality alone cannot tell a step that returns a bare tuple or
+    # another record type.  The system state, the outputs and the fuzz
+    # stimulus are plain tuples, which equal a NamedTuple of the same
+    # values just as well.  Pin the exact types and lengths.
     arbiter_step = arbsim.system.arbiter_step
     ram_inputs = []
 
@@ -665,17 +727,20 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
     params = Params(3, 4, registered_output=registered)
     rng = random.Random(11)
     state = system_new(params)
+    assert type(state) is tuple and len(state) == 2
     for _ in range(300):
         inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+        assert type(inp) is tuple and len(inp) == len(ClientInputs._fields)
         state, out = system_step(state, inp, params)
-        assert type(state) is SystemState
-        assert type(out) is ClientOutputs
-        assert type(state.arbiter) is ArbiterState
-        assert type(state.ram) is RamState
+        assert type(state) is tuple and len(state) == 2
+        assert type(out) is tuple and len(out) == len(OUTPUTS) == 4
+        arb, ram = state
+        assert type(arb) is ArbiterState
+        assert type(ram) is RamState
         # The kernel compares states with ``is``: a plain int code would
         # equal its member and still match no branch.
-        assert type(state.arbiter.pr_read) is ChannelState
-        assert type(state.arbiter.pr_write) is ChannelState
+        assert type(arb.pr_read) is ChannelState
+        assert type(arb.pr_write) is ChannelState
     assert len(ram_inputs) == 300
     assert all(type(r) is RamInputs for r in ram_inputs)
     rows = run_scenario(builtin_by_name("tc07")).rows
@@ -698,8 +763,12 @@ def assert_whole_records(value, seen):
 def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
     # The per-edge records are built by tuple.__new__, which, unlike the
     # __new__ that NamedTuple generates, takes a tuple of any length: a
-    # build that drops or adds a field could go unnoticed.
+    # build that drops or adds a field could go unnoticed.  The plain
+    # tuples of an edge have no fields to count, so their shapes are
+    # pinned by name: a stimulus is ten values, the outputs four and the
+    # state the pair (arbiter, ram).
     results = []
+    plain = {"system_step": [], "random_inputs": [], "_apply_event": []}
 
     def spy(module, name):
         fn = getattr(module, name)
@@ -707,6 +776,7 @@ def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
         def spying(*args, **kwargs):
             result = fn(*args, **kwargs)
             results.append(result)
+            plain.get(name, []).append(result)
             return result
 
         monkeypatch.setattr(module, name, spying)
@@ -728,6 +798,12 @@ def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
     seen = set()
     for result in results:
         assert_whole_records(result, seen)
-    assert seen == {
-        SystemState, ArbiterState, RamState, RamInputs, ClientInputs, ClientOutputs,
-    }
+    assert seen == {ArbiterState, RamState, RamInputs}
+    assert all(plain.values())
+    n_in = len(ClientInputs._fields)
+    for inp in plain["random_inputs"] + plain["_apply_event"]:
+        assert type(inp) is tuple and len(inp) == n_in, inp
+    for state, out in plain["system_step"]:
+        assert type(state) is tuple and len(state) == 2, state
+        assert (type(state[0]), type(state[1])) == (ArbiterState, RamState)
+        assert type(out) is tuple and len(out) == len(OUTPUTS), out

@@ -5,8 +5,6 @@ import io
 import random
 import tracemalloc
 from dataclasses import replace
-from operator import attrgetter
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,22 +14,24 @@ from arbsim import (
     LOW,
     Params,
     Trace,
+    arbiter_reset,
     builtin_by_name,
     builtin_scenarios,
     check_assertions,
     parse_scenario,
     parse_word,
+    resolve_outputs,
     run_scenario,
     system_new,
     system_step,
     write_table,
     write_vcd,
 )
-from arbsim.arbiter import PINS, ChannelState, ClientInputs, ClientOutputs
+from arbsim.arbiter import PINS, ChannelState, ClientInputs
 from arbsim.ram import RamInputs
 from arbsim.trace import _LINES_PER_WRITE, _pin_layout
 
-from conftest import PIN
+from conftest import OUTPUTS, PIN, pin_row
 from vcd_reader import read_vcd
 
 
@@ -264,7 +264,8 @@ class TestTable:
 
 
 class TestPinTable:
-    """arbiter.PINS is the one list of pins: it must match the record fields."""
+    """arbiter.PINS is the one list of pins: it must match the record fields
+    and the order of the outputs that the kernel returns."""
 
     @staticmethod
     def paths(direction, prefix=""):
@@ -277,8 +278,17 @@ class TestPinTable:
     def test_inputs_are_the_client_input_fields_in_order(self):
         assert self.paths("in") == self.declared(ClientInputs, "inputs.")
 
-    def test_outputs_are_the_client_output_fields(self):
-        assert self.paths("out") == self.declared(ClientOutputs, "outputs.")
+    def test_outputs_are_what_resolve_outputs_returns_in_order(self):
+        # resolve_outputs returns one value per output pin, in PINS order;
+        # here the four values differ, so each lands on its own pin.
+        assert self.paths("out") == [
+            "outputs.rddata_c1", "outputs.dataout_c2", "outputs.ack_c2", "outputs.rst_done",
+        ]
+        writing_in_reset = arbiter_reset()._replace(temp_wr=HIGH)
+        out = resolve_outputs(writing_in_reset, 0b101, 0b11, Params(4, 8, registered_output=True))
+        assert dict(zip(OUTPUTS, out, strict=True)) == {
+            "RDDATA_C1": 0b11, "DATAOUT_C2": 0b101, "ACK_C2": HIGH, "RST_DONE": LOW,
+        }
 
     def test_drive_probes_are_the_ram_drive_fields(self):
         # The RAM's inputs after the reset pin are the arbiter's drive registers.
@@ -342,7 +352,8 @@ def random_walk_trace(params):
                 new = rng.getrandbits(params.width("addr" if "addr" in field else "data"))
             inputs = inputs._replace(**{field: new})
         state, out = system_step(state, inputs, params)
-        rows.append(pin_row(inputs, out, state.arbiter))
+        arb, _ = state
+        rows.append(pin_row(inputs, out, arb))
     return Trace(params, 10, tuple(rows))
 
 
@@ -353,8 +364,8 @@ def one_pin_trace(params):
     The power-on row is one object; each changed row is a new one, so the
     second pass repeats the first's rows as equal, separate objects."""
     quiet = ClientInputs.quiet(rst_n=LOW)
-    state, out = system_step(system_new(params), quiet, params)
-    base = pin_row(quiet, out, state.arbiter)
+    (arb, _), out = system_step(system_new(params), quiet, params)
+    base = pin_row(quiet, out, arb)
     largest = {"level": HIGH, "state": max(ChannelState)}
     rows = [base]
     for _ in range(2):
@@ -362,15 +373,6 @@ def one_pin_trace(params):
             value = largest.get(role) or (1 << params.width(role)) - 1
             rows += [(*base[:i], value, *base[i + 1 :]), base]
     return Trace(params, 10, tuple(rows))
-
-
-READ_EVERY_PATH = attrgetter(*(path for _, _, _, path in PINS))
-
-
-def pin_row(inputs, outputs, arbiter):
-    """A row built the plain way, not interned: every PINS path read off
-    one edge's records, into a new tuple on every call."""
-    return READ_EVERY_PATH(SimpleNamespace(inputs=inputs, outputs=outputs, arbiter=arbiter))
 
 
 def row_values(trace):
