@@ -84,37 +84,37 @@ class ArbiterState(NamedTuple):
 
 
 # Every pin, in VCD/TSV column order and in the order of a trace row's
-# values: (name, direction, role, path).  The path names the pin's field in
-# the ClientInputs ("inputs.") or the post-edge ArbiterState ("arbiter.") of
-# a system step, or its name among the step's outputs ("outputs."), which
-# resolve_outputs returns in this order.  Direction "in" and
-# "out" are the top-level pins; a "probe" is an internal register of the
-# arbiter: a drive register (the RAM's inputs), a channel state or the clash
-# flag.  The role sets the width (Params.width); every pin exports as its
+# values: (name, direction, role, field).  Direction "in" and "out" are the
+# top-level pins; a "probe" is an internal register of the arbiter: a drive
+# register (the RAM's inputs), a channel state or the clash flag.  A row is
+# the inputs in ClientInputs field order, the outputs in the order that
+# resolve_outputs returns them, then the probes; field names an input's
+# ClientInputs field or a probe's post-edge ArbiterState field (an output has
+# none).  The role sets the width (Params.width); every pin exports as its
 # value in binary at that width, a channel state as its ChannelState code.
-PINS: tuple[tuple[str, str, str, str], ...] = (
-    ("RST_N", "in", "level", "inputs.rst_n"),
-    ("RD_EN_C1", "in", "level", "inputs.rd_en_c1"),
-    ("WR_EN_C1", "in", "level", "inputs.wr_en_c1"),
-    ("RDADDR_C1", "in", "addr", "inputs.rdaddr_c1"),
-    ("WRADDR_C1", "in", "addr", "inputs.wraddr_c1"),
-    ("WRDATA_C1", "in", "data", "inputs.wrdata_c1"),
-    ("REQUEST_C2", "in", "level", "inputs.request_c2"),
-    ("RD_NOT_WRITE_C2", "in", "level", "inputs.rd_not_write_c2"),
-    ("ADDR_C2", "in", "addr", "inputs.addr_c2"),
-    ("DATAIN_C2", "in", "data", "inputs.datain_c2"),
-    ("RDDATA_C1", "out", "data", "outputs.rddata_c1"),
-    ("DATAOUT_C2", "out", "data", "outputs.dataout_c2"),
-    ("ACK_C2", "out", "level", "outputs.ack_c2"),
-    ("RST_DONE", "out", "level", "outputs.rst_done"),
-    ("RD_EN", "probe", "level", "arbiter.temp_rd_en"),
-    ("WR_EN", "probe", "level", "arbiter.temp_wr_en"),
-    ("RD_ADDR", "probe", "addr", "arbiter.temp_rd_addr"),
-    ("WR_ADDR", "probe", "addr", "arbiter.temp_wr_addr"),
-    ("WR_DATA", "probe", "data", "arbiter.temp_wr_data"),
-    ("READ_STATE", "probe", "state", "arbiter.pr_read"),
-    ("WRITE_STATE", "probe", "state", "arbiter.pr_write"),
-    ("ADDR_CLASH", "probe", "level", "arbiter.addr_clash"),
+PINS: tuple[tuple[str, str, str, str | None], ...] = (
+    ("RST_N", "in", "level", "rst_n"),
+    ("RD_EN_C1", "in", "level", "rd_en_c1"),
+    ("WR_EN_C1", "in", "level", "wr_en_c1"),
+    ("RDADDR_C1", "in", "addr", "rdaddr_c1"),
+    ("WRADDR_C1", "in", "addr", "wraddr_c1"),
+    ("WRDATA_C1", "in", "data", "wrdata_c1"),
+    ("REQUEST_C2", "in", "level", "request_c2"),
+    ("RD_NOT_WRITE_C2", "in", "level", "rd_not_write_c2"),
+    ("ADDR_C2", "in", "addr", "addr_c2"),
+    ("DATAIN_C2", "in", "data", "datain_c2"),
+    ("RDDATA_C1", "out", "data", None),
+    ("DATAOUT_C2", "out", "data", None),
+    ("ACK_C2", "out", "level", None),
+    ("RST_DONE", "out", "level", None),
+    ("RD_EN", "probe", "level", "temp_rd_en"),
+    ("WR_EN", "probe", "level", "temp_wr_en"),
+    ("RD_ADDR", "probe", "addr", "temp_rd_addr"),
+    ("WR_ADDR", "probe", "addr", "temp_wr_addr"),
+    ("WR_DATA", "probe", "data", "temp_wr_data"),
+    ("READ_STATE", "probe", "state", "pr_read"),
+    ("WRITE_STATE", "probe", "state", "pr_write"),
+    ("ADDR_CLASH", "probe", "level", "addr_clash"),
 )
 
 

@@ -17,7 +17,9 @@ bus width (one rule, ``scenario.check_widths``, for files and ``fuzz``) or
 run length past its limit, an output that cannot be opened (an empty path
 included) or written (reader gone or device full), and two outputs that are
 one file, where ``-`` is stdout and ``verify`` and ``fuzz`` count stdout as
-an output.  Only a write that fails part-way changes a file before exit 2.
+an output.  An empty ``verify --filter`` matches no scenario and a negative
+``fuzz --seed`` would repeat another seed's campaign, so both are usage
+errors too.  Only a write that fails part-way changes a file before exit 2.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _verify_lines(scenarios: list[Scenario]) -> tuple[list[str], bool]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     scenarios = builtin_scenarios()
-    if args.filter:
+    if args.filter is not None:
         scenarios = [s for s in scenarios if fnmatch.fnmatch(s.name, args.filter)]
     if not scenarios:
         raise SystemExit2(f"no scenarios match filter {args.filter!r}")
@@ -199,6 +201,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         check_widths(params)
     except ValueError as exc:
         raise SystemExit2(str(exc))
+    if args.seed < 0:
+        raise SystemExit2(f"seed {args.seed} must be >= 0")
     if not 1 <= args.cycles <= MAX_EDGES:
         raise SystemExit2(f"cycles {args.cycles} is out of range 1..{MAX_EDGES}")
     with _outputs("-", args.report) as (_, report):

@@ -105,8 +105,12 @@ def run_fuzz(
 
     The run starts with a reset release and a full init sweep so the checks
     are not vacuous; with ``reset_storm`` the reset pin is occasionally
-    yanked low during the measured phase as well.
+    yanked low during the measured phase as well.  The seed must be >= 0:
+    ``random.Random`` seeds from its absolute value, so seed -5 would repeat
+    seed 5's campaign.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ def system_new(params: Params) -> tuple[ArbiterState, RamState]:
 
 
 # (ClientInputs field, role) of every input pin, in field order.
-_INPUTS = [(p.split(".")[1], r) for _, d, r, p in PINS if d == "in"]
+_INPUTS = [(f, r) for _, d, r, f in PINS if d == "in"]
 
 
 # The last (inputs, params) pair that passed: both are immutable and the

@@ -66,8 +66,8 @@ _PIN_INDEX = {name: i for i, (name, _, _, _) in enumerate(PINS)}
 
 
 def _apply_event(inputs: tuple, pin: str, value: str) -> tuple:
-    # The input pins lead PINS in ClientInputs field order (checked below),
-    # and the inputs are a plain tuple in that order.
+    # The input pins lead PINS in ClientInputs field order, and the inputs
+    # are a plain tuple in that order.
     i = _PIN_INDEX[pin]
     v = value == "1" if PINS[i][2] == "level" else parse_word(value, len(value)).value
     return (*inputs[:i], v, *inputs[i + 1 :])
@@ -103,23 +103,8 @@ def run_scenario(s: Scenario) -> Trace:
 
 # A row is its pin values in PINS order: the inputs and the outputs whole,
 # then the probes picked from the arbiter state by index, at less than half
-# the cost of one attrgetter over every dotted path.  The outputs are in
-# PINS order by definition; the inputs are in ClientInputs field order,
-# which holds only while PINS lists those fields in that order, then the
-# outputs, then the probes, so it is checked here (by a raise, which -O
-# keeps).
-_IN_PINS = [("in", f"inputs.{field}") for field in ClientInputs._fields]
-_N_IO = len(_IN_PINS) + sum(d == "out" for _, d, _, _ in PINS)
-_PROBE_PINS = PINS[_N_IO:]
-if (
-    [(d, path) for _, d, _, path in PINS[: len(_IN_PINS)]] != _IN_PINS
-    or any(d != "out" for _, d, _, _ in PINS[len(_IN_PINS) : _N_IO])
-    or any(d != "probe" or not path.startswith("arbiter.") for _, d, _, path in _PROBE_PINS)
-):
-    raise RuntimeError("PINS must list the ClientInputs fields, then the outputs, then the probes")
-_PROBES = itemgetter(*[
-    ArbiterState._fields.index(path.removeprefix("arbiter.")) for _, _, _, path in _PROBE_PINS
-])
+# the cost of one attrgetter over every field.
+_PROBES = itemgetter(*[ArbiterState._fields.index(f) for _, d, _, f in PINS if d == "probe"])
 
 
 # A pin of at most this many bits gets the text of every value rendered

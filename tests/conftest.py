@@ -1,7 +1,5 @@
 import os
 import pathlib
-from operator import attrgetter
-from types import SimpleNamespace
 
 import pytest
 
@@ -27,13 +25,15 @@ def pin(values, name):
 
 
 def pin_row(inputs, outputs, arbiter):
-    """A row built the plain way, not interned: every input and probe read
-    off one edge's records by its PINS path, and every output by its name,
-    into a new tuple on every call."""
-    view = SimpleNamespace(inputs=ClientInputs(*inputs), arbiter=arbiter)
+    """A row built the plain way, not interned: every input read off one
+    edge's inputs at its field's position in ClientInputs, every output by its
+    name and every probe off the arbiter state by its field, into a new tuple
+    on every call."""
     return tuple(
-        pin(outputs, name) if d == "out" else attrgetter(path)(view)
-        for name, d, _, path in PINS
+        inputs[ClientInputs._fields.index(field)] if d == "in"
+        else pin(outputs, name) if d == "out"
+        else getattr(arbiter, field)
+        for name, d, _, field in PINS
     )
 
 

@@ -175,6 +175,15 @@ class TestVerify:
         assert err == "arbsim: error: no scenarios match filter 'zzz*'\n"
         assert report.read_bytes() == b"earlier report\n"
 
+    def test_empty_filter_matches_nothing_and_is_usage_error(self, capsys, tmp_path):
+        # An empty glob matches no name: it is not a filter left out.
+        report = tmp_path / "r.tsv"
+        report.write_bytes(b"earlier report\n")
+        code, out, err = run_cli(capsys, "verify", "--filter", "", "--report", str(report))
+        assert (code, out) == (2, "")
+        assert err == "arbsim: error: no scenarios match filter ''\n"
+        assert report.read_bytes() == b"earlier report\n"
+
     def test_report_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert run_cli(capsys, "verify", "--report", str(a))[0] == 0
@@ -540,6 +549,18 @@ def test_fuzz_cycles_out_of_range_names_the_range(capsys, cycles):
     code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--cycles", str(cycles))
     assert (code, out) == (2, "")
     assert err == f"arbsim: error: cycles {cycles} is out of range 1..{MAX_EDGES}\n"
+
+
+def test_fuzz_negative_seed_is_usage_error(capsys, tmp_path):
+    # random.Random seeds from the absolute value, so seed -1 would run
+    # seed 1's campaign under another name; no output is opened.
+    report = tmp_path / "r.txt"
+    code, out, err = run_cli(
+        capsys, "fuzz", "--seed", "-1", "--cycles", "10", "--report", str(report)
+    )
+    assert (code, out) == (2, "")
+    assert err == "arbsim: error: seed -1 must be >= 0\n"
+    assert not report.exists()
 
 
 def test_scenario_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):

@@ -56,12 +56,12 @@ run_argv = st.tuples(
 )
 verify_argv = st.tuples(
     st.just(["verify"]),
-    flag("--filter", ["tc07*", "ram-*", "zzz*"]),
+    flag("--filter", ["tc07*", "ram-*", "zzz*", ""]),
     maybe("--report", OUTPUTS),
 )
 fuzz_argv = st.tuples(
     st.just(["fuzz"]),
-    flag("--seed", ["0", "1"]),
+    flag("--seed", ["0", "1", "-1"]),
     flag("--cycles", ["0", "1", "10", str(MAX_EDGES), str(MAX_EDGES + 1)]),
     maybe("--addr-width", ["0", "1", "20", "21"]),
     maybe("--data-width", ["1", "64", "65"]),

@@ -2,8 +2,7 @@
 
 import random
 from dataclasses import replace
-from operator import attrgetter, itemgetter
-from types import SimpleNamespace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -96,10 +95,9 @@ def test_input_check_walks_every_input_pin(params):
     # both ends of each bus's range and both levels pass.
     state = system_new(params)
     quiet = ClientInputs.quiet(rst_n=HIGH)
-    for _, direction, role, path in PINS:
+    for _, direction, role, field in PINS:
         if direction != "in":
             continue
-        field = path.split(".")[1]
         if role == "level":
             bad, good = [1, 0, "1", None], [True, False]
             reason = "is not a level (a bool)"
@@ -495,16 +493,16 @@ def test_every_corpus_row_is_its_edge_stepped_again():
     assert edges == 5722
 
 
-# (object path, role) of every bus register that the kernel keeps, and
+# (record, field, role) of every bus register that the kernel keeps, and
 # (pin name, role) of every bus output.
 WORD_FIELDS = [
-    (f"arbiter.{name}", role)
+    ("arbiter", name, role)
     for name, role in [
         ("temp_rd_addr", "addr"), ("temp_wr_addr", "addr"), ("temp_wr_data", "data"),
     ]
 ] + [
-    (path, role) for _, d, role, path in PINS if d == "probe" and role in ("addr", "data")
-] + [("ram.rd_data_reg", "data")]
+    ("arbiter", f, role) for _, d, role, f in PINS if d == "probe" and role in ("addr", "data")
+] + [("ram", "rd_data_reg", "data")]
 WORD_OUTPUTS = [(name, role) for name, d, role, _ in PINS if d == "out" and role != "level"]
 
 
@@ -518,8 +516,11 @@ def test_kernel_words_are_ints_within_their_width(seed, registered):
         inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
         state, out = system_step(state, inp, params)
         arb, ram = state
-        view = SimpleNamespace(arbiter=arb, ram=ram)
-        words = [(path, attrgetter(path)(view), role) for path, role in WORD_FIELDS]
+        records = {"arbiter": arb, "ram": ram}
+        words = [
+            (f"{record}.{field}", getattr(records[record], field), role)
+            for record, field, role in WORD_FIELDS
+        ]
         words += [(name, pin(out, name), role) for name, role in WORD_OUTPUTS]
         for path, v, role in words:
             assert type(v) is int and 0 <= v < 1 << params.width(role), (path, v)
@@ -629,6 +630,14 @@ def test_corpus_observes_the_clash_bypass_on_its_first_edge(monkeypatch):
 def test_fuzz_needs_at_least_one_cycle():
     with pytest.raises(ValueError, match="cycles must be >= 1"):
         run_fuzz(0, 0, Params(4, 8))
+
+
+def test_fuzz_needs_a_seed_of_zero_or_more():
+    # random.Random seeds from the absolute value: seed -5 would step seed
+    # 5's inputs and report them as another campaign.
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        run_fuzz(-5, 50, Params(4, 8), reset_storm=True)
+    assert run_fuzz(0, 1, Params(4, 8)).ok
 
 
 def test_determinism_identical_stimulus_identical_states():

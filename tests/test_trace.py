@@ -168,11 +168,12 @@ class TestCheckAssertions:
         assert not report.passed
         assert report.failures()[0].observed == "0 rising edge(s)"
 
-    def test_window_past_the_last_edge_reports_out_of_range(self):
+    def test_edgeless_window_reports_out_of_range_or_no_edge(self):
         # Edges at clock 50 are at 25, 75, ..., 175 in a 200 ns run.  A
         # window that reaches past edge 175 is out of range, whether or not
-        # it holds an edge of the run; one between two edges holds no edge.
-        windows = ["170..230", "180..230", "80..120"]
+        # it holds an edge of the run; one between two edges, or one that
+        # ends before the first edge, holds no edge.
+        windows = ["170..230", "180..230", "80..120", "0..20"]
         s = parse_scenario("\n".join([
             "scenario t", "params addr=4 data=8 registered=0", "clock 50",
             *(f"expect {kind} ACK_C2 in {w}" for w in windows for kind in ("quiet", "pulses")),
@@ -180,7 +181,7 @@ class TestCheckAssertions:
         ]) + "\n")
         report = check_assertions(run_scenario(s), s)
         assert [(r.observed, r.passed) for r in report.results] == [
-            ("out of range", False)] * 4 + [("no edge in window", False)] * 2
+            ("out of range", False)] * 4 + [("no edge in window", False)] * 4
 
     def test_checker_is_pure(self):
         s = builtin_by_name("tc04")
@@ -268,22 +269,24 @@ class TestPinTable:
     and the order of the outputs that the kernel returns."""
 
     @staticmethod
-    def paths(direction, prefix=""):
-        return [p for _, d, _, p in PINS if d == direction and p.startswith(prefix)]
+    def fields(direction):
+        return [f for _, d, _, f in PINS if d == direction]
 
-    @staticmethod
-    def declared(cls, prefix):
-        return [prefix + f for f in cls._fields]
+    def test_rows_are_the_inputs_then_the_outputs_then_the_probes(self):
+        # A trace row is the inputs, the outputs and the probes end to end.
+        n_in, n_out = len(ClientInputs._fields), len(OUTPUTS)
+        assert [d for _, d, _, _ in PINS] == (
+            ["in"] * n_in + ["out"] * n_out + ["probe"] * (len(PINS) - n_in - n_out)
+        )
 
     def test_inputs_are_the_client_input_fields_in_order(self):
-        assert self.paths("in") == self.declared(ClientInputs, "inputs.")
+        assert self.fields("in") == list(ClientInputs._fields)
 
     def test_outputs_are_what_resolve_outputs_returns_in_order(self):
-        # resolve_outputs returns one value per output pin, in PINS order;
-        # here the four values differ, so each lands on its own pin.
-        assert self.paths("out") == [
-            "outputs.rddata_c1", "outputs.dataout_c2", "outputs.ack_c2", "outputs.rst_done",
-        ]
+        # resolve_outputs returns one value per output pin, in PINS order, so
+        # an output row names no field; here the four values differ, so each
+        # lands on its own pin.
+        assert self.fields("out") == [None] * 4
         writing_in_reset = arbiter_reset()._replace(temp_wr=HIGH)
         out = resolve_outputs(writing_in_reset, 0b101, 0b11, Params(4, 8, registered_output=True))
         assert dict(zip(OUTPUTS, out, strict=True)) == {
@@ -292,9 +295,9 @@ class TestPinTable:
 
     def test_drive_probes_are_the_ram_drive_fields(self):
         # The RAM's inputs after the reset pin are the arbiter's drive registers.
-        declared = self.declared(RamInputs, "arbiter.temp_")
-        assert declared[0] == "arbiter.temp_rst_n"
-        assert self.paths("probe", "arbiter.temp_") == declared[1:]
+        declared = ["temp_" + f for f in RamInputs._fields]
+        assert declared[0] == "temp_rst_n"
+        assert [f for f in self.fields("probe") if f.startswith("temp_")] == declared[1:]
 
     def test_table_header_is_pins_order(self):
         sink = io.StringIO()
