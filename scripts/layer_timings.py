@@ -12,8 +12,12 @@ addr-4 stream barely exercises; ``ram_write_a13`` is ``ram_step`` over
 4,096 writes of random words to random addresses of that RAM after its
 sweep, the trie path copies of a ``wide-a13`` campaign's traffic; and
 ``ram_rewrite_a13`` is ``ram_step`` over 4,096 writes, to the same
-addresses, of the word each one then holds, which copy nothing.  The
-text rows run the 74 corpus cases (37 builtins in both output modes):
+addresses, of the word each one then holds, which copy nothing.
+``system_step_sweep_a13`` is ``system_step`` over the 8,194 edges that
+follow a power-on reset at addr 13 in ``run_fuzz`` (the 8,193-edge sweep
+and one idle edge), with ``ClientInputs.quiet()`` held, so that every edge
+leaves the drive registers clear.  The text rows run the 74 corpus
+cases (37 builtins in both output modes):
 ``parse_scenario`` per case, over each case's rendered text, and
 ``run_scenario``, ``check_assertions``, ``write_vcd`` and ``write_table``
 per exported row (5,722 rows), the exporters into an in-memory sink.
@@ -51,7 +55,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import starmap
 
-from arbsim import Params, arbiter, builtin_scenarios, fuzz, ram, system, trace
+from arbsim import ClientInputs, Params, arbiter, builtin_scenarios, fuzz, ram, system, trace
 from arbsim.cli import release_stdout
 from arbsim.scenario import parse_scenario, render_scenario
 
@@ -126,6 +130,20 @@ def wide_ram_calls():
         state, _ = ram.ram_step(state, inp)
     rewrites = [(state, inp._replace(wr_data=state.memory[inp.wr_addr])) for _, inp in writes]
     return sweep, writes, rewrites
+
+
+def sweep_system_calls():
+    """The system_step arguments of the SWEEP_PARAMS.ram_depth() + 2 edges
+    that run_fuzz steps after its two reset edges, quiet inputs held."""
+    state = system.system_new(SWEEP_PARAMS)
+    low, quiet = ClientInputs.quiet(rst_n=False), ClientInputs.quiet()
+    for _ in range(2):
+        state, _ = system.system_step(state, low, SWEEP_PARAMS)
+    calls = []
+    for _ in range(SWEEP_PARAMS.ram_depth() + 2):
+        calls.append((state, quiet, SWEEP_PARAMS))
+        state, _ = system.system_step(state, quiet, SWEEP_PARAMS)
+    return calls
 
 
 def text_layers():
@@ -227,10 +245,12 @@ def main():
     names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13")
     for name, calls in zip(names, wide_ram_calls()):
         layers.append((name, ram.ram_step, calls, len(calls)))
+    sweep = sweep_system_calls()
+    layers.append(("system_step_sweep_a13", system.system_step, sweep, len(sweep)))
     layers += text_layers()
     layers.append(("import_arbsim", import_arbsim, [()], 1))
-    lines = [f"{'layer':<18}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]
-    lines += [f"{name:<18}{lo:9.2f}{mid:11.2f}{ratio:9.2f}\n"
+    lines = [f"{'layer':<22}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]
+    lines += [f"{name:<22}{lo:9.2f}{mid:11.2f}{ratio:9.2f}\n"
               for name, lo, mid, ratio in timings(layers)]
     try:
         sys.stdout.write("".join(lines))

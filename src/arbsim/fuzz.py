@@ -116,18 +116,18 @@ def run_fuzz(
     rng = random.Random(seed)
     state = system_new(params)
 
-    quiet = ClientInputs.quiet(rst_n=LOW)
+    # Plain tuples, as random_inputs draws: a step unpacks one without an iterator.
+    quiet = tuple(ClientInputs.quiet(rst_n=LOW))
     for _ in range(2):
         state, _ = system_step(state, quiet, params)
-    warm = ClientInputs.quiet(rst_n=HIGH)
+    warm = tuple(ClientInputs.quiet(rst_n=HIGH))
     for _ in range(params.ram_depth() + 2):
         state, _ = system_step(state, warm, params)
 
+    draw = rng.random
     for cycle in range(cycles):
-        rst_n = HIGH
-        if reset_storm and rng.random() < 0.02:
-            rst_n = LOW
-        inp = random_inputs(rng, params, rst_n=rst_n)
+        rst_n = LOW if reset_storm and draw() < 0.02 else HIGH
+        inp = random_inputs(rng, params, rst_n)
         pre = state[0]
         state, out = system_step(state, inp, params)
         bad = check_invariants(pre, inp, state[0], out, params)

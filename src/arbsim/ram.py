@@ -35,6 +35,7 @@ from .signals import Level, Params
 
 _BITS = 5
 _MASK = (1 << _BITS) - 1
+_new = tuple.__new__  # builds each record; bound once, not looked up on tuple per record
 
 
 class Memory(Sequence):
@@ -115,7 +116,7 @@ class Memory(Sequence):
 
 class RamInputs(NamedTuple):
     """The RAM's pins for one edge: the reset pin and the arbiter's drive
-    registers, which ``arbiter_step`` builds once per edge."""
+    registers, built by ``arbiter_step`` (shared when all five are clear)."""
 
     rst_n: Level
     rd_en: Level
@@ -154,16 +155,14 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
     returns ``state`` itself.
     """
     memory, count, reset_done, rd_data = state
-    if not inp.rst_n:
-        if reset_done:
-            return state, rd_data
-        return tuple.__new__(RamState, (memory, count, True, rd_data)), rd_data
-
     # A flat memory is rewritten here as one list copy, one store and one
     # tuple, a trie through Memory.set; a store of the word already there
     # keeps the memory object either way.
     flat = type(memory) is tuple
     if reset_done:
+        # The inputs' reset pin alone: the sweep ignores the drive registers.
+        if not inp.rst_n:
+            return state, rd_data
         # The trie's length without the frame of Memory.__len__.
         if count < (len(memory) if flat else memory._len):
             if memory[count]:
@@ -173,10 +172,12 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
                     memory = tuple(words)
                 else:
                     memory = memory.set(count, 0)
-            return tuple.__new__(RamState, (memory, count + 1, True, rd_data)), rd_data
-        return tuple.__new__(RamState, (memory, 0, False, rd_data)), rd_data
+            return _new(RamState, (memory, count + 1, True, rd_data)), rd_data
+        return _new(RamState, (memory, 0, False, rd_data)), rd_data
 
-    _, rd_en, wr_en, rd_addr, wr_addr, wr_data = inp
+    rst_n, rd_en, wr_en, rd_addr, wr_addr, wr_data = inp
+    if not rst_n:
+        return _new(RamState, (memory, count, True, rd_data)), rd_data
     new_memory, new_rd_data = memory, rd_data
     if rd_en:
         new_rd_data = memory[rd_addr]
@@ -189,4 +190,4 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
             new_memory = tuple(words)
     if new_memory is memory and new_rd_data == rd_data:
         return state, rd_data
-    return tuple.__new__(RamState, (new_memory, count, False, new_rd_data)), new_rd_data
+    return _new(RamState, (new_memory, count, False, new_rd_data)), new_rd_data

@@ -96,6 +96,8 @@ class Assertion(NamedTuple):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One parsed scenario file: its params, pin events and expectations."""
+
     name: str
     params: Params
     clock_period: int

@@ -1,8 +1,10 @@
 """The scripts under scripts/ and the benchmark's self-test run against the
 current package and print what they did."""
 
+import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +13,13 @@ import pytest
 from conftest import src_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def in_a_git_checkout():
+    if shutil.which("git") is None:
+        return False
+    head = ["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"]
+    return subprocess.run(head, capture_output=True).returncode == 0
 
 
 def run_script(name, *args, folder="scripts", stdout=subprocess.PIPE):
@@ -55,7 +64,7 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
         "check_widths_held", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
-        "parse_scenario", "run_scenario",
+        "system_step_sweep_a13", "parse_scenario", "run_scenario",
         "check_assertions", "write_vcd", "write_table", "export_one_row",
         "import_arbsim", "reference",
     ]
@@ -101,3 +110,24 @@ def test_bench_selftest_passes():
     result = run_script("selftest.py", folder="bench")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest: PASS" in result.stdout
+
+
+@pytest.mark.skipif(not in_a_git_checkout(), reason="needs git and this repository")
+def test_bench_pairs_writes_each_run_and_a_summary(tmp_path):
+    out = tmp_path / "pairs.json"
+    result = run_script(
+        "bench_pairs.py", "--parent", "HEAD", "--workload", "fuzz-a4",
+        "--pairs", "1", "--seconds", "0.2", "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert [(r["side"], r["trace"], r["result"]["correct"]) for r in report["runs"]] == [
+        ("parent", 0, True), ("change", 0, True), ("parent", 1, True), ("change", 1, True),
+    ]
+    entry = report["summary"]["fuzz-a4"]
+    assert entry["all_correct"] and entry["failed"] == 0
+    for metric in ("setup_s", "edges_per_s", "case_ms_p50", "case_ms_p90", "peak_rss_mb"):
+        row = entry[metric]
+        assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"], metric
+        assert row["change_wins"] in ("0/1", "1/1"), metric
+    assert report["traced"]["fuzz-a4"]["counts_differ"] == []

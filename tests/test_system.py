@@ -716,6 +716,49 @@ def test_ram_inputs_are_built_once_per_edge(monkeypatch):
         )
 
 
+def test_a_quiet_edge_shares_one_ram_inputs_per_reset_level(monkeypatch):
+    # A RamInputs is immutable, so an edge that leaves all five drive
+    # registers clear passes the RAM one shared record for its reset level
+    # rather than an equal new one: through a reset, the whole sweep and an
+    # idle hold.  An edge that latches a request passes a new record of its
+    # registers.
+    ram_step = arbsim.system.ram_step
+    received = []
+
+    def spy_ram(*args):
+        received.append(args[1])
+        return ram_step(*args)
+
+    monkeypatch.setattr(arbsim.system, "ram_step", spy_ram)
+    params = Params(4, 8)
+    read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
+    stimulus = (
+        [ClientInputs.quiet(rst_n=LOW)] * 2
+        + [ClientInputs.quiet()] * (params.ram_depth() + 4)
+        + [read] * 2
+    )
+    state = system_new(params)
+    posts = []
+    for inp in stimulus:
+        state, _ = system_step(state, inp, params)
+        posts.append(state[0])
+    assert len(received) == len(stimulus)
+    shared, latched = {}, []
+    for inp, post, ram_in in zip(stimulus, posts, received):
+        registers = (post.temp_rd_en, post.temp_wr_en, post.temp_rd_addr,
+                     post.temp_wr_addr, post.temp_wr_data)
+        assert type(ram_in) is RamInputs
+        assert ram_in == RamInputs(inp.rst_n, *registers)
+        if any(registers):
+            latched.append(ram_in)
+        else:
+            assert ram_in is shared.setdefault(inp.rst_n, ram_in)
+            assert ram_in == RamInputs(inp.rst_n, LOW, LOW, 0, 0, 0)
+    assert set(shared) == {LOW, HIGH}
+    assert len(latched) == 2 and latched[0] is not latched[1]
+    assert not any(r is s for r in latched for s in shared.values())
+
+
 @pytest.mark.parametrize("registered", [False, True])
 def test_steps_return_their_declared_record_types(monkeypatch, registered):
     # The arbiter's state, the RAM's state and the RAM's inputs are
