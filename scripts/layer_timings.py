@@ -4,13 +4,17 @@
 The kernel rows record the inputs of one ``fuzz-a4`` campaign (seed 0,
 2,000 cycles at addr 4, data 8, with reset storms) and replay every
 layer's calls over that fixed stream, so each is one call's cost.
-``check_widths_held`` is ``_check_widths`` given the stream's first record
-on every call, as replay holds one record between two events and the
-sweep one record for all its edges.  ``ram_sweep_a13`` is ``ram_step``
-over the 8,193 zeroing-sweep edges of a power-on RAM at addr 13, which the
-addr-4 stream barely exercises; ``ram_write_a13`` is ``ram_step`` over
-4,096 writes of random words to random addresses of that RAM after its
-sweep, the trie path copies of a ``wide-a13`` campaign's traffic; and
+Every recorded record is stepped after another was drawn, so
+``system_step`` checks each one in full here, as it does a record that
+``random_inputs`` did not draw.  ``fuzz_edge`` is that campaign itself,
+``run_fuzz`` per measured edge: the draw, the step and the invariant check
+of each edge, whose step checks no record, with the 20 edges of reset
+and sweep before the measured phase (1 % of its edges) included.
+``ram_sweep_a13`` is ``ram_step`` over the 8,193 zeroing-sweep edges of a
+power-on RAM at addr 13, which the addr-4 stream barely exercises;
+``ram_write_a13`` is ``ram_step`` over 4,096 writes of random words to
+random addresses of that RAM after its sweep, the trie path copies of a
+``wide-a13`` campaign's traffic; and
 ``ram_rewrite_a13`` is ``ram_step`` over 4,096 writes, to the same
 addresses, of the word each one then holds, which copy nothing.
 ``system_step_sweep_a13`` is ``system_step`` over the 8,194 edges that
@@ -240,8 +244,7 @@ def timings(layers):
 def main():
     stream = record_stream()
     layers = [(fn.__name__, fn, args, len(args)) for fn, args in layer_calls(stream).items()]
-    held = [(stream[0][1], PARAMS)] * len(stream)
-    layers.append(("check_widths_held", system._check_widths, held, len(held)))
+    layers.append(("fuzz_edge", fuzz.run_fuzz, [(0, CYCLES, PARAMS, True)], CYCLES))
     names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13")
     for name, calls in zip(names, wide_ram_calls()):
         layers.append((name, ram.ram_step, calls, len(calls)))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
 from .arbiter import ArbiterState, ClientInputs
 from .signals import HIGH, LOW, Params
-from .system import system_new, system_step
+from .system import _passed, system_new, system_step
 
 
 class Violation(NamedTuple):
@@ -43,15 +43,22 @@ class FuzzResult(NamedTuple):
 
 def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> tuple:
     """One edge of random stimulus: the ten input pins, a plain tuple in
-    ``ClientInputs`` field order."""
+    ``ClientInputs`` field order.  ``rst_n`` must be a level (a bool), else
+    a ``ValueError`` is raised before anything is drawn."""
+    if type(rst_n) is not bool:
+        raise ValueError(f"rst_n = {rst_n!r} is not a level (a bool)")
     # Drawn in field order: a level is rand() < 0.5, a bus getrandbits of
     # its width.  The order fixes every campaign's stimulus.
     rand, word = rng.random, rng.getrandbits
     a, d = params.addr_width, params.data_width
-    return (
+    inp = (
         rst_n, rand() < 0.5, rand() < 0.5, word(a), word(a), word(d),
         rand() < 0.5, rand() < 0.5, word(a), word(d),
     )
+    # Stored as passed, so system_step does not check it; the draw above must
+    # keep the invariant stated at system._passed.
+    _passed[0] = (inp, params)
+    return inp
 
 
 def check_invariants(

@@ -24,20 +24,25 @@ _INPUTS = [(f, r) for _, d, r, f in PINS if d == "in"]
 
 
 # The last (inputs, params) pair that passed: both are immutable and the
-# check reads nothing else, so a record held over many edges is checked once.
-# One tuple, read and replaced whole, so no caller matches one call's record
-# with another call's params; a list made at import holds it, so storing it
-# rebinds no module name.  A record that fails is never stored, nor inputs
-# that are not a tuple: a list could change between two edges.
+# check reads nothing else, so system_step skips the check, without a call,
+# while the record and the params it is given are these two objects.  A
+# record held over many edges is thus checked once.  One tuple, read and
+# replaced whole, so no caller matches one call's record with another call's
+# params; a list made at import holds it, so storing it rebinds no module
+# name.  A record that fails is never stored, nor inputs that are not a
+# tuple: a list could change between two edges.
+# Its one writer outside this module is ``fuzz.random_inputs``, which stores
+# each record it draws, unchecked.  That is sound only while that writer
+# keeps every value in its pin's type and width: ``rst_n`` a bool (it
+# raises otherwise), every other level ``rand() < 0.5``, and every bus
+# ``getrandbits(width)`` of the very ``params`` it stores beside the record.
 _passed: list[tuple[tuple | None, Params | None]] = [(None, None)]
 
 
 def _check_widths(inp: tuple, params: Params) -> None:
     """The inputs must be one value per input pin, in ``ClientInputs`` field
-    order: for a level a bool, for a bus an int that fits its width."""
-    last_inp, last_params = _passed[0]
-    if inp is last_inp and params is last_params:
-        return
+    order: for a level a bool, for a bus an int that fits its width.  A
+    tuple that passes is stored in ``_passed``."""
     # A fresh record is tested in one unrolled expression; the loop over the
     # pin table below only names the field.  A bus fits its width when no bit
     # is left after shifting the width out, and a negative int stays negative.
@@ -83,7 +88,9 @@ def system_step(
        the post-edge RAM read data.  Registered RDDATA_C1 is the read mux
        of the pre-edge state, and 0 on an edge with ``rst_n`` low.
     """
-    _check_widths(inp, params)
+    last_inp, last_params = _passed[0]
+    if inp is not last_inp or params is not last_params:
+        _check_widths(inp, params)
     pre, ram = state
     prev_rd_data = (pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg) if inp[0] else 0
     arb, ram_in = arbiter_step(pre, inp, params)

@@ -149,6 +149,54 @@ def test_input_check_remembers_no_inputs_that_can_change():
         system_step(state, inp, params)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    addr_width=st.integers(1, 16),
+    data_width=st.integers(1, 16),
+    rst_n=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_drawn_record_passes_the_full_input_check(addr_width, data_width, rst_n, seed):
+    # random_inputs stores each record it draws as passed, so system_step
+    # never checks it: that is sound only because every draw would pass.
+    params = Params(addr_width, data_width)
+    rng = random.Random(seed)
+    for _ in range(20):
+        inp = random_inputs(rng, params, rst_n)
+        drawn, drawn_params = arbsim.system._passed[0]
+        assert drawn is inp and drawn_params is params
+        arbsim.system._passed[0] = (None, None)
+        arbsim.system._check_widths(inp, params)
+        assert arbsim.system._passed[0][0] is inp
+
+
+def test_random_inputs_draws_no_reset_level_that_is_not_a_bool():
+    # rst_n is the one value random_inputs does not draw, so it checks it.
+    rng = random.Random(0)
+    for value in (1, None):
+        with pytest.raises(ValueError, match=rf"^rst_n = {value!r} is not a level \(a bool\)$"):
+            random_inputs(rng, Params(4, 8), rst_n=value)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_a_drawn_record_is_checked_again_under_other_params_or_once_changed():
+    # The draw vouches for one record object under one Params object: the
+    # same record stepped at a narrower width, or an equal copy with one bad
+    # value written in, is checked in full.
+    wide, narrow = Params(8, 8), Params(2, 8)
+    rng = random.Random(0)
+    inp = random_inputs(rng, wide)
+    while inp[3] <= 3:  # rdaddr_c1, wider than 2 bits
+        inp = random_inputs(rng, wide)
+    with pytest.raises(ValueError, match=rf"^rdaddr_c1 = {inp[3]} does not fit params width 2$"):
+        system_step(system_new(narrow), inp, narrow)
+    inp = random_inputs(rng, wide)
+    bad = list(inp)
+    bad[5] = 256  # wrdata_c1, one past the widest 8-bit word
+    with pytest.raises(ValueError, match="^wrdata_c1 = 256 does not fit params width 8$"):
+        system_step(system_new(wide), tuple(bad), wide)
+
+
 @pytest.mark.parametrize("params", [Params(4, 8), Params(13, 8)], ids=["a4", "a13"])
 def test_input_check_reads_a_plain_tuple_by_position(params):
     # Stimulus may be a plain tuple in ClientInputs field order, as fuzz and
