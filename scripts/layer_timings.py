@@ -163,8 +163,8 @@ def text_layers():
     def export(write):
         return lambda t: write(t, io.StringIO())
 
-    def export_both(params, period, rows):
-        t = trace.Trace(params, period, rows)
+    def export_both(case, rows):
+        t = trace.Trace(case, rows)
         trace.write_vcd(t, io.StringIO())
         trace.write_table(t, io.StringIO())
 
@@ -176,7 +176,7 @@ def text_layers():
         ("write_vcd", export(trace.write_vcd), [(t,) for t in traces], rows),
         ("write_table", export(trace.write_table), [(t,) for t in traces], rows),
         ("export_one_row", export_both,
-         [(t.params, t.clock_period, t.rows[:1]) for t in traces], len(traces)),
+         [(t.scenario, t.rows[:1]) for t in traces], len(traces)),
     ]
 
 

@@ -17,8 +17,9 @@ what the output pins must show.  Example::
 
 `#` starts a comment.  Events at equal times apply in file order (later
 lines win on the same pin).  An input assignment at time t takes effect at
-the first rising clock edge at or after t; edge k occurs at
-k*clock_period + clock_period//2, the clock starting low.
+the first rising clock edge at or after t; ``Scenario.edge_time`` states
+when edge k occurs, and every time of a replay and its exports is mapped
+by it.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Assertion(NamedTuple):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One parsed scenario file: its params, pin events and expectations."""
+    """One parsed scenario file: its params, clock, pin events and expectations."""
 
     name: str
     params: Params
@@ -107,6 +108,16 @@ class Scenario:
 
     def num_edges(self) -> int:
         return -(-self.duration // self.clock_period)  # ceil division
+
+    def edge_time(self, k: int) -> int:
+        """Time of rising edge k: the clock starts low, so it rises half a
+        period (rounded down) into each period."""
+        return k * self.clock_period + self.clock_period // 2
+
+    def edge_for_time(self, t: int) -> int:
+        """Index of the first rising edge at or after time t >= 0 (edge 0
+        is less than a period in, so no time maps below it)."""
+        return -(-(t - self.edge_time(0)) // self.clock_period)  # ceil division
 
 
 def check_widths(params: Params) -> None:
@@ -245,9 +256,8 @@ def parse_scenario(text: str) -> Scenario:
             f" more than the maximum {MAX_EDGES}",
             head_line["run"],
         )
-    # Every edge's time is exported, and the last one lands half a clock
-    # after the last full period that the run starts.
-    last = (s.num_edges() - 1) * clock + clock // 2
+    # Every edge's time is exported, so the last one must fit a timestamp.
+    last = s.edge_time(s.num_edges() - 1)
     if last > MAX_TIME:
         raise ScenarioParseError(
             f"run {duration} at clock {clock} stamps its last edge at {last},"

@@ -71,7 +71,6 @@ class Params:
 
     def width(self, role: str) -> int:
         """Bits of a pin with ``role``: "level", "addr", "data" or "state"."""
-        # Tested in this order because the width check runs on every edge.
         if role == "addr":
             return self.addr_width
         if role == "data":

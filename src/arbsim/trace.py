@@ -3,10 +3,10 @@
 A trace holds one row per rising clock edge: the values of every pin in
 ``PINS`` order, one plain tuple.  Those are the inputs sampled at that
 edge, the post-edge outputs and the probes of the post-edge arbiter state
-(its drive registers, channel states and clash flag).  Row k is edge k, at
-``trace.edge_time(k)``, ``k * clock_period + clock_period // 2`` (the clock
-starts low); a row stores neither its cycle nor its time.  Equal rows of
-one replay are one tuple object, so a row costs the trace one reference.
+(its drive registers, channel states and clash flag).  A trace holds the
+scenario it replayed, and row k is edge k, at ``trace.scenario.edge_time(k)``;
+a row stores neither its cycle nor its time.  Equal rows of one replay are
+one tuple object, so a row costs the trace one reference.
 Traces export to IEEE-1364-style VCD and to a tab-separated table.
 """
 
@@ -24,27 +24,8 @@ from .system import system_new, system_step
 
 
 class Trace(NamedTuple):
-    params: Params
-    clock_period: int
+    scenario: Scenario  # the scenario replayed: its params and its clock
     rows: tuple[tuple, ...]  # row k: edge k's pin values in PINS order
-
-    def edge_time(self, k: int) -> int:
-        """Time of rising edge k, the edge that row k records."""
-        return k * self.clock_period + self.clock_period // 2
-
-    def edge_for_time(self, t: int) -> int:
-        """Index of the first rising edge at or after time t."""
-        first = self.edge_time(0)
-        if t <= first:
-            return 0
-        return -(-(t - first) // self.clock_period)
-
-    def last_edge_at_or_before(self, t: int) -> int:
-        """Index of the last rising edge at or before time t (-1 if none)."""
-        first = self.edge_time(0)
-        if t < first:
-            return -1
-        return (t - first) // self.clock_period
 
 
 class AssertionResult(NamedTuple):
@@ -80,10 +61,9 @@ def run_scenario(s: Scenario) -> Trace:
     whose time is >= t; assignments at equal times apply in file order, so
     a later line on the same pin wins.
     """
-    params, period, events, edges = s.params, s.clock_period, s.events, s.num_edges()
-    # Each event is mapped to its edge by the trace's own rule, which reads
-    # the clock only, so the loop compares edge indices, not times.
-    edge_for_time = Trace(params, period, ()).edge_for_time
+    params, events, edges, edge_for_time = s.params, s.events, s.num_edges(), s.edge_for_time
+    # Each event is mapped to its edge by the scenario's clock, so the loop
+    # compares edge indices, not times.
     state = system_new(params)
     inputs = ClientInputs.quiet(rst_n=LOW)
     rows: list[tuple] = []
@@ -98,7 +78,7 @@ def run_scenario(s: Scenario) -> Trace:
         state, out = system_step(state, inputs, params)
         row = inputs + out + _PROBES(state[0])
         rows.append(interned.setdefault(row, row))
-    return Trace(params, period, tuple(rows))
+    return Trace(s, tuple(rows))
 
 
 # A row is its pin values in PINS order: the inputs and the outputs whole,
@@ -167,15 +147,16 @@ def _pin_layout(addr_width: int, data_width: int) -> PinLayout:
 
 
 def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
-    """Evaluate every assertion of a scenario against its trace."""
+    """Evaluate every assertion of a scenario against its trace; times map
+    to edges by the clock of the scenario that the trace replayed."""
     results: list[AssertionResult] = []
-    rows = trace.rows
+    replayed, rows = trace
     n = len(rows)
-    cells = _pin_layout(trace.params.addr_width, trace.params.data_width).cells
+    cells = _pin_layout(replayed.params.addr_width, replayed.params.data_width).cells
     for a in s.assertions:
         i = _PIN_INDEX[a.pin]
         if a.kind == "value":
-            k = trace.edge_for_time(a.time)
+            k = replayed.edge_for_time(a.time)
             if k >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
@@ -183,13 +164,14 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
             expected = {"high": "1", "low": "0"}.get(a.expected, a.expected)
             results.append(AssertionResult(a, observed, observed == expected))
         else:
-            # A window a..b covers the edges whose times lie inside [a, b]:
-            # one that reaches past the last edge is out of range, and one
+            # A window a..b covers the edges whose times lie inside [a, b],
+            # the first at or after a through the one before the first after
+            # b: one that reaches past the last edge is out of range, and one
             # that falls between two edges of the run holds no edge.  The
             # parser allows pulses and quiet only on 1-bit pins, so the raw
             # value is the level.
-            ka = trace.edge_for_time(a.start)
-            kb = trace.last_edge_at_or_before(a.end)
+            ka = replayed.edge_for_time(a.start)
+            kb = replayed.edge_for_time(a.end + 1) - 1
             if ka >= n or kb >= n:
                 results.append(AssertionResult(a, "out of range", False))
                 continue
@@ -207,7 +189,7 @@ def check_assertions(trace: Trace, s: Scenario) -> AssertionReport:
                 )
             else:  # quiet
                 high = next((k for k in range(ka, kb + 1) if rows[k][i]), None)
-                observed = "low throughout" if high is None else f"high at t={trace.edge_time(high)}"
+                observed = "low throughout" if high is None else f"high at t={replayed.edge_time(high)}"
                 results.append(AssertionResult(a, observed, high is None))
     return AssertionReport(tuple(results), all(r.passed for r in results))
 
@@ -225,9 +207,10 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     whole preamble and each pin's change record come from the widths'
     ``PinLayout``.  Each run of rows that are one object (equal rows of a
     replay are) then gives at its first row's edge time (row k is edge k,
-    at ``trace.edge_time(k)``) a ``#<time>`` section of only the signals
-    that differ from the run before it (the power-on values before the
-    first run), in pieces of at most ``_LINES_PER_WRITE`` sections a write.
+    at ``trace.scenario.edge_time(k)``) a ``#<time>`` section of only the
+    signals that differ from the run before it (the power-on values before
+    the first run), in pieces of at most ``_LINES_PER_WRITE`` sections a
+    write.
 
     A change block depends only on the pair (previous run's row, run's
     row), so a dict local to the call, keyed by the two rows' ``id()``,
@@ -239,10 +222,10 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
     times as long (``tests/test_trace.py`` checks both), so the memo grows
     with a scenario's events, not with its run length.
     """
-    layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
+    s, rows = trace
+    layout = _pin_layout(s.params.addr_width, s.params.data_width)
     sink.write(layout.vcd_preamble)
     records = layout.vcd_records
-    rows = trace.rows
     power_on = previous = (0,) * len(PINS)
     blocks: dict[tuple[int, int], str] = {}  # (id of previous row, id of row) -> changes
     sections = []
@@ -260,7 +243,7 @@ def write_vcd(trace: Trace, sink: IO[str]) -> None:
         # equal rows are separate objects, a run that repeats the last one.
         # It writes nothing.
         if block:
-            sections.append(f"#{trace.edge_time(k)}\n{block}")
+            sections.append(f"#{s.edge_time(k)}\n{block}")
             if len(sections) == _LINES_PER_WRITE:
                 sink.write("".join(sections))
                 sections.clear()
@@ -273,7 +256,7 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     """Tab-separated dump: header of signal names, one line per row.
 
     The header and each pin's cell come from the widths' ``PinLayout``.
-    Row k is edge k, at ``trace.edge_time(k)``: its ``cycle`` and
+    Row k is edge k, at ``trace.scenario.edge_time(k)``: its ``cycle`` and
     ``time_ns`` cells are the index and that time, counted off ranges.
     Each row object is rendered once per call, into a dict keyed by its
     ``id()`` (the trace keeps every row alive for the call), so the equal
@@ -293,8 +276,8 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     length: every builtin case replayed at 40 times its duration has at most
     13 distinct rows (``tests/test_trace.py`` checks that bound).
     """
-    rows = trace.rows
-    layout = _pin_layout(trace.params.addr_width, trace.params.data_width)
+    s, rows = trace
+    layout = _pin_layout(s.params.addr_width, s.params.data_width)
     sink.write(layout.table_header)
     cells = layout.cells
     rendered = {
@@ -303,7 +286,7 @@ def write_table(trace: Trace, sink: IO[str]) -> None:
     }
     for first in range(0, len(rows), _LINES_PER_WRITE):
         stop = first + _LINES_PER_WRITE
-        times = range(trace.edge_time(first), trace.edge_time(stop), trace.clock_period)
+        times = range(s.edge_time(first), s.edge_time(stop), s.clock_period)
         sink.write("".join([
             f"{k}\t{t}\t{rendered[id(row)]}"
             for k, t, row in zip(range(first, stop), times, rows[first:stop])

@@ -64,11 +64,11 @@ def test_criterion_1_corpus_fidelity():
 
         # Key quantitative checks, asserted directly on the traces.
         tc02 = run_scenario(builtin_by_name("tc02"))
-        k = tc02.edge_for_time(3000)
+        k = tc02.scenario.edge_for_time(3000)
         assert tc02.rows[k][RDDATA_C1] == parse_word("10100011", 8).value
 
         tc04 = run_scenario(builtin_by_name("tc04"))
-        k = tc04.edge_for_time(2500)
+        k = tc04.scenario.edge_for_time(2500)
         assert tc04.rows[k][DATAOUT_C2] == parse_word("11100011", 8).value
         assert any(r[ACK_C2] for r in tc04.rows)
 
@@ -78,19 +78,19 @@ def test_criterion_1_corpus_fidelity():
         assert all(r[RDDATA_C1] != stale for r in tc07.rows)
         assert any(r[RDDATA_C1] == fresh for r in tc07.rows)
         tc08 = run_scenario(builtin_by_name("tc08"))
-        late = tc08.rows[tc08.edge_for_time(2900):]
+        late = tc08.rows[tc08.scenario.edge_for_time(2900):]
         assert all(r[RDDATA_C1] == fresh for r in late)
 
         tc22 = run_scenario(builtin_by_name("tc22"))
         assert all(not r[ACK_C2] for r in tc22.rows)
 
         tc33 = run_scenario(builtin_by_name("tc33"))
-        k = tc33.edge_for_time(2500)
+        k = tc33.scenario.edge_for_time(2500)
         assert tc33.rows[k][RDDATA_C1] == parse_word("00000000", 8).value
-        k = tc33.edge_for_time(3400)
+        k = tc33.scenario.edge_for_time(3400)
         assert tc33.rows[k][RDDATA_C1] == fresh
         pre_reset = parse_word("10101111", 8).value
-        after_release = tc33.rows[tc33.edge_for_time(2300):]
+        after_release = tc33.rows[tc33.scenario.edge_for_time(2300):]
         assert all(r[RDDATA_C1] != pre_reset for r in after_release)
 
         assert time.perf_counter() - start < 5.0

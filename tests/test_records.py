@@ -26,7 +26,7 @@ TUPLE_RECORDS = {
     AssertionReport: ("results", "passed"),
     Violation: ("cycle", "prop", "detail"),
     FuzzResult: ("seed", "cycles", "violation"),
-    Trace: ("params", "clock_period", "rows"),
+    Trace: ("scenario", "rows"),
 }
 
 

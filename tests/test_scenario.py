@@ -1,10 +1,10 @@
 """Scenario text format and the builtin corpus transcription."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from arbsim import ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
+from arbsim import Params, Scenario, ScenarioParseError, builtin_by_name, builtin_scenarios, parse_scenario, render_scenario
 from arbsim import corpus
 from arbsim.scenario import INPUT_PINS, MAX_ADDR_WIDTH, MAX_DATA_WIDTH, MAX_EDGES, MAX_TIME
 
@@ -61,6 +61,46 @@ class TestParse:
     def test_default_clock_is_100(self):
         s = parse_scenario("scenario t\nparams addr=4 data=8 registered=0\nrun 1000\n")
         assert s.clock_period == 100
+
+
+def clocked(period):
+    """A scenario of this clock period and nothing else."""
+    return Scenario("clock", Params(4, 8), period, (), (), period)
+
+
+class TestClockRule:
+    """``Scenario.edge_time`` states when each rising edge occurs, and every
+    time of a replay maps to an edge through ``edge_for_time``.  Both are
+    checked here against the rule written out, at every period and time."""
+
+    @given(st.integers(1, 1000), st.integers(0, 10**6))
+    @example(7, 3)  # an odd period's first edge, its half rounded down
+    @example(7, 4)
+    @example(50, 25)
+    def test_edge_for_time_is_the_first_edge_at_or_after(self, period, t):
+        s = clocked(period)
+        k = s.edge_for_time(t)
+        assert k >= 0
+        assert s.edge_time(k) == k * period + period // 2 >= t
+        assert k == 0 or s.edge_time(k - 1) == (k - 1) * period + period // 2 < t
+
+    # A window a..a+width from one time to three periods at the longest
+    # clock: at a long clock many hold no edge, at a short one many edges.
+    @given(st.integers(1, 1000), st.integers(0, 10**6), st.integers(0, 3000))
+    @example(100, 0, 49)  # before the first edge
+    @example(100, 51, 98)  # between two edges
+    @example(7, 3, 0)  # one edge, at both ends
+    def test_a_window_holds_exactly_the_edges_inside_it(self, period, a, width):
+        b = a + width
+        s = clocked(period)
+        first, stop = s.edge_for_time(a), s.edge_for_time(b + 1)
+        # Edge times rise with k, so the edges inside [a, b] are one run of
+        # indices: check it and its two neighbours outside it.
+        near = range(max(0, first - 2), stop + 2)
+        inside = [k for k in near if a <= k * period + period // 2 <= b]
+        assert list(range(first, stop)) == inside
+        assert first == 0 or (first - 1) * period + period // 2 < a
+        assert stop * period + period // 2 > b
 
 
 class TestParseErrors:

@@ -13,6 +13,7 @@ from arbsim import (
     HIGH,
     LOW,
     Params,
+    Scenario,
     Trace,
     arbiter_reset,
     builtin_by_name,
@@ -48,10 +49,11 @@ def assert_vcd_matches_table(trace, label=""):
     assert header[2:] == [name for name, _, _, _ in PINS]
     assert set(vcd.widths) == set(header[2:])
     for name, _, role, _ in PINS:
-        assert vcd.widths[name] == trace.params.width(role), f"{label}: {name} width"
+        assert vcd.widths[name] == trace.scenario.params.width(role), f"{label}: {name} width"
     assert len(lines) == len(trace.rows)
+    period = trace.scenario.clock_period
     for k, (row, cells) in enumerate(zip(trace.rows, lines)):
-        t = k * trace.clock_period + trace.clock_period // 2
+        t = k * period + period // 2
         assert cells[:2] == [str(k), str(t)]
         for (name, _, _, _), value, cell in zip(PINS, row, cells[2:], strict=True):
             assert vcd.value_at(name, t) == cell, f"{label}: {name} at t={t}"
@@ -68,7 +70,7 @@ class TestRunScenario:
             and r[PIN["WR_DATA"]] == parse_word("10100011", 8).value
         ]
         assert granted, "write request never reached the RAM drive"
-        assert trace.edge_time(min(granted)) > 600
+        assert trace.scenario.edge_time(min(granted)) > 600
 
     def test_zero_duration_scenario_gives_empty_trace(self):
         s = parse_scenario("scenario t\nparams addr=4 data=8 registered=0\nrun 0\n")
@@ -77,7 +79,9 @@ class TestRunScenario:
 
     def test_tc07_records_the_clash_window(self):
         trace = run_scenario(builtin_by_name("tc07"))
-        clash_times = [trace.edge_time(k) for k, r in enumerate(trace.rows) if r[PIN["ADDR_CLASH"]]]
+        clash_times = [
+            trace.scenario.edge_time(k) for k, r in enumerate(trace.rows) if r[PIN["ADDR_CLASH"]]
+        ]
         assert clash_times, "no clash recorded"
         assert min(clash_times) >= 2300
 
@@ -333,6 +337,12 @@ def ack_train_scenario(params):
     return parse_scenario("\n".join(lines) + "\n")
 
 
+def hand_built(params, rows):
+    """A trace of rows built here, not replayed: a scenario of no events
+    and a 10 ns clock, one edge a row, gives it its widths and times."""
+    return Trace(Scenario("hand-built", params, 10, (), (), 10 * len(rows)), tuple(rows))
+
+
 def random_walk_trace(params):
     """Two reset edges, the init sweep, then 400 edges that each change one
     random input: many rows differ from an earlier one in a single pin."""
@@ -357,7 +367,7 @@ def random_walk_trace(params):
         state, out = system_step(state, inputs, params)
         arb, _ = state
         rows.append(pin_row(inputs, out, arb))
-    return Trace(params, 10, tuple(rows))
+    return hand_built(params, rows)
 
 
 def one_pin_trace(params):
@@ -375,7 +385,7 @@ def one_pin_trace(params):
         for i, (_, _, role, _) in enumerate(PINS):
             value = largest.get(role) or (1 << params.width(role)) - 1
             rows += [(*base[:i], value, *base[i + 1 :]), base]
-    return Trace(params, 10, tuple(rows))
+    return hand_built(params, rows)
 
 
 def row_values(trace):
@@ -390,8 +400,8 @@ def reference_table(trace):
     """The table rendered the plain way: every cell of every row formatted,
     and row k stamped with cycle k at edge k's time, worked out here."""
     names = [name for name, _, _, _ in PINS]
-    widths = [trace.params.width(role) for _, _, role, _ in PINS]
-    period = trace.clock_period
+    widths = [trace.scenario.params.width(role) for _, _, role, _ in PINS]
+    period = trace.scenario.clock_period
     lines = ["\t".join(["cycle", "time_ns", *names])]
     for k, row in enumerate(trace.rows):
         cells = [format(int(v), f"0{w}b") for v, w in zip(row, widths, strict=True)]
@@ -403,7 +413,7 @@ def reference_vcd(trace):
     """The VCD rendered the plain way: every pin of every row compared with
     the row before it (the power-on values before the first), row k's
     changes stamped with edge k's time, worked out here."""
-    widths = [trace.params.width(role) for _, _, role, _ in PINS]
+    widths = [trace.scenario.params.width(role) for _, _, role, _ in PINS]
 
     def record(i, value):
         bits = format(value, f"0{widths[i]}b")
@@ -418,7 +428,7 @@ def reference_vcd(trace):
     previous = [0] * len(PINS)
     out += [record(i, 0) for i in range(len(PINS))]
     out.append("$end\n")
-    period = trace.clock_period
+    period = trace.scenario.clock_period
     for k, row in enumerate(trace.rows):
         values = [int(v) for v in row]
         changes = [record(i, v) for i, (v, old) in enumerate(zip(values, previous)) if v != old]
@@ -463,7 +473,7 @@ class TestExportReference:
         # The widths alternate within one test, so a memo kept between calls
         # would hand one width's cells to another.
         for trace in self.traces(kind, registered):
-            label = f"{kind} {trace.params}"
+            label = f"{kind} {trace.scenario.params}"
             values = row_values(trace)
             assert values[0] == (0,) * len(PINS), label
             # A row equal to one before it, but not to the row just before
@@ -688,7 +698,7 @@ class TestPinLayout:
     def test_the_cache_keeps_its_bound(self):
         bound = _pin_layout.cache_info().maxsize
         for data_width in range(1, bound + 5):
-            write_table(Trace(Params(1, data_width), 10, ()), io.StringIO())
+            write_table(hand_built(Params(1, data_width), ()), io.StringIO())
         assert _pin_layout.cache_info().currsize == bound
 
 
