@@ -13,10 +13,14 @@ and sweep before the measured phase (1 % of its edges) included.
 ``ram_sweep_a13`` is ``ram_step`` over the 8,193 zeroing-sweep edges of a
 power-on RAM at addr 13, which the addr-4 stream barely exercises;
 ``ram_write_a13`` is ``ram_step`` over 4,096 writes of random words to
-random addresses of that RAM after its sweep, the trie path copies of a
+random addresses of that RAM after its sweep, the stores of a
 ``wide-a13`` campaign's traffic; and
 ``ram_rewrite_a13`` is ``ram_step`` over 4,096 writes, to the same
-addresses, of the word each one then holds, which copy nothing.
+addresses, of the word each one then holds, which store nothing.  These
+three rows step linearly, as a campaign does: each pass starts from a
+fresh RAM and passes each call the state the call before it returned,
+in one Python loop whose cost is in the row.  A replay of recorded older
+states would make every call reroot the memory first.
 ``system_step_sweep_a13`` is ``system_step`` over the 8,194 edges that
 follow a power-on reset at addr 13 in ``run_fuzz`` (the 8,193-edge sweep
 and one idle edge), with ``ClientInputs.quiet()`` held, so that every edge
@@ -57,6 +61,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from itertools import starmap
 
 from arbsim import ClientInputs, Params, arbiter, builtin_scenarios, fuzz, ram, system, trace
@@ -113,27 +118,44 @@ def layer_calls(stream):
     return calls
 
 
-def wide_ram_calls():
-    """The ram_step arguments of every sweep edge of a power-on SWEEP_PARAMS
-    RAM, then those of WRITES random-address writes after the sweep, then
-    those of a write of the stored word to each of those addresses."""
+def step_linearly(start, inputs):
+    """``ram_step`` over ``inputs`` from the state ``start()`` returns, each
+    call given the state that the call before it returned, as a campaign
+    steps only its newest state."""
+    state = start()
+    for inp in inputs:
+        state = ram.ram_step(state, inp)[0]
+    return state
+
+
+def wide_ram_passes():
+    """(start, inputs) of three ``step_linearly`` passes at SWEEP_PARAMS:
+    the sweep edges of a power-on RAM, WRITES random-address writes after
+    the sweep, and a write of the stored word to each of those addresses.
+    Each pass starts from a state no other pass steps, so no call pays a
+    reroot that a campaign would not."""
     reset = ram.RamInputs(False, False, False, 0, 0, 0)
-    state, _ = ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)
-    inp = reset._replace(rst_n=True)
-    sweep = []
-    for _ in range(SWEEP_PARAMS.ram_depth() + 1):
-        sweep.append((state, inp))
-        state, _ = ram.ram_step(state, inp)
-    assert not state.reset_done_internal
+    sweep = [reset._replace(rst_n=True)] * (SWEEP_PARAMS.ram_depth() + 1)
+
+    def flagged():
+        return ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)[0]
+
+    # A freshly swept power-on RAM equals a power-on one.
+    swept = step_linearly(flagged, sweep)
+    assert swept == ram.ram_reset(SWEEP_PARAMS)
+
+    fresh = partial(ram.ram_reset, SWEEP_PARAMS)
     rng = random.Random(0)
-    writes = []
-    for _ in range(WRITES):
-        addr = rng.getrandbits(SWEEP_PARAMS.addr_width)
-        inp = ram.RamInputs(True, False, True, 0, addr, rng.getrandbits(SWEEP_PARAMS.data_width))
-        writes.append((state, inp))
-        state, _ = ram.ram_step(state, inp)
-    rewrites = [(state, inp._replace(wr_data=state.memory[inp.wr_addr])) for _, inp in writes]
-    return sweep, writes, rewrites
+    writes = [
+        ram.RamInputs(True, False, True, 0, rng.getrandbits(SWEEP_PARAMS.addr_width),
+                      rng.getrandbits(SWEEP_PARAMS.data_width))
+        for _ in range(WRITES)
+    ]
+    # A write of the stored word returns its state, so every rewrite pass
+    # starts from this one, still the newest of its memory's versions.
+    written = step_linearly(fresh, writes)
+    rewrites = [inp._replace(wr_data=written.memory[inp.wr_addr]) for inp in writes]
+    return (flagged, sweep), (fresh, writes), (lambda: written, rewrites)
 
 
 def sweep_system_calls():
@@ -246,8 +268,8 @@ def main():
     layers = [(fn.__name__, fn, args, len(args)) for fn, args in layer_calls(stream).items()]
     layers.append(("fuzz_edge", fuzz.run_fuzz, [(0, CYCLES, PARAMS, True)], CYCLES))
     names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13")
-    for name, calls in zip(names, wide_ram_calls()):
-        layers.append((name, ram.ram_step, calls, len(calls)))
+    for name, (start, inputs) in zip(names, wide_ram_passes()):
+        layers.append((name, step_linearly, [(start, inputs)], len(inputs)))
     sweep = sweep_system_calls()
     layers.append(("system_step_sweep_a13", system.system_step, sweep, len(sweep)))
     layers += text_layers()

@@ -8,107 +8,127 @@ return the pre-edge memory content, so a read and a write to the same
 address in the same cycle yields the old word.  Addresses and words are
 plain ints of the widths given by :class:`Params`.
 
-A RAM of up to ``2**5`` words, one trie leaf, is the exact ``tuple`` of
-its words, which :func:`ram_step` reads and rewrites inline, without a
-Python frame.  A
-wider array is a :class:`Memory`, a persistent 32-way radix trie over the
-address bits: 5 bits per level, the top level taking the remainder
-(path copying as in Driscoll, Sarnak, Sleator & Tarjan, "Making Data
-Structures Persistent", 1989; the branching factor as in Bagwell, "Ideal
-Hash Trees", 2001).  The power-on
-array is one shared node per level.  A client write of a new word, like
-each edge of the zeroing sweep that clears a nonzero word, copies the
-``ceil(addr_width / 5)`` tuples of at most 32 entries on one root-to-leaf
-path and shares the rest, so an edge costs O(addr_width) rather than
-O(2^addr_width).  In either form a write of the word already stored, a
-sweep edge over a zero word among them, only reads it and copies nothing,
-so the power-on sweep costs one read per edge.
+A RAM of up to ``2**5`` words is the exact ``tuple`` of its words, which
+:func:`ram_step` reads and rewrites inline, without a Python frame.  A
+wider array is a :class:`Memory`, a rerooted persistent array (Baker,
+"Shallow binding makes functional arrays fast", 1991; Conchon &
+Filliatre, "A Persistent Union-Find Data Structure", 2007).  All the
+versions that derive from one :meth:`Memory.zeros` form a family.  One of
+them, the holder, owns a ``dict`` of the nonzero words; every other
+version holds one diff, an address, its word in that version and the next
+version toward the holder.  A read or write of the holder is O(1), and
+each write makes the new version the holder, so a caller that only ever
+steps the newest state, as every simulation loop does, never pays more.
+Any other version is first made the holder by reversing the diffs on its
+path.  No zero word is stored, so the power-on array allocates nothing at
+any width, and ``hash`` and ``==`` cost O(nonzero words).  Diffs point
+from old versions to new ones, so a version the caller drops is freed.
+In either form a write of the word already stored, a sweep edge over a
+zero word among them, only reads it and builds nothing, so the power-on
+sweep costs one read per edge.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import chain
 from typing import NamedTuple
 
 from .signals import Level, Params
 
-_BITS = 5
-_MASK = (1 << _BITS) - 1
+_TUPLE_BITS = 5  # a RAM of up to 2**5 words is the tuple of its words
 _new = tuple.__new__  # builds each record; bound once, not looked up on tuple per record
 
 
 class Memory(Sequence):
-    """Immutable array of words; :meth:`set` returns an updated copy.
+    """Persistent array of words; :meth:`set` returns an updated version
+    and leaves this one as it was.
 
     Memories with the same contents are equal and hash equal, whatever
-    order of writes produced them.
+    order of writes produced them.  Reading any version may rearrange the
+    family's diffs, so a family is not shared between threads.
     """
 
-    __slots__ = ("_len", "_shifts", "_root")
+    # The holder has its dict in _words and _diff None; any other version
+    # has _words None and _diff (address, word, next version).
+    __slots__ = ("_len", "_words", "_diff")
 
-    def __init__(self, size: int, shifts: tuple[int, ...], root: tuple) -> None:
-        self._len, self._shifts, self._root = size, shifts, root
+    def __init__(self, size: int, words: dict[int, int]) -> None:
+        self._len, self._words, self._diff = size, words, None
 
     @classmethod
     def zeros(cls, addr_width: int) -> "Memory":
-        """``2**addr_width`` zero words, sharing one node per level."""
-        top_shift = _BITS * ((addr_width - 1) // _BITS)
-        shifts = tuple(range(top_shift, -1, -_BITS))
-        node = 0
-        for _ in shifts[1:]:
-            node = (node,) * (1 << _BITS)
-        return cls(1 << addr_width, shifts, (node,) * (1 << (addr_width - top_shift)))
+        """``2**addr_width`` zero words, none of them stored."""
+        return cls(1 << addr_width, {})
 
     def _index(self, i: int) -> int:
         if not -self._len <= i < self._len:
             raise IndexError(f"memory index {i} out of range for {self._len} words")
         return i % self._len
 
+    def _reroot(self) -> dict[int, int]:
+        """Make this version the holder and return its dict.  Each diff on
+        the path, from the holder's end, is undone in the dict and turned
+        around, so the structure is consistent after every step."""
+        path, node = [], self
+        while node._words is None:
+            path.append(node)
+            node = node._diff[2]
+        words = node._words
+        for version in reversed(path):
+            i, word, _ = version._diff
+            node._words, node._diff = None, (i, words.get(i, 0), version)
+            if word:
+                words[i] = word
+            else:
+                del words[i]
+            version._words, version._diff = words, None
+            node = version
+        return words
+
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._len:
             i = self._index(i)
-        node = self._root
-        for shift in self._shifts:
-            node = node[i >> shift & _MASK]
-        return node
+        words = self._words
+        if words is None:
+            words = self._reroot()
+        return words.get(i, 0)
 
     def set(self, i: int, word: int) -> "Memory":
-        """A copy with word ``i`` replaced; only the nodes on its path are
-        new.  Word ``i`` already equal to ``word`` returns ``self``."""
+        """A new version with word ``i`` replaced, which becomes the
+        holder.  Word ``i`` already equal to ``word`` returns ``self``."""
         if not 0 <= i < self._len:
             i = self._index(i)
-        path, node = [], self._root
-        for shift in self._shifts:
-            k = i >> shift & _MASK
-            path.append((node, k))
-            node = node[k]
-        if node == word:
+        words = self._words
+        if words is None:
+            words = self._reroot()
+        old = words.get(i, 0)
+        if old == word:
             return self
-        for node, k in reversed(path):
-            copy = list(node)
-            copy[k] = word
-            word = tuple(copy)
+        if word:
+            words[i] = word
+        else:
+            del words[i]
         new = object.__new__(Memory)  # without the frame of __init__
-        new._len, new._shifts, new._root = self._len, self._shifts, word
+        new._len, new._words, new._diff = self._len, words, None
+        self._words, self._diff = None, (i, old, new)
         return new
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[int]:
-        words = iter(self._root)
-        for _ in self._shifts[1:]:
-            words = chain.from_iterable(words)
-        return words
+        # Through __getitem__, so a version of the same family stepped
+        # between two items does not change what this one yields.
+        return map(self.__getitem__, range(self._len))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):
             return NotImplemented
-        return self._len == other._len and self._root == other._root
+        # A copy: rerooting ``other`` may rewrite this version's dict.
+        return self._len == other._len and dict(self._reroot()) == other._reroot()
 
     def __hash__(self) -> int:
-        return hash((self._len, self._root))
+        return hash((self._len, frozenset(self._reroot().items())))
 
     def __repr__(self) -> str:
         return f"Memory({self._len} words)"
@@ -135,11 +155,11 @@ class RamState(NamedTuple):
 
 def ram_reset(params: Params) -> RamState:
     """Power-on state: all-zero memory, idle sweep counter, zero read
-    register.  The memory is a plain tuple up to ``2**_BITS`` words and a
-    :class:`Memory` trie beyond."""
+    register.  The memory is a plain tuple up to ``2**_TUPLE_BITS`` words
+    and a :class:`Memory` beyond."""
     width = params.addr_width
     return RamState(
-        memory=(0,) * (1 << width) if width <= _BITS else Memory.zeros(width),
+        memory=(0,) * (1 << width) if width <= _TUPLE_BITS else Memory.zeros(width),
         count=0,
         reset_done_internal=False,
         rd_data_reg=0,
@@ -156,22 +176,27 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
     """
     memory, count, reset_done, rd_data = state
     # A flat memory is rewritten here as one list copy, one store and one
-    # tuple, a trie through Memory.set; a store of the word already there
+    # tuple, a wider one through Memory.set; a store of the word already there
     # keeps the memory object either way.
     flat = type(memory) is tuple
     if reset_done:
         # The inputs' reset pin alone: the sweep ignores the drive registers.
         if not inp.rst_n:
             return state, rd_data
-        # The trie's length without the frame of Memory.__len__.
+        # The Memory's length without the frame of Memory.__len__.
         if count < (len(memory) if flat else memory._len):
-            if memory[count]:
-                if flat:
-                    words = list(memory)
-                    words[count] = 0
-                    memory = tuple(words)
-                else:
+            if not flat:
+                # The holder's dict holds the nonzero words: a test of it
+                # reads the word without the frame of Memory.__getitem__.
+                stored = memory._words
+                if stored is None:
+                    stored = memory._reroot()
+                if count in stored:
                     memory = memory.set(count, 0)
+            elif memory[count]:
+                words = list(memory)
+                words[count] = 0
+                memory = tuple(words)
             return _new(RamState, (memory, count + 1, True, rd_data)), rd_data
         return _new(RamState, (memory, 0, False, rd_data)), rd_data
 

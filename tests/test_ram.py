@@ -1,6 +1,8 @@
 """RAM block: init sweep, read-old semantics, reference-model equivalence."""
 
+import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -266,7 +268,8 @@ def test_determinism():
 
 @pytest.mark.parametrize("addr_width", [1, 5, 6, 10, 11, 13])
 def test_reference_model_equivalence_across_trie_levels(addr_width):
-    # Both sides of each 5-bit trie-level boundary.
+    # Both sides of the 32-word boundary between the tuple form and a
+    # Memory, and Memories up to the benchmark's 8,192 words.
     params = Params(addr_width, 8)
     rng = random.Random(addr_width)
     state = swept(params)
@@ -296,6 +299,14 @@ def test_write_leaves_old_memory_unchanged(addr_width):
     assert tuple(old.memory) == before
     assert old.memory[3] == 0x5A and new.memory[3] == 0xC3
     assert old.memory[params.ram_depth() - 1] == 0
+    # Sweep edges stepped on the old state, after a read of the new one,
+    # clear the old state's word and leave both memories as they were.
+    assert new.memory[3] == 0xC3
+    cleared, _ = ram_step(old, quiet(params, rst_n=LOW))
+    for _ in range(4):
+        cleared, _ = ram_step(cleared, quiet(params))
+    assert cleared.memory[3] == 0 and cleared.count == 4
+    assert old.memory[3] == 0x5A and new.memory[3] == 0xC3
 
 
 @pytest.mark.parametrize("addr_width", [4, 13])
@@ -338,9 +349,8 @@ def test_an_edge_that_changes_nothing_returns_the_state_itself(params):
 
 @pytest.mark.parametrize("addr_width", [1, 2, 3, 4, 5, 6])
 def test_a_ram_of_up_to_32_words_is_its_tuple_of_words(addr_width):
-    # Up to the trie's leaf size of 32 words the memory is the exact tuple
-    # of its words, which ram_step rewrites inline; from 6 address bits on
-    # it is a Memory trie.
+    # Up to 32 words the memory is the exact tuple of its words, which
+    # ram_step rewrites inline; from 6 address bits on it is a Memory.
     params = Params(addr_width, 8)
     power_on = ram_reset(params).memory
     if addr_width == 6:
@@ -364,8 +374,8 @@ def test_a_ram_of_up_to_32_words_is_its_tuple_of_words(addr_width):
 
 @pytest.mark.parametrize("addr_width", [4, 6, 13])
 def test_setting_the_stored_word_returns_the_memory_itself(addr_width):
-    # A flat tuple (addr 4) and tries of two and three levels.  A power-on
-    # zero counts as stored; a different word still copies its path.
+    # Memories of 16, 64 and 8,192 words.  A power-on zero counts as
+    # stored; a different word still makes a new version.
     zeros = Memory.zeros(addr_width)
     top = (1 << addr_width) - 1
     for i in (0, 1, 33 % (top + 1), top):
@@ -376,12 +386,14 @@ def test_setting_the_stored_word_returns_the_memory_itself(addr_width):
         rewritten = written.set(i, 0xC3)
         assert rewritten is not written and rewritten[i] == 0xC3
         assert written[i] == 0x5A and rewritten == zeros.set(i, 0xC3)
+        cleared = rewritten.set(i, 0)
+        assert cleared == zeros and hash(cleared) == hash(zeros)
     assert not any(zeros)
 
 
 @pytest.mark.parametrize("addr_width", [4, 5, 6, 13])
 def test_memory_index_semantics_at_both_ends(addr_width):
-    # Both sides of the flat/trie boundary.  An index in [0, len) skips the
+    # Memories of 16 to 8,192 words.  An index in [0, len) skips the
     # bounds check's call; any other index goes through it and keeps its
     # meaning: a negative one counts from the end, an out-of-range one
     # raises the same error from reads and writes alike.
@@ -417,3 +429,79 @@ def test_wide_memory_is_not_allocated():
     )
     _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top))
     assert rd == 0xA5
+
+
+def test_an_addr_32_memory_hashes_and_compares_in_bounded_time():
+    # hash and == cost O(nonzero words), not O(2**32): each call, on the
+    # power-on memory and on two written in different orders, returns
+    # within a second.
+    top = 2**32 - 1
+    power_on = Memory.zeros(32)
+    written = power_on.set(0, 0x5A).set(top, 0xC3)
+    reordered = Memory.zeros(32).set(top, 0xC3).set(0, 0x5A)
+    for check in (
+        lambda: hash(power_on), lambda: power_on == Memory.zeros(32),
+        lambda: hash(written), lambda: hash(reordered),
+        lambda: written == reordered, lambda: written != power_on,
+    ):
+        start = time.perf_counter()
+        assert check()
+        assert time.perf_counter() - start < 1
+    assert hash(written) == hash(reordered) and written[top] == 0xC3
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_every_version_keeps_its_words_under_any_access_order(data):
+    # Writes and reads, each on an arbitrary earlier version, against a
+    # tuple snapshot of each.  An index is often one of the version's
+    # nonzero words, in either sign, and words are small, so writes of the
+    # stored word and writes of 0 over a nonzero word are common.
+    addr_width = data.draw(st.integers(min_value=6, max_value=13), label="addr_width")
+    depth = 1 << addr_width
+    index = st.integers(min_value=-depth, max_value=depth - 1)
+    versions, snapshots = [Memory.zeros(addr_width)], [(0,) * depth]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=20), label="ops")):
+        k = data.draw(st.integers(min_value=0, max_value=len(versions) - 1))
+        stored = [j - depth * sign for j, w in enumerate(snapshots[k]) if w for sign in (0, 1)]
+        i = data.draw(index | st.sampled_from(stored) if stored else index)
+        word = data.draw(st.none() | st.integers(min_value=0, max_value=3), label="word")
+        if word is not None:
+            words = list(snapshots[k])
+            words[i] = word
+            versions.append(versions[k].set(i, word))
+            snapshots.append(tuple(words))
+        else:
+            assert versions[k][i] == snapshots[k][i]
+        # Each version against a fresh memory of its words, and against
+        # every other version of its family.  Newest first, so a version
+        # that a write has just made the holder is compared before any
+        # reroot rewrites its dict.
+        for v, snapshot in reversed(list(zip(versions, snapshots))):
+            fresh = Memory.zeros(addr_width)
+            for j, w in enumerate(snapshot):
+                if w:
+                    fresh = fresh.set(j, w)
+            assert v == fresh and hash(v) == hash(fresh)
+            assert len(v) == depth and tuple(v) == snapshot
+            for other, other_snapshot in zip(versions, snapshots):
+                assert (v == other) == (snapshot == other_snapshot)
+                if snapshot == other_snapshot:
+                    assert hash(v) == hash(other)
+
+
+def test_stepping_the_newest_state_keeps_one_memory_alive():
+    # A state that is dropped frees its memory: after 20,000 random writes
+    # through ram_step, with only the newest state kept, the one Memory
+    # left is the newest.
+    def live_memories():
+        gc.collect()
+        return sum(type(o) is Memory for o in gc.get_objects())
+
+    params = Params(13, 8)
+    rng = random.Random(13)
+    before = live_memories()
+    state = ram_reset(params)
+    for _ in range(20_000):
+        state = write(state, params, rng.getrandbits(13), rng.getrandbits(8))
+    assert live_memories() - before == 1
