@@ -14,13 +14,14 @@ and sweep before the measured phase (1 % of its edges) included.
 power-on RAM at addr 13, which the addr-4 stream barely exercises;
 ``ram_write_a13`` is ``ram_step`` over 4,096 writes of random words to
 random addresses of that RAM after its sweep, the stores of a
-``wide-a13`` campaign's traffic; and
-``ram_rewrite_a13`` is ``ram_step`` over 4,096 writes, to the same
-addresses, of the word each one then holds, which store nothing.  These
-three rows step linearly, as a campaign does: each pass starts from a
-fresh RAM and passes each call the state the call before it returned,
-in one Python loop whose cost is in the row.  A replay of recorded older
-states would make every call reroot the memory first.
+``wide-a13`` campaign's traffic; ``ram_rewrite_a13`` is ``ram_step`` over
+4,096 writes, to the same addresses, of the word each one then holds,
+which store nothing; and ``ram_read_a13`` is ``ram_step`` over 4,096
+client reads of those addresses, the reads of that traffic.  These four
+rows step linearly, as a campaign does: each pass starts from its own RAM
+state and passes each call the state the call before it returned, in one
+Python loop whose cost is in the row.  A replay of recorded older states
+would make every call reroot the memory first.
 ``system_step_sweep_a13`` is ``system_step`` over the 8,194 edges that
 follow a power-on reset at addr 13 in ``run_fuzz`` (the 8,193-edge sweep
 and one idle edge), with ``ClientInputs.quiet()`` held, so that every edge
@@ -129,11 +130,11 @@ def step_linearly(start, inputs):
 
 
 def wide_ram_passes():
-    """(start, inputs) of three ``step_linearly`` passes at SWEEP_PARAMS:
+    """(start, inputs) of four ``step_linearly`` passes at SWEEP_PARAMS:
     the sweep edges of a power-on RAM, WRITES random-address writes after
-    the sweep, and a write of the stored word to each of those addresses.
-    Each pass starts from a state no other pass steps, so no call pays a
-    reroot that a campaign would not."""
+    the sweep, a write of the stored word to each of those addresses, and
+    a read of each.  No pass makes a new version of a memory that another
+    pass steps, so no call pays a reroot that a campaign would not."""
     reset = ram.RamInputs(False, False, False, 0, 0, 0)
     sweep = [reset._replace(rst_n=True)] * (SWEEP_PARAMS.ram_depth() + 1)
 
@@ -151,11 +152,15 @@ def wide_ram_passes():
                       rng.getrandbits(SWEEP_PARAMS.data_width))
         for _ in range(WRITES)
     ]
-    # A write of the stored word returns its state, so every rewrite pass
-    # starts from this one, still the newest of its memory's versions.
+    # A write of the stored word returns its state, and a read keeps its
+    # memory, so every rewrite and read pass starts from this state, whose
+    # memory stays the newest of its versions.
     written = step_linearly(fresh, writes)
     rewrites = [inp._replace(wr_data=written.memory[inp.wr_addr]) for inp in writes]
-    return (flagged, sweep), (fresh, writes), (lambda: written, rewrites)
+    reads = [inp._replace(rd_en=True, wr_en=False, rd_addr=inp.wr_addr, wr_addr=0, wr_data=0)
+             for inp in writes]
+    return ((flagged, sweep), (fresh, writes), (lambda: written, rewrites),
+            (lambda: written, reads))
 
 
 def sweep_system_calls():
@@ -267,7 +272,7 @@ def main():
     stream = record_stream()
     layers = [(fn.__name__, fn, args, len(args)) for fn, args in layer_calls(stream).items()]
     layers.append(("fuzz_edge", fuzz.run_fuzz, [(0, CYCLES, PARAMS, True)], CYCLES))
-    names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13")
+    names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13", "ram_read_a13")
     for name, (start, inputs) in zip(names, wide_ram_passes()):
         layers.append((name, step_linearly, [(start, inputs)], len(inputs)))
     sweep = sweep_system_calls()

@@ -134,18 +134,21 @@ def fsm_next(
 
     A low ``rst_n`` forces both channels into reset with the counter cleared.
     In reset with ``rst_n`` high the counter runs for one full memory depth,
-    then both channels move to idle: they leave reset together, which is
-    what ``RST_DONE`` shows.  Out of reset each channel independently grants
+    then both channels move to idle: they enter and leave reset together,
+    which is what ``RST_DONE`` shows, so a result never has exactly one
+    channel in reset.  Out of reset each channel independently grants
     client1 first (its enable always wins), then client2 when requested on
     the matching side of the read-not-write selector, and otherwise idles.
+    The reset pin and the reset branch are decided before the grant inputs
+    are read, so a reset or sweep edge reads one input.
     """
-    rst_n, rd_en_c1, wr_en_c1, _, _, _, request_c2, rd_not_write_c2, _, _ = inp
-    if not rst_n:
+    if not inp[0]:
         return RESET, RESET, 0
     if pr_read is RESET or pr_write is RESET:
         if reset_count < 1 << params.addr_width:  # the RAM's depth
             return RESET, RESET, reset_count + 1
         return IDLE, IDLE, 0
+    _, rd_en_c1, wr_en_c1, _, _, _, request_c2, rd_not_write_c2, _, _ = inp
     nx_read = (CLIENT1_READ if rd_en_c1
                else CLIENT2_READ if request_c2 and rd_not_write_c2 else IDLE)
     nx_write = (CLIENT1_WRITE if wr_en_c1
@@ -184,39 +187,51 @@ def arbiter_step(
     The next state reads only the arbiter's own registers and the pins, no
     RAM output.  Returns the post-edge state and the RAM's inputs for this
     edge: the raw reset pin and the just-latched drive registers.
+
+    A reset or sweep edge, one that ``fsm_next`` sends into reset, returns
+    before the inputs are read: every drive register and the clash flag
+    clear, the write ack clears, both read ack registers take
+    ``temp_ack and not temp_ack1`` of the pre-edge state (the cadence of
+    step 4 with nothing granted), and the RAM gets the shared quiet inputs
+    for the reset pin.
     """
     (pr_read, pr_write, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr,
      temp_wr_data, pre_ack, pre_ack1, pre_wr, _, reset_count) = state
+    nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
+    if nx_read is RESET:
+        # fsm_next sends both channels into reset together.
+        temp_ack = pre_ack and not pre_ack1
+        return _new(ArbiterState, (
+            nx_read, nx_write, LOW, LOW, 0, 0, 0, temp_ack, temp_ack, LOW, LOW, reset_count,
+        )), _QUIET_RUN if inp[0] else _QUIET_RESET
+
     (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
      _, _, addr_c2, datain_c2) = inp
 
-    nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
-
+    # Out of reset a channel is idle, client1's or client2's; a client2
+    # channel latches only while its ack register is low, and holds else.
     temp_ack = pre_ack
-    if nx_read is IDLE or nx_read is RESET:
+    if nx_read is IDLE:
         temp_rd_en, temp_rd_addr = LOW, 0
     elif nx_read is CLIENT1_READ:
         temp_rd_en, temp_rd_addr = rd_en_c1, rdaddr_c1
-    elif nx_read is CLIENT2_READ:
-        if not pre_ack:
-            temp_rd_en, temp_rd_addr, temp_ack = HIGH, addr_c2, HIGH
+    elif not pre_ack:
+        temp_rd_en, temp_rd_addr, temp_ack = HIGH, addr_c2, HIGH
 
-    temp_wr = pre_wr
-    if nx_write is IDLE or nx_write is RESET:
+    # A write ack sets only while it was low and clears on the next edge.
+    temp_wr = LOW
+    if nx_write is IDLE:
         temp_wr_en, temp_wr_addr, temp_wr_data = LOW, 0, 0
     elif nx_write is CLIENT1_WRITE:
         temp_wr_en, temp_wr_addr, temp_wr_data = wr_en_c1, wraddr_c1, wrdata_c1
-    elif nx_write is CLIENT2_WRITE:
-        if not pre_wr:
-            temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = HIGH, addr_c2, datain_c2, HIGH
+    elif not pre_wr:
+        temp_wr_en, temp_wr_addr, temp_wr_data, temp_wr = HIGH, addr_c2, datain_c2, HIGH
 
     addr_clash = detect_clash(temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr)
 
     # Ack cadence, guarded on pre-edge values: a set and its clear never
     # land on the same edge, so continuous client2 service produces a
     # period-2 pulse train for writes and period-3 for reads.
-    if pre_wr:
-        temp_wr = LOW
     temp_ack1 = pre_ack
     if pre_ack1:
         temp_ack1 = LOW

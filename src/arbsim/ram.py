@@ -26,6 +26,11 @@ from old versions to new ones, so a version the caller drops is freed.
 In either form a write of the word already stored, a sweep edge over a
 zero word among them, only reads it and builds nothing, so the power-on
 sweep costs one read per edge.
+
+:func:`ram_step` reads a :class:`Memory`, on a client read as on a sweep
+edge, in the holder's ``dict`` itself, after a reroot only for an older
+version, without the frame of ``Memory.__getitem__``.  It thus reads only
+addresses within the RAM, which the arbiter's drive registers always hold.
 """
 
 from __future__ import annotations
@@ -205,7 +210,14 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
         return _new(RamState, (memory, count, True, rd_data)), rd_data
     new_memory, new_rd_data = memory, rd_data
     if rd_en:
-        new_rd_data = memory[rd_addr]
+        if flat:
+            new_rd_data = memory[rd_addr]
+        else:
+            # The holder's dict, as the sweep above reads it.
+            stored = memory._words
+            if stored is None:
+                stored = memory._reroot()
+            new_rd_data = stored.get(rd_addr, 0)
     if wr_en:
         if not flat:
             new_memory = memory.set(wr_addr, wr_data)

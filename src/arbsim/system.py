@@ -86,13 +86,16 @@ def system_step(
     2. step the RAM with those inputs;
     3. resolve the client outputs from the post-edge arbiter registers and
        the post-edge RAM read data.  Registered RDDATA_C1 is the read mux
-       of the pre-edge state, and 0 on an edge with ``rst_n`` low.
+       of the pre-edge state, and 0 on an edge with ``rst_n`` low; that
+       pre-edge mux is read only in registered mode, and unregistered
+       ``resolve_outputs`` is passed 0 in its place, which it does not read.
     """
     last_inp, last_params = _passed[0]
     if inp is not last_inp or params is not last_params:
         _check_widths(inp, params)
     pre, ram = state
-    prev_rd_data = (pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg) if inp[0] else 0
+    prev_rd_data = ((pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg)
+                    if params.registered_output and inp[0] else 0)
     arb, ram_in = arbiter_step(pre, inp, params)
     ram, post_rd_data = ram_step(ram, ram_in)
     out = resolve_outputs(arb, post_rd_data, prev_rd_data, params)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from arbsim import (
     HIGH,
     LOW,
+    ArbiterState,
     ChannelState,
+    ClientInputs,
     Params,
     arbiter_reset,
     arbiter_step,
@@ -243,6 +245,43 @@ def test_ack_silent_when_client2_never_granted():
         request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2="1010",
     )
     assert ack_series(inp) == [LOW] * 12
+
+
+ADDRS = st.integers(min_value=0, max_value=PARAMS.ram_depth() - 1)
+WORDS = st.integers(min_value=0, max_value=(1 << PARAMS.data_width) - 1)
+CLIENT_INPUTS = st.builds(
+    ClientInputs, st.booleans(), st.booleans(), st.booleans(), ADDRS, ADDRS, WORDS,
+    st.booleans(), st.booleans(), ADDRS, WORDS,
+)
+ARBITER_STATES = st.builds(
+    ArbiterState, st.sampled_from(ChannelState), st.sampled_from(ChannelState),
+    st.booleans(), st.booleans(), ADDRS, ADDRS, WORDS,
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+    st.integers(min_value=0, max_value=PARAMS.ram_depth()),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ARBITER_STATES, CLIENT_INPUTS)
+def test_a_reset_edge_clears_the_datapath_and_decays_the_read_ack(state, inp):
+    # Any registers, and any inputs: with rst_n low any channel states, and
+    # with rst_n high both channels in reset and the sweep still counting.
+    if inp.rst_n:
+        state = state._replace(
+            pr_read=R, pr_write=R, reset_count=state.reset_count % PARAMS.ram_depth()
+        )
+    post, ram_in = arbiter_step(state, inp, PARAMS)
+    _, _, count = fsm_next(state.pr_read, state.pr_write, inp, state.reset_count, PARAMS)
+    # Nothing is granted, so the read ack registers only decay: both take
+    # the read ack, cleared when its second register was set.
+    ack = state.temp_ack and not state.temp_ack1
+    assert post == (R, R, LOW, LOW, 0, 0, 0, ack, ack, LOW, LOW, count)
+    levels = (post.temp_rd_en, post.temp_wr_en, post.temp_ack, post.temp_ack1,
+              post.temp_wr, post.addr_clash)
+    assert type(post) is ArbiterState and all(type(v) is bool for v in levels)
+    # The shared quiet inputs of the reset pin's level, not an equal copy.
+    assert ram_in is (arbiter._QUIET_RUN if inp.rst_n else arbiter._QUIET_RESET)
+    assert ram_in == (inp.rst_n, LOW, LOW, 0, 0, 0)
 
 
 class TestResolveOutputs:

@@ -309,6 +309,33 @@ def test_write_leaves_old_memory_unchanged(addr_width):
     assert old.memory[3] == 0x5A and new.memory[3] == 0xC3
 
 
+@pytest.mark.parametrize("addr_width", [6, 13])
+def test_a_read_of_an_older_state_reads_its_own_words(addr_width):
+    # ram_step reads a Memory in its holder's dict; an older state's memory
+    # is not the holder, so the read reroots it first.
+    params = Params(addr_width, 8)
+    top = params.ram_depth() - 1
+    old = write(swept(params), params, 3, 0x5A)
+    newer = write(old, params, 3, 0xC3)
+    newest = write(newer, params, top, 0x11)
+    for addr, word in ((3, 0x5A), (top, 0), (3, 0x5A)):
+        assert old.memory._words is None and newest.memory._words is not None
+        state, rd = ram_step(old, quiet(params, rd_en=HIGH, rd_addr=addr))
+        assert rd == state.rd_data_reg == word and state.memory is old.memory
+        # Every newer version keeps its words; reading them reroots back.
+        assert (newer.memory[3], newer.memory[top]) == (0xC3, 0)
+        assert (newest.memory[3], newest.memory[top]) == (0xC3, 0x11)
+    assert tuple(old.memory) == (0, 0, 0, 0x5A) + (0,) * (top - 3)
+
+
+def test_a_memory_is_unequal_to_a_sequence_of_its_words_and_names_its_length():
+    memory = Memory.zeros(6)
+    words = (0,) * 64
+    assert memory.__eq__(words) is NotImplemented
+    assert memory != words and not memory == list(words) and tuple(memory) == words
+    assert repr(memory) == "Memory(64 words)"
+
+
 @pytest.mark.parametrize("addr_width", [4, 13])
 def test_equal_contents_from_different_write_orders(addr_width):
     params = Params(addr_width, 8)

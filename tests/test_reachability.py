@@ -17,13 +17,17 @@ the graph's independence of the output mode exhaustively at addr=1.
 from dataclasses import replace
 from itertools import product
 
+import pytest
+
 from arbsim import (
     HIGH,
     LOW,
     ArbiterState,
+    ChannelState,
     ClientInputs,
     Params,
     RamState,
+    fsm_next,
     system_new,
     system_step,
 )
@@ -81,17 +85,34 @@ def walk(params):
     return seen, transitions, violations
 
 
-def test_reduced_walk_reaches_379_states_without_violation():
+@pytest.fixture(scope="module")
+def addr1_walk():
+    return walk(PARAMS)
+
+
+def test_reduced_walk_reaches_379_states_without_violation(addr1_walk):
     # Pinned: a register added to the kernel, or one whose value starts to
     # vary where it did not, changes these counts (379 states x 106 classes).
     # They were 601 and 63,706 while the arbiter held registered read data
     # in a register of its own: that register was always the read mux of
     # the state before, so states that differed only there had the same
     # successors and outputs, and the graph without it is their quotient.
-    states, transitions, violations = walk(PARAMS)
+    states, transitions, violations = addr1_walk
     assert all(
         type(s) is tuple and len(s) == 2 and (type(s[0]), type(s[1])) == (ArbiterState, RamState)
         for s in states
     )
     assert (len(states), transitions) == (379, 40174)
     assert violations == []
+
+
+def test_no_reachable_edge_puts_exactly_one_channel_in_reset(addr1_walk):
+    # arbiter_step returns early on an edge whose read channel goes into
+    # reset and clears the write channel's registers with it: sound only
+    # while fsm_next sends both channels into reset together, or neither.
+    states, _, _ = addr1_walk
+    classes, reset = input_classes(PARAMS), ChannelState.RESET
+    for arb, _ in states:
+        for inp in classes:
+            rd, wr, _ = fsm_next(arb.pr_read, arb.pr_write, inp, arb.reset_count, PARAMS)
+            assert (rd is reset) == (wr is reset), (arb, inp)

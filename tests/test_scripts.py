@@ -64,7 +64,7 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
         "fuzz_edge", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
-        "system_step_sweep_a13", "parse_scenario", "run_scenario",
+        "ram_read_a13", "system_step_sweep_a13", "parse_scenario", "run_scenario",
         "check_assertions", "write_vcd", "write_table", "export_one_row",
         "import_arbsim", "reference",
     ]
