@@ -2,8 +2,10 @@
 """Time each layer on its own, in microseconds per call or per exported row.
 
 The kernel rows record the inputs of one ``fuzz-a4`` campaign (seed 0,
-2,000 cycles at addr 4, data 8, with reset storms) and replay every
-layer's calls over that fixed stream, so each is one call's cost.
+2,000 cycles at addr 4, data 8, with reset storms), step them through
+``system_step`` once to record the arguments that it passes each layer,
+and replay every layer's calls over that fixed stream, so each is one
+call's cost.
 Every recorded record is stepped after another was drawn, so
 ``system_step`` checks each one in full here, as it does a record that
 ``random_inputs`` did not draw.  ``fuzz_edge`` is that campaign itself,
@@ -96,26 +98,35 @@ def record_stream():
 
 
 def layer_calls(stream):
-    """Layer function -> its argument tuples, one per edge of the stream."""
+    """Layer function -> its argument tuples, one per edge of the stream.
+    ``system_step`` steps each recorded edge while a spy on each layer that
+    it calls, where the kernel looks the layer up, records the arguments
+    of that call as the kernel makes it."""
     rng = random.Random(0)
-    calls = {}
-    for state, inp in stream:
-        a, r = state
-        post, ram_in = arbiter.arbiter_step(a, inp, PARAMS)
-        _, rd_data = ram.ram_step(r, ram_in)
-        resolve_args = (post, rd_data, r.rd_data_reg, PARAMS)
-        out = arbiter.resolve_outputs(*resolve_args)
-        for fn, args in (
-            (system.system_step, (state, inp, PARAMS)),
-            (system._check_widths, (inp, PARAMS)),
-            (arbiter.arbiter_step, (a, inp, PARAMS)),
-            (arbiter.fsm_next, (a.pr_read, a.pr_write, inp, a.reset_count, PARAMS)),
-            (ram.ram_step, (r, ram_in)),
-            (arbiter.resolve_outputs, resolve_args),
-            (fuzz.random_inputs, (rng, PARAMS, inp[0])),
-            (fuzz.check_invariants, (a, inp, post, out, PARAMS)),
-        ):
-            calls.setdefault(fn, []).append(args)
+    spied = ((system, "arbiter_step"), (arbiter, "fsm_next"), (system, "ram_step"),
+             (system, "resolve_outputs"))
+    originals = [getattr(owner, name) for owner, name in spied]
+    calls = {fn: [] for fn in (system.system_step, system._check_widths, *originals,
+                               fuzz.random_inputs, fuzz.check_invariants)}
+
+    def spy(fn):
+        def recording(*args):
+            calls[fn].append(args)
+            return fn(*args)
+        return recording
+
+    for (owner, name), fn in zip(spied, originals):
+        setattr(owner, name, spy(fn))
+    try:
+        for state, inp in stream:
+            (post, _), out = system.system_step(state, inp, PARAMS)
+            calls[system.system_step].append((state, inp, PARAMS))
+            calls[system._check_widths].append((inp, PARAMS))
+            calls[fuzz.random_inputs].append((rng, PARAMS, inp[0]))
+            calls[fuzz.check_invariants].append((state[0], inp, post, out, PARAMS))
+    finally:
+        for (owner, name), fn in zip(spied, originals):
+            setattr(owner, name, fn)
     return calls
 
 
@@ -125,7 +136,7 @@ def step_linearly(start, inputs):
     steps only its newest state."""
     state = start()
     for inp in inputs:
-        state = ram.ram_step(state, inp)[0]
+        state = ram.ram_step(state, inp)
     return state
 
 
@@ -139,7 +150,7 @@ def wide_ram_passes():
     sweep = [reset._replace(rst_n=True)] * (SWEEP_PARAMS.ram_depth() + 1)
 
     def flagged():
-        return ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)[0]
+        return ram.ram_step(ram.ram_reset(SWEEP_PARAMS), reset)
 
     # A freshly swept power-on RAM equals a power-on one.
     swept = step_linearly(flagged, sweep)

@@ -8,7 +8,6 @@ from .arbiter import (
     arbiter_step,
     detect_clash,
     fsm_next,
-    resolve_outputs,
 )
 from .corpus import builtin_by_name, builtin_scenarios
 from .ram import RamInputs, RamState, ram_reset, ram_step
@@ -21,7 +20,7 @@ from .scenario import (
     render_scenario,
 )
 from .signals import HIGH, LOW, Level, Params, Word, parse_word
-from .system import system_new, system_step
+from .system import resolve_outputs, system_new, system_step
 from .trace import (
     AssertionReport,
     AssertionResult,

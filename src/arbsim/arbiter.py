@@ -5,9 +5,10 @@ has dedicated enables and always preempts; client2 shares one request pin
 plus a read-not-write selector, so it can hold at most one channel at a
 time.  Granted requests are latched into drive registers that feed the RAM.
 When the latched read and write addresses collide with both enables high,
-the in-flight write data in the write drive register is forwarded to the
-reading client instead of the stale memory word.  Every bus is a plain
-``int`` of its :class:`Params` width.
+the clash flag rises, and the in-flight write data in the write drive
+register is the bypass word that the reading client sees in place of the
+stale memory word (``system.resolve_outputs``).  The arbiter reads no RAM
+value.  Every bus is a plain ``int`` of its :class:`Params` width.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ArbiterState(NamedTuple):
 # top-level pins; a "probe" is an internal register of the arbiter: a drive
 # register (the RAM's inputs), a channel state or the clash flag.  A row is
 # the inputs in ClientInputs field order, the outputs in the order that
-# resolve_outputs returns them, then the probes; field names an input's
+# system.resolve_outputs returns them, then the probes; field names an input's
 # ClientInputs field or a probe's post-edge ArbiterState field (an output has
 # none).  The role sets the width (Params.width); every pin exports as its
 # value in binary at that width, a channel state as its ChannelState code.
@@ -249,20 +250,3 @@ def arbiter_step(
         rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
     ))
 
-
-def resolve_outputs(
-    state: ArbiterState, ram_rd_data: int, prev_rd_data: int, params: Params
-) -> tuple[int, int, Level, Level]:
-    """Combinational output mux over the post-edge arbiter registers.
-
-    Client2's ack is the OR of the read and write ack registers.  Both
-    clients read the RAM word, or the write data while the clash flag is
-    up; in registered mode client1 reads instead ``prev_rd_data``, that
-    value from one edge before.  ``RST_DONE`` is high once the channels
-    leave reset.  Returns the four output pins' values in ``PINS`` order:
-    ``RDDATA_C1``, ``DATAOUT_C2``, ``ACK_C2``, ``RST_DONE``.
-    """
-    ack_c2 = state.temp_ack1 or state.temp_wr
-    data = state.temp_wr_data if state.addr_clash else ram_rd_data
-    rddata_c1 = prev_rd_data if params.registered_output else data
-    return rddata_c1, data, ack_c2, state.pr_read is not RESET

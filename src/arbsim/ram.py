@@ -171,13 +171,13 @@ def ram_reset(params: Params) -> RamState:
     )
 
 
-def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
+def ram_step(state: RamState, inp: RamInputs) -> RamState:
     """Advance the RAM by one rising clock edge.
 
-    Returns the new state and the registered read output.  While ``rst_n``
-    is low only the init flag is set; the zeroing sweep itself runs on the
-    subsequent edges with ``rst_n`` high.  An edge that changes nothing
-    returns ``state`` itself.
+    Returns the new state; its ``rd_data_reg`` is the read output.  While
+    ``rst_n`` is low only the init flag is set; the zeroing sweep itself
+    runs on the subsequent edges with ``rst_n`` high.  An edge that changes
+    nothing returns ``state`` itself.
     """
     memory, count, reset_done, rd_data = state
     # A flat memory is rewritten here as one list copy, one store and one
@@ -187,7 +187,7 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
     if reset_done:
         # The inputs' reset pin alone: the sweep ignores the drive registers.
         if not inp.rst_n:
-            return state, rd_data
+            return state
         # The Memory's length without the frame of Memory.__len__.
         if count < (len(memory) if flat else memory._len):
             if not flat:
@@ -202,12 +202,12 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
                 words = list(memory)
                 words[count] = 0
                 memory = tuple(words)
-            return _new(RamState, (memory, count + 1, True, rd_data)), rd_data
-        return _new(RamState, (memory, 0, False, rd_data)), rd_data
+            return _new(RamState, (memory, count + 1, True, rd_data))
+        return _new(RamState, (memory, 0, False, rd_data))
 
     rst_n, rd_en, wr_en, rd_addr, wr_addr, wr_data = inp
     if not rst_n:
-        return _new(RamState, (memory, count, True, rd_data)), rd_data
+        return _new(RamState, (memory, count, True, rd_data))
     new_memory, new_rd_data = memory, rd_data
     if rd_en:
         if flat:
@@ -226,5 +226,5 @@ def ram_step(state: RamState, inp: RamInputs) -> tuple[RamState, int]:
             words[wr_addr] = wr_data
             new_memory = tuple(words)
     if new_memory is memory and new_rd_data == rd_data:
-        return state, rd_data
-    return _new(RamState, (new_memory, count, False, new_rd_data)), new_rd_data
+        return state
+    return _new(RamState, (new_memory, count, False, new_rd_data))

@@ -268,7 +268,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def render_scenario(s: Scenario) -> str:
-    """Render a scenario back to source text; re-parsing yields an equal value."""
+    """Render a scenario back to source text; re-parsing yields an equal
+    value.  A scenario that its text would not reproduce, such as one whose
+    name holds a ``#`` or a line break, raises ValueError."""
     p = s.params
     lines = [
         f"scenario {s.name}",
@@ -278,4 +280,11 @@ def render_scenario(s: Scenario) -> str:
     lines += [f"@{e.time} {e.pin} = {e.value}" for e in s.events]
     lines += [a.describe() for a in s.assertions]
     lines.append(f"run {s.duration}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        reproduced = parse_scenario(text) == s
+    except ScenarioParseError:
+        reproduced = False
+    if not reproduced:
+        raise ValueError(f"scenario {s.name!r} does not render to text that parses back to it")
+    return text

@@ -2,14 +2,15 @@
 
 Evaluation order within one rising edge is fixed: the arbiter steps first,
 on its own registers and the pins; the RAM then steps, driven by the
-arbiter's freshly latched request registers; the output mux then reads
-both.  No arbiter register reads a RAM output, so the path is feed-forward
-and the whole system is a deterministic step function.
+arbiter's freshly latched request registers; :func:`resolve_outputs` then
+reads the states before and after the edge.  No arbiter register reads a
+RAM output, so the path is feed-forward and the whole system is a
+deterministic step function.
 """
 
 from __future__ import annotations
 
-from .arbiter import PINS, ArbiterState, arbiter_reset, arbiter_step, resolve_outputs
+from .arbiter import PINS, RESET, ArbiterState, arbiter_reset, arbiter_step
 from .ram import RamState, ram_reset, ram_step
 from .signals import Level, Params
 
@@ -73,6 +74,27 @@ def _check_widths(inp: tuple, params: Params) -> None:
             raise ValueError(f"{field} = {v!r} does not fit params width {params.width(role)}")
 
 
+def resolve_outputs(
+    pre: tuple[ArbiterState, RamState], inp: tuple, post: tuple[ArbiterState, RamState],
+    params: Params,
+) -> tuple[int, int, Level, Level]:
+    """The output pins of one edge, in ``PINS`` order, from its inputs and
+    the system states ``(arbiter, ram)`` before and after it.
+
+    Both clients read the post-edge RAM's read register, or the write data
+    while the clash flag is up; registered RDDATA_C1 reads instead that mux
+    over the pre-edge state, and 0 on an edge with ``rst_n`` low.  ACK_C2
+    is either client2 ack register; RST_DONE is high once out of reset.
+    """
+    arb, ram = post
+    data = rddata_c1 = arb.temp_wr_data if arb.addr_clash else ram.rd_data_reg
+    if params.registered_output:
+        pre_arb, pre_ram = pre
+        rddata_c1 = ((pre_arb.temp_wr_data if pre_arb.addr_clash else pre_ram.rd_data_reg)
+                     if inp[0] else 0)
+    return rddata_c1, data, arb.temp_ack1 or arb.temp_wr, arb.pr_read is not RESET
+
+
 def system_step(
     state: tuple[ArbiterState, RamState], inp: tuple, params: Params
 ) -> tuple[tuple[ArbiterState, RamState], tuple[int, int, Level, Level]]:
@@ -80,23 +102,13 @@ def system_step(
 
     The state is the pair ``(arbiter, ram)`` and ``inp`` a ``ClientInputs``
     or the plain tuple of its values.  Returns the post-edge state and the
-    output pins' values in ``PINS`` order.
-
-    1. step the arbiter; it returns the RAM's inputs for this edge;
-    2. step the RAM with those inputs;
-    3. resolve the client outputs from the post-edge arbiter registers and
-       the post-edge RAM read data.  Registered RDDATA_C1 is the read mux
-       of the pre-edge state, and 0 on an edge with ``rst_n`` low; that
-       pre-edge mux is read only in registered mode, and unregistered
-       ``resolve_outputs`` is passed 0 in its place, which it does not read.
+    output pins' values in ``PINS`` order.  After the inputs are checked,
+    the arbiter steps and returns the RAM's inputs for this edge, the RAM
+    steps on them, and ``resolve_outputs`` reads the edge's two states.
     """
     last_inp, last_params = _passed[0]
     if inp is not last_inp or params is not last_params:
         _check_widths(inp, params)
-    pre, ram = state
-    prev_rd_data = ((pre.temp_wr_data if pre.addr_clash else ram.rd_data_reg)
-                    if params.registered_output and inp[0] else 0)
-    arb, ram_in = arbiter_step(pre, inp, params)
-    ram, post_rd_data = ram_step(ram, ram_in)
-    out = resolve_outputs(arb, post_rd_data, prev_rd_data, params)
-    return (arb, ram), out
+    arb, ram_in = arbiter_step(state[0], inp, params)
+    post = arb, ram_step(state[1], ram_in)
+    return post, resolve_outputs(state, inp, post, params)

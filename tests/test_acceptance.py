@@ -140,8 +140,8 @@ def test_criterion_3_ram_oracle_equivalence(seed):
         ref = MapRam(params)
         for _ in range(10_000):
             inp = random_ram_inputs(rng, params)
-            state, rd = ram_step(state, inp)
-            assert rd == ref.step(inp)
+            state = ram_step(state, inp)
+            assert state.rd_data_reg == ref.step(inp)
         assert tuple(state.memory) == ref.dump()
 
 

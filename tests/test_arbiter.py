@@ -18,6 +18,7 @@ from arbsim import (
     detect_clash,
     fsm_next,
     parse_word,
+    ram_reset,
     resolve_outputs,
 )
 from arbsim import arbiter
@@ -135,6 +136,15 @@ class TestDetectClash:
         assert not detect_clash(HIGH, HIGH, parse_word("1010", 4).value, parse_word("1001", 4).value)
 
 
+def outputs(arb, ram_word=0, params=PARAMS):
+    """The unregistered output pins over the post-edge arbiter state ``arb``
+    and a RAM whose read register holds ``ram_word``.  Unregistered outputs
+    read no pre-edge state, so none is passed."""
+    assert not params.registered_output
+    post = (arb, ram_reset(params)._replace(rd_data_reg=ram_word))
+    return resolve_outputs(None, make_inputs(params), post, params)
+
+
 def idle_arbiter(params=PARAMS):
     """Arbiter that has finished its init sweep and sits idle."""
     state = arbiter_reset()
@@ -142,7 +152,7 @@ def idle_arbiter(params=PARAMS):
     for _ in range(params.ram_depth() + 1):
         state, _ = arbiter_step(state, make_inputs(params), params)
     assert state.pr_read == I and state.pr_write == I
-    assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == HIGH
+    assert pin(outputs(state, params=params), "RST_DONE") == HIGH
     return state
 
 
@@ -178,7 +188,7 @@ class TestArbiterStep:
         assert state.addr_clash == HIGH
         # Client2 reads the in-flight write data, not the RAM's stale word.
         stale = parse_word("01000100", 8).value
-        out = resolve_outputs(state, stale, 0, PARAMS)
+        out = outputs(state, stale)
         assert pin(out, "DATAOUT_C2") == parse_word("10111011", 8).value
         assert drive.rd_en and drive.wr_en
 
@@ -220,7 +230,7 @@ def ack_series(inp, cycles=12):
     acks = []
     for _ in range(cycles):
         state, _ = arbiter_step(state, inp, PARAMS)
-        acks.append(pin(resolve_outputs(state, 0, 0, PARAMS), "ACK_C2"))
+        acks.append(pin(outputs(state), "ACK_C2"))
     return acks
 
 
@@ -292,22 +302,22 @@ class TestResolveOutputs:
             wr_en_c1=HIGH, wraddr_c1="1010", wrdata_c1="10111011",
         )
         state, _ = arbiter_step(state, inp, PARAMS)
-        out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
+        out = outputs(state, parse_word("10100011", 8).value)
         assert pin(out, "RDDATA_C1") == parse_word("10111011", 8).value
         assert pin(out, "DATAOUT_C2") == parse_word("10111011", 8).value
 
     def test_unregistered_clash_low_returns_ram_data(self):
         state = idle_arbiter()
-        out = resolve_outputs(state, parse_word("10100011", 8).value, 0, PARAMS)
+        out = outputs(state, parse_word("10100011", 8).value)
         assert pin(out, "RDDATA_C1") == parse_word("10100011", 8).value
         assert pin(out, "DATAOUT_C2") == parse_word("10100011", 8).value
 
     def test_rst_done_follows_reset_register(self):
         params = PARAMS
         state = arbiter_reset()
-        assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == LOW
+        assert pin(outputs(state, params=params), "RST_DONE") == LOW
         state = idle_arbiter()
-        assert pin(resolve_outputs(state, 0, 0, params), "RST_DONE") == HIGH
+        assert pin(outputs(state, params=params), "RST_DONE") == HIGH
 
 
 @settings(deadline=None, max_examples=120)
@@ -321,7 +331,7 @@ def test_structural_invariants_under_random_stimulus(seed, cycles):
         ram_word = rng.getrandbits(params.data_width)
         pre = state
         state, _ = arbiter_step(state, inp, params)
-        out = resolve_outputs(state, ram_word, 0, params)
+        out = outputs(state, ram_word, params)
         assert check_invariants(pre, inp, state, out, params) == []
 
 
@@ -333,7 +343,7 @@ def test_clash_bypass_violation_detail_is_zero_padded_binary():
         temp_rd_en=HIGH, temp_wr_en=HIGH, temp_rd_addr=0b1010,
         temp_wr_addr=0b1010, temp_wr_data=0b10100011, addr_clash=HIGH,
     )
-    rddata_c1, _, ack_c2, rst_done = resolve_outputs(post, 0, 0, PARAMS)
+    rddata_c1, _, ack_c2, rst_done = outputs(post)
     out = (rddata_c1, 0b00000101, ack_c2, rst_done)  # DATAOUT_C2 replaced
     bad = check_invariants(idle, make_inputs(PARAMS), post, out, PARAMS)
     assert bad == [("clash-bypass", "bypass=00000101 write=10100011")]
@@ -344,13 +354,13 @@ def test_violation_details_name_states_in_lower_case():
     # and the state expected instead.
     idle = idle_arbiter()
     inp = make_inputs(PARAMS, rd_en_c1=HIGH, wr_en_c1=HIGH)
-    idle_out = resolve_outputs(idle, 0, 0, PARAMS)
+    idle_out = outputs(idle)
     assert check_invariants(idle, inp, idle, idle_out, PARAMS) == [
         ("read-grant", "read=idle expected=client1_read"),
         ("write-grant", "write=idle expected=client1_write"),
     ]
     swapped = idle._replace(pr_read=C1W, pr_write=C2R)
-    swapped_out = resolve_outputs(swapped, 0, 0, PARAMS)
+    swapped_out = outputs(swapped)
     assert check_invariants(idle, make_inputs(PARAMS), swapped, swapped_out, PARAMS) == [
         ("read-grant", "read=client1_write expected=idle"),
         ("write-grant", "write=client2_read expected=idle"),
@@ -418,5 +428,5 @@ EDGES = {
 @pytest.mark.parametrize("pre, inputs, post, bad", EDGES.values(), ids=EDGES.keys())
 def test_each_property_reports_its_hand_built_edge(pre, inputs, post, bad):
     inp = make_inputs(PARAMS, **inputs)
-    out = resolve_outputs(post, 0, 0, PARAMS)
+    out = outputs(post)
     assert check_invariants(pre, inp, post, out, PARAMS) == bad

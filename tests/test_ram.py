@@ -28,9 +28,9 @@ def quiet(params, rst_n=HIGH, **kw):
 def swept(params):
     """RAM that has completed its post-release zeroing sweep."""
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW))
+    state = ram_step(state, quiet(params, rst_n=LOW))
     for _ in range(params.ram_depth() + 1):
-        state, _ = ram_step(state, quiet(params))
+        state = ram_step(state, quiet(params))
     assert not state.reset_done_internal
     return state
 
@@ -77,12 +77,12 @@ class TestReset:
 def test_sweep_takes_depth_plus_one_edges(addr_width):
     params = Params(addr_width, 8)
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW))
+    state = ram_step(state, quiet(params, rst_n=LOW))
     assert state.reset_done_internal
     for edge in range(params.ram_depth()):
-        state, _ = ram_step(state, quiet(params))
+        state = ram_step(state, quiet(params))
         assert state.reset_done_internal, f"flag dropped early at edge {edge}"
-    state, _ = ram_step(state, quiet(params))
+    state = ram_step(state, quiet(params))
     assert not state.reset_done_internal
     assert state.count == 0
     assert all(w == 0 for w in state.memory)
@@ -91,7 +91,7 @@ def test_sweep_takes_depth_plus_one_edges(addr_width):
 def test_writes_during_sweep_are_ignored():
     params = Params(4, 8)
     state = ram_reset(params)
-    state, _ = ram_step(state, quiet(params, rst_n=LOW))
+    state = ram_step(state, quiet(params, rst_n=LOW))
     poke = quiet(
         params,
         wr_en=HIGH,
@@ -99,9 +99,9 @@ def test_writes_during_sweep_are_ignored():
         wr_data=parse_word("11111111", 8).value,
     )
     for _ in range(params.ram_depth() + 1):
-        state, _ = ram_step(state, poke)
+        state = ram_step(state, poke)
     assert all(w == 0 for w in state.memory)
-    state, _ = ram_step(state, poke)
+    state = ram_step(state, poke)
     assert state.memory[3] == parse_word("11111111", 8).value
 
 
@@ -147,11 +147,11 @@ def test_sweep_matches_a_ram_that_zeroes_every_word(addr_width):
             dirty_sweep_edges += state.memory[state.count] != 0
         interrupted += state.reset_done_internal and 0 < state.count and not rst_n
         completed += state.reset_done_internal and state.count == len(state.memory) and rst_n
-        state, rd = ram_step(state, inp)
-        expected = ref.step(inp)
+        state = ram_step(state, inp)
+        ref.step(inp)
         assert (tuple(state.memory), state.count, state.reset_done_internal,
-                state.rd_data_reg, rd) == (tuple(ref.memory), ref.count,
-                ref.reset_done_internal, ref.rd_data_reg, expected), f"step {step}"
+                state.rd_data_reg) == (tuple(ref.memory), ref.count,
+                ref.reset_done_internal, ref.rd_data_reg), f"step {step}"
     assert dirty_sweep_edges and interrupted and completed
 
 
@@ -159,39 +159,39 @@ class TestAccess:
     def test_write_then_read_back(self):
         params = Params(4, 8)
         state = swept(params)
-        state, _ = ram_step(
+        state = ram_step(
             state,
             quiet(params, wr_en=HIGH, wr_addr=parse_word("1101", 4).value,
                   wr_data=parse_word("11100111", 8).value),
         )
-        state, rd = ram_step(
+        state = ram_step(
             state, quiet(params, rd_en=HIGH, rd_addr=parse_word("1101", 4).value)
         )
-        assert rd == parse_word("11100111", 8).value
+        assert state.rd_data_reg == parse_word("11100111", 8).value
 
     def test_read_of_never_written_address_is_zero(self):
         params = Params(4, 8)
         state = swept(params)
-        _, rd = ram_step(
+        state = ram_step(
             state, quiet(params, rd_en=HIGH, rd_addr=parse_word("0111", 4).value)
         )
-        assert rd == parse_word("00000000", 8).value
+        assert state.rd_data_reg == parse_word("00000000", 8).value
 
     def test_simultaneous_read_write_distinct_addresses(self):
         params = Params(4, 8)
         state = swept(params)
-        state, _ = ram_step(
+        state = ram_step(
             state,
             quiet(params, wr_en=HIGH, wr_addr=parse_word("1011", 4).value,
                   wr_data=parse_word("10111001", 8).value),
         )
-        _, rd = ram_step(
+        state = ram_step(
             state,
             quiet(params, rd_en=HIGH, rd_addr=parse_word("1011", 4).value,
                   wr_en=HIGH, wr_addr=parse_word("1000", 4).value,
                   wr_data=parse_word("10011111", 8).value),
         )
-        assert rd == parse_word("10111001", 8).value
+        assert state.rd_data_reg == parse_word("10111001", 8).value
 
     def test_same_cycle_same_address_reads_old_value(self):
         # Two-cycle trace: land O at address A, then read A while writing D.
@@ -200,17 +200,17 @@ class TestAccess:
         addr = parse_word("1010", 4).value
         old = parse_word("01010101", 8).value
         new = parse_word("10111011", 8).value
-        state, _ = ram_step(
+        state = ram_step(
             state, quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=old)
         )
-        state, rd = ram_step(
+        state = ram_step(
             state,
             quiet(params, rd_en=HIGH, rd_addr=addr, wr_en=HIGH, wr_addr=addr,
                   wr_data=new),
         )
-        assert rd == old
-        _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=addr))
-        assert rd == new
+        assert state.rd_data_reg == old
+        state = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=addr))
+        assert state.rd_data_reg == new
 
 
 def random_ram_inputs(rng, params):
@@ -232,9 +232,8 @@ def test_reference_model_equivalence_long_run(seed):
     ref = MapRam(params)
     for step in range(10_000):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp)
-        expected = ref.step(inp)
-        assert rd == expected, f"diverged at step {step}"
+        state = ram_step(state, inp)
+        assert state.rd_data_reg == ref.step(inp), f"diverged at step {step}"
     assert tuple(state.memory) == ref.dump()
 
 
@@ -247,8 +246,8 @@ def test_reference_model_equivalence_property(seed, steps):
     ref = MapRam(params)
     for _ in range(steps):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp)
-        assert rd == ref.step(inp)
+        state = ram_step(state, inp)
+        assert state.rd_data_reg == ref.step(inp)
     assert tuple(state.memory) == ref.dump()
 
 
@@ -260,8 +259,8 @@ def test_determinism():
         state = swept(params)
         outs = []
         for _ in range(500):
-            state, rd = ram_step(state, random_ram_inputs(rng, params))
-            outs.append(rd)
+            state = ram_step(state, random_ram_inputs(rng, params))
+            outs.append(state.rd_data_reg)
         runs.append((outs, state))
     assert runs[0] == runs[1]
 
@@ -276,8 +275,8 @@ def test_reference_model_equivalence_across_trie_levels(addr_width):
     ref = MapRam(params)
     for step in range(2_000 if addr_width <= 6 else 300):
         inp = random_ram_inputs(rng, params)
-        state, rd = ram_step(state, inp)
-        assert rd == ref.step(inp), f"diverged at step {step}"
+        state = ram_step(state, inp)
+        assert state.rd_data_reg == ref.step(inp), f"diverged at step {step}"
     assert tuple(state.memory) == ref.dump()
     assert len(state.memory) == params.ram_depth()
     with pytest.raises(IndexError):
@@ -286,7 +285,7 @@ def test_reference_model_equivalence_across_trie_levels(addr_width):
 
 def write(state, params, addr, value):
     inp = quiet(params, wr_en=HIGH, wr_addr=addr, wr_data=value)
-    return ram_step(state, inp)[0]
+    return ram_step(state, inp)
 
 
 @pytest.mark.parametrize("addr_width", [4, 13])
@@ -302,9 +301,9 @@ def test_write_leaves_old_memory_unchanged(addr_width):
     # Sweep edges stepped on the old state, after a read of the new one,
     # clear the old state's word and leave both memories as they were.
     assert new.memory[3] == 0xC3
-    cleared, _ = ram_step(old, quiet(params, rst_n=LOW))
+    cleared = ram_step(old, quiet(params, rst_n=LOW))
     for _ in range(4):
-        cleared, _ = ram_step(cleared, quiet(params))
+        cleared = ram_step(cleared, quiet(params))
     assert cleared.memory[3] == 0 and cleared.count == 4
     assert old.memory[3] == 0x5A and new.memory[3] == 0xC3
 
@@ -320,8 +319,8 @@ def test_a_read_of_an_older_state_reads_its_own_words(addr_width):
     newest = write(newer, params, top, 0x11)
     for addr, word in ((3, 0x5A), (top, 0), (3, 0x5A)):
         assert old.memory._words is None and newest.memory._words is not None
-        state, rd = ram_step(old, quiet(params, rd_en=HIGH, rd_addr=addr))
-        assert rd == state.rd_data_reg == word and state.memory is old.memory
+        state = ram_step(old, quiet(params, rd_en=HIGH, rd_addr=addr))
+        assert state.rd_data_reg == word and state.memory is old.memory
         # Every newer version keeps its words; reading them reroots back.
         assert (newer.memory[3], newer.memory[top]) == (0xC3, 0)
         assert (newest.memory[3], newest.memory[top]) == (0xC3, 0x11)
@@ -353,24 +352,24 @@ def test_equal_contents_from_different_write_orders(addr_width):
 
 def test_an_edge_that_changes_nothing_returns_the_state_itself(params):
     state = swept(params)
-    assert ram_step(state, quiet(params))[0] is state
+    assert ram_step(state, quiet(params)) is state
     low = quiet(params, rst_n=LOW)
-    flagged, _ = ram_step(state, low)
+    flagged = ram_step(state, low)
     assert flagged is not state and flagged.reset_done_internal
-    assert ram_step(flagged, low)[0] is flagged
+    assert ram_step(flagged, low) is flagged
     # A write of the stored word, alone or beside a read of a zero word
     # into the zero read register, changes nothing either.
     state = write(state, params, 3, 0x5A)
     rewrite = quiet(params, wr_en=HIGH, wr_addr=3, wr_data=0x5A)
     for inp in (rewrite, rewrite._replace(rd_en=HIGH, rd_addr=4)):
-        same, rd_data = ram_step(state, inp)
-        assert same is state and rd_data == 0
+        same = ram_step(state, inp)
+        assert same is state and same.rd_data_reg == 0
     # A read of the stored word changes the read register: a new state that
     # shares the memory.  A write of another word makes a new memory.
-    new, rd_data = ram_step(state, rewrite._replace(rd_en=HIGH, rd_addr=3))
+    new = ram_step(state, rewrite._replace(rd_en=HIGH, rd_addr=3))
     assert type(new) is RamState and new is not state
-    assert rd_data == new.rd_data_reg == 0x5A and new.memory is state.memory
-    changed, _ = ram_step(state, rewrite._replace(wr_data=0xC3))
+    assert new.rd_data_reg == 0x5A and new.memory is state.memory
+    changed = ram_step(state, rewrite._replace(wr_data=0xC3))
     assert changed.memory is not state.memory and state.memory[3] == 0x5A
 
 
@@ -391,8 +390,8 @@ def test_a_ram_of_up_to_32_words_is_its_tuple_of_words(addr_width):
     # A rewrite of the stored word, and a sweep edge over a zero word, keep
     # the tuple itself.
     assert write(state, params, top, 0x5A).memory is old
-    flagged, _ = ram_step(state, quiet(params, rst_n=LOW))
-    assert ram_step(flagged, quiet(params))[0].memory is old
+    flagged = ram_step(state, quiet(params, rst_n=LOW))
+    assert ram_step(flagged, quiet(params)).memory is old
     # A new word makes a new exact tuple and leaves the old one as it was.
     new = write(state, params, top, 0xC3).memory
     assert type(new) is tuple and new == (0,) * top + (0xC3,)
@@ -451,11 +450,11 @@ def test_wide_memory_is_not_allocated():
     state = ram_reset(params)
     assert len(state.memory) == 2**32
     top = 2**32 - 1
-    state, _ = ram_step(
+    state = ram_step(
         state, quiet(params, wr_en=HIGH, wr_addr=top, wr_data=0xA5)
     )
-    _, rd = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top))
-    assert rd == 0xA5
+    state = ram_step(state, quiet(params, rd_en=HIGH, rd_addr=top))
+    assert state.rd_data_reg == 0xA5
 
 
 def test_an_addr_32_memory_hashes_and_compares_in_bounded_time():

@@ -1,5 +1,7 @@
 """Scenario text format and the builtin corpus transcription."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -296,6 +298,15 @@ def test_numbers_are_ascii_digits(line, message):
 def test_render_parse_round_trip_builtin_corpus():
     for s in builtin_scenarios():
         assert parse_scenario(render_scenario(s)) == s
+
+
+@pytest.mark.parametrize("name", ["a#b", " lead", "x\ny"], ids=["comment", "lead-space", "newline"])
+def test_render_refuses_a_scenario_its_text_would_not_reproduce(name):
+    # A "#" starts a comment, a header's leading space is stripped and a
+    # line break starts another line, so none of these names would parse
+    # back as itself.
+    with pytest.raises(ValueError, match="does not render to text that parses back to it"):
+        render_scenario(replace(builtin_by_name("tc01"), name=name))
 
 
 @st.composite

@@ -400,19 +400,50 @@ def outputs_of(params, stimulus):
     return rows
 
 
-@pytest.mark.parametrize("addr_width, data_width", [(1, 1), (4, 8), (6, 12)])
-def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
-    # Registered RDDATA_C1 on edge k is 0 while rst_n is low, and otherwise
-    # unregistered DATAOUT_C2 of edge k-1 (0 before edge 0).
+def registered_shift(addr_width, data_width):
+    """(rst_n, unregistered DATAOUT_C2 of the edge before, 0 before edge 0,
+    registered RDDATA_C1) of each edge of a reset storm."""
     stimulus = reset_storm(Params(addr_width, data_width))
     unreg = outputs_of(Params(addr_width, data_width, registered_output=False), stimulus)
     reg = outputs_of(Params(addr_width, data_width, registered_output=True), stimulus)
     before = [0] + [pin(out, "DATAOUT_C2") for _, out in unreg[:-1]]
-    rst_n = [ClientInputs(*inp).rst_n for inp in stimulus]
-    expected = [word if high else 0 for high, word in zip(rst_n, before)]
-    assert [pin(out, "RDDATA_C1") for _, out in reg] == expected
+    return [(ClientInputs(*inp).rst_n, word, pin(out, "RDDATA_C1"))
+            for inp, word, (_, out) in zip(stimulus, before, reg, strict=True)]
+
+
+SHIFT_WIDTHS = [(1, 1), (4, 8), (6, 12)]
+
+
+@pytest.mark.parametrize("addr_width, data_width", SHIFT_WIDTHS)
+def test_registered_shift_holds_across_reset_edges(addr_width, data_width):
+    # Registered RDDATA_C1 on edge k is 0 while rst_n is low, and otherwise
+    # unregistered DATAOUT_C2 of edge k-1 (0 before edge 0).
+    edges = registered_shift(addr_width, data_width)
+    expected = [word if high else 0 for high, word, _ in edges]
+    assert [rddata_c1 for _, _, rddata_c1 in edges] == expected
     # A reset edge lands right after nonzero read data, so the zeroing is seen.
-    assert any(word and not high for high, word in zip(rst_n, before))
+    assert any(word and not high for high, word, _ in edges)
+
+
+@pytest.mark.parametrize("addr_width, data_width", SHIFT_WIDTHS)
+def test_registered_shift_catches_a_registered_output_without_its_delay(
+    monkeypatch, addr_width, data_width
+):
+    # The fault: registered RDDATA_C1 shows this edge's read mux, as
+    # unregistered mode does, instead of the edge before's.  The corpus's
+    # expectations hold in both modes, so they sample RDDATA_C1 where it
+    # is the same one edge apart, and the fuzz invariants do not read it:
+    # neither fails on this fault, and the shift comparison must.
+    resolve = arbsim.system.resolve_outputs
+
+    def undelayed(pre, inp, post, params):
+        return resolve(pre, inp, post, replace(params, registered_output=False))
+
+    monkeypatch.setattr(arbsim.system, "resolve_outputs", undelayed)
+    edges = registered_shift(addr_width, data_width)
+    assert [rddata_c1 for _, _, rddata_c1 in edges] != [
+        word if high else 0 for high, word, _ in edges
+    ]
 
 
 @pytest.mark.parametrize("registered", [False, True])
@@ -465,8 +496,11 @@ def test_the_arbiter_reads_no_ram_output(monkeypatch):
     # arbiter's registers and the pins alone, so nothing flows from the RAM
     # back into the arbiter.  From every state of a reset storm, the same
     # edge over a RAM with another registered read word and another memory
-    # word must step the arbiter alike; only the outputs may differ.
-    params = Params(3, 6)
+    # word must step the arbiter alike; only the outputs, which
+    # resolve_outputs alone reads off the RAM, may differ.  An 8-word
+    # memory is a tuple and a 64-word one a Memory.
+    assert arbsim.resolve_outputs is arbsim.system.resolve_outputs
+    assert not hasattr(arbsim.arbiter, "resolve_outputs")
     ram_step = arbsim.system.ram_step
     ram_inputs = []
 
@@ -475,23 +509,26 @@ def test_the_arbiter_reads_no_ram_output(monkeypatch):
         return ram_step(ram, ram_in)
 
     monkeypatch.setattr(arbsim.system, "ram_step", spy_ram)
-    flip = (1 << params.data_width) - 1
-    rng = random.Random(0)
-    state, outputs_differ = system_new(params), 0
-    for inp in reset_storm(params):
-        (arb, ram), addr = state, rng.getrandbits(params.addr_width)
-        words = list(ram.memory)  # an 8-word RAM is its tuple of words
-        words[addr] ^= flip
-        other_ram = ram._replace(memory=tuple(words), rd_data_reg=ram.rd_data_reg ^ flip)
-        post, out = system_step(state, inp, params)
-        other, other_out = system_step((arb, other_ram), inp, params)
-        (post_arb, _), (other_arb, _) = post, other
-        assert other_arb == post_arb, (state, inp)
-        assert ram_inputs[-1] == ram_inputs[-2], (state, inp)
-        outputs_differ += other_out != out
-        state = post
-    # The swap reaches the outputs, so it is one the edge could see.
-    assert outputs_differ > 0
+    for addr_width in (3, 6):
+        params = Params(addr_width, 6)
+        flip = (1 << params.data_width) - 1
+        rng = random.Random(0)
+        state, outputs_differ = system_new(params), 0
+        for inp in reset_storm(params):
+            (arb, ram), addr = state, rng.getrandbits(params.addr_width)
+            memory, word = ram.memory, ram.memory[addr] ^ flip
+            memory = (memory[:addr] + (word,) + memory[addr + 1:] if type(memory) is tuple
+                      else memory.set(addr, word))
+            other_ram = ram._replace(memory=memory, rd_data_reg=ram.rd_data_reg ^ flip)
+            post, out = system_step(state, inp, params)
+            other, other_out = system_step((arb, other_ram), inp, params)
+            (post_arb, _), (other_arb, _) = post, other
+            assert other_arb == post_arb, (state, inp)
+            assert ram_inputs[-1] == ram_inputs[-2], (state, inp)
+            outputs_differ += other_out != out
+            state = post
+        # The swap reaches the outputs, so it is one the edge could see.
+        assert outputs_differ > 0, addr_width
 
 
 def test_rst_done_and_read_mux_facts_hold_on_every_row():
@@ -590,12 +627,14 @@ def test_kernel_builds_no_word(monkeypatch):
 
 
 def broken_mux(mux):
-    """A resolve_outputs whose read data is mux(state, RAM word)."""
+    """A resolve_outputs whose post-edge read data is mux(arbiter, RAM
+    read register); registered RDDATA_C1 still reads the pre-edge mux."""
     resolve = arbsim.system.resolve_outputs
 
-    def broken(arb, ram_word, prev_rd_data, params):
-        data = mux(arb, ram_word)
-        rddata_c1, _, ack_c2, rst_done = resolve(arb, ram_word, prev_rd_data, params)
+    def broken(pre, inp, post, params):
+        arb, ram = post
+        data = mux(arb, ram.rd_data_reg)
+        rddata_c1, _, ack_c2, rst_done = resolve(pre, inp, post, params)
         return rddata_c1 if params.registered_output else data, data, ack_c2, rst_done
 
     return arbsim.system, "resolve_outputs", broken

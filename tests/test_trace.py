@@ -15,7 +15,6 @@ from arbsim import (
     Params,
     Scenario,
     Trace,
-    arbiter_reset,
     builtin_by_name,
     builtin_scenarios,
     check_assertions,
@@ -289,10 +288,14 @@ class TestPinTable:
     def test_outputs_are_what_resolve_outputs_returns_in_order(self):
         # resolve_outputs returns one value per output pin, in PINS order, so
         # an output row names no field; here the four values differ, so each
-        # lands on its own pin.
+        # lands on its own pin: registered RDDATA_C1 is the pre-edge read
+        # register and DATAOUT_C2 the post-edge one.
         assert self.fields("out") == [None] * 4
-        writing_in_reset = arbiter_reset()._replace(temp_wr=HIGH)
-        out = resolve_outputs(writing_in_reset, 0b101, 0b11, Params(4, 8, registered_output=True))
+        params = Params(4, 8, registered_output=True)
+        arb, ram = system_new(params)
+        pre = (arb, ram._replace(rd_data_reg=0b11))
+        post = (arb._replace(temp_wr=HIGH), ram._replace(rd_data_reg=0b101))
+        out = resolve_outputs(pre, ClientInputs.quiet(), post, params)
         assert dict(zip(OUTPUTS, out, strict=True)) == {
             "RDDATA_C1": 0b11, "DATAOUT_C2": 0b101, "ACK_C2": HIGH, "RST_DONE": LOW,
         }
