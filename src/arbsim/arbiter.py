@@ -206,11 +206,11 @@ def arbiter_step(
             nx_read, nx_write, LOW, LOW, 0, 0, 0, temp_ack, temp_ack, LOW, LOW, reset_count,
         )), _QUIET_RUN if inp[0] else _QUIET_RESET
 
-    (rst_n, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
+    (_, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
      _, _, addr_c2, datain_c2) = inp
 
-    # Out of reset a channel is idle, client1's or client2's; a client2
-    # channel latches only while its ack register is low, and holds else.
+    # Out of reset (so rst_n is high) a channel is idle, client1's or client2's;
+    # a client2 channel latches only while its ack register is low, and holds else.
     temp_ack = pre_ack
     if nx_read is IDLE:
         temp_rd_en, temp_rd_addr = LOW, 0
@@ -245,8 +245,8 @@ def arbiter_step(
         temp_wr_data, temp_ack, temp_ack1, temp_wr, addr_clash, reset_count,
     ))
     if not (temp_rd_en or temp_wr_en or temp_rd_addr or temp_wr_addr or temp_wr_data):
-        return new, _QUIET_RUN if rst_n else _QUIET_RESET
+        return new, _QUIET_RUN
     return new, _new(RamInputs, (
-        rst_n, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
+        HIGH, temp_rd_en, temp_wr_en, temp_rd_addr, temp_wr_addr, temp_wr_data
     ))
 

@@ -28,7 +28,7 @@ from arbsim.cli import _verify_lines
 from arbsim.fuzz import random_inputs, run_fuzz
 
 from conftest import PIN, fresh_system, make_inputs, pin
-from test_ram import MapRam, random_ram_inputs, swept
+from test_ram import SweepEveryWordRam, random_ram_inputs, swept
 from test_trace import assert_vcd_matches_table
 
 
@@ -100,12 +100,28 @@ def test_criterion_1_corpus_fidelity():
 def test_criterion_2_reset_sweep(addr_width):
     with criterion(2, f"reset sweep, addr_width={addr_width}"):
         params = Params(addr_width, 8)
-        state = system_new(params)
-        # Dirty the memory, then reset.
-        state, _ = system_step(state, make_inputs(params, rst_n=LOW), params)
-        state, _ = system_step(state, make_inputs(params), params)
-        for edge in range(params.ram_depth() + 1):
-            state, _ = system_step(state, make_inputs(params), params)
+
+        def reset_and_sweep(state):
+            state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
+            assert pin(out, "RST_DONE") == LOW
+            # Locked constant: rst_done rises exactly depth + 1 edges after
+            # the release, counting from the first edge stepped with rst_n
+            # high, with every word zero and the RAM's init flag down.
+            edges = 0
+            while True:
+                state, out = system_step(state, make_inputs(params), params)
+                edges += 1
+                if pin(out, "RST_DONE"):
+                    break
+                assert edges <= params.ram_depth() + 4
+            assert edges == params.ram_depth() + 1
+            _, ram = state
+            assert all(w == 0 for w in ram.memory)
+            assert not ram.reset_done_internal
+            return state
+
+        # The sweep after power-on; then dirty the memory and sweep again.
+        state = reset_and_sweep(system_new(params))
         write = make_inputs(
             params,
             wr_en_c1=HIGH,
@@ -115,20 +131,7 @@ def test_criterion_2_reset_sweep(addr_width):
         state, _ = system_step(state, write, params)
         _, ram = state
         assert ram.memory[params.ram_depth() - 1] == parse_word("10101111", 8).value
-        state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
-        assert pin(out, "RST_DONE") == LOW
-        # Locked constant: rst_done rises exactly depth + 1 edges after the
-        # release, counting from the first edge stepped with rst_n high.
-        edges = 0
-        while True:
-            state, out = system_step(state, make_inputs(params), params)
-            edges += 1
-            if pin(out, "RST_DONE"):
-                break
-            assert edges <= params.ram_depth() + 4
-        assert edges == params.ram_depth() + 1
-        _, ram = state
-        assert all(w == 0 for w in ram.memory)
+        reset_and_sweep(state)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -137,12 +140,12 @@ def test_criterion_3_ram_oracle_equivalence(seed):
         params = Params(4, 8)
         rng = random.Random(seed)
         state = swept(params)
-        ref = MapRam(params)
+        ref = SweepEveryWordRam(params)
         for _ in range(10_000):
             inp = random_ram_inputs(rng, params)
             state = ram_step(state, inp)
             assert state.rd_data_reg == ref.step(inp)
-        assert tuple(state.memory) == ref.dump()
+        assert tuple(state.memory) == tuple(ref.memory)
 
 
 def test_criterion_4_registered_mode_equivalence():

@@ -224,37 +224,39 @@ class TestArbiterStep:
                 assert drive.rd_en == LOW and drive.wr_en == LOW
 
 
-def ack_series(inp, cycles=12):
-    """ACK_C2 levels over consecutive edges of constant stimulus."""
-    state = idle_arbiter()
+# Each ack train is checked at three widths, with client2 at the top address.
+ACK_PARAMS = [(Params(addr_width, 8), (1 << addr_width) - 1) for addr_width in (2, 4, 6)]
+
+
+def ack_series(params, **pins):
+    """ACK_C2 levels over 12 consecutive edges of constant stimulus."""
+    inp = make_inputs(params, **pins)
+    state = idle_arbiter(params)
     acks = []
-    for _ in range(cycles):
-        state, _ = arbiter_step(state, inp, PARAMS)
-        acks.append(pin(outputs(state), "ACK_C2"))
+    for _ in range(12):
+        state, _ = arbiter_step(state, inp, params)
+        acks.append(pin(outputs(state, params=params), "ACK_C2"))
     return acks
 
 
 def test_ack_pulse_train_for_continuous_client2_write_has_period_2():
-    inp = make_inputs(
-        PARAMS, request_c2=HIGH, rd_not_write_c2=LOW, addr_c2="1110",
-        datain_c2="11100011",
-    )
-    acks = ack_series(inp)
-    assert acks == [HIGH, LOW] * 6
+    for params, top in ACK_PARAMS:
+        acks = ack_series(params, request_c2=HIGH, rd_not_write_c2=LOW, addr_c2=top,
+                          datain_c2="11100011")
+        assert acks == [HIGH, LOW] * 6, params
 
 
 def test_ack_pulse_train_for_continuous_client2_read_has_period_3():
-    inp = make_inputs(PARAMS, request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2="1110")
-    acks = ack_series(inp)
-    assert acks == [LOW, HIGH, LOW] * 4
+    for params, top in ACK_PARAMS:
+        acks = ack_series(params, request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2=top)
+        assert acks == [LOW, HIGH, LOW] * 4, params
 
 
 def test_ack_silent_when_client2_never_granted():
-    inp = make_inputs(
-        PARAMS, rd_en_c1=HIGH, rdaddr_c1="1010",
-        request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2="1010",
-    )
-    assert ack_series(inp) == [LOW] * 12
+    for params, top in ACK_PARAMS:
+        acks = ack_series(params, rd_en_c1=HIGH, rdaddr_c1=top,
+                          request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2=top)
+        assert acks == [LOW] * 12, params
 
 
 ADDRS = st.integers(min_value=0, max_value=PARAMS.ram_depth() - 1)

@@ -308,79 +308,35 @@ class TestRoundTrips:
         assert pin(out, "RDDATA_C1") == 0
 
 
-def rise_after_release(params):
-    """Edges stepped with rst_n high until rst_done is first seen high."""
-    state = system_new(params)
-    out = None
-    for _ in range(3):
-        state, out = system_step(state, make_inputs(params, rst_n=LOW), params)
-    assert pin(out, "RST_DONE") == LOW
-    idle = make_inputs(params)
-    edges = 0
-    while True:
-        state, out = system_step(state, idle, params)
-        edges += 1
-        assert edges <= params.ram_depth() + 8, "rst_done never rose"
-        if pin(out, "RST_DONE"):
-            return edges, state
-
-
-@pytest.mark.parametrize("addr_width", [2, 4, 6])
-def test_rst_done_rises_depth_plus_one_edges_after_release(addr_width):
-    # Regression-locked constant: the sweep spends one edge per word plus a
-    # single hand-over edge, so the rise lands depth+1 edges after release.
-    params = Params(addr_width, 8)
-    edges, (_, ram) = rise_after_release(params)
-    assert edges == params.ram_depth() + 1
-    assert all(w == 0 for w in ram.memory)
-    assert not ram.reset_done_internal
-
-
 class TestReadLatency:
-    """Regression-locked pipeline constants for client1 reads."""
+    """Regression-locked pipeline constants for client1 reads, at the top
+    address of each of three widths."""
 
-    def prepared(self, registered):
-        params = Params(4, 8, registered_output=registered)
+    WIDTHS = (2, 4, 6)
+    WORD = parse_word("11011011", 8).value
+
+    def prepared(self, addr_width, registered):
+        """A swept system whose top word holds WORD, and a read of it."""
+        params = Params(addr_width, 8, registered_output=registered)
+        top = params.ram_depth() - 1
         state = fresh_system(params)
-        state, _ = run_cycles(
-            state,
-            make_inputs(params, wr_en_c1=HIGH, wraddr_c1="0101", wrdata_c1="11011011"),
-            2, params,
-        )
-        return params, state
+        write = make_inputs(params, wr_en_c1=HIGH, wraddr_c1=top, wrdata_c1=self.WORD)
+        state, _ = run_cycles(state, write, 2, params)
+        return params, state, make_inputs(params, rd_en_c1=HIGH, rdaddr_c1=top)
 
     def test_unregistered_data_valid_at_the_sampling_edge(self):
-        params, state = self.prepared(registered=False)
-        read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
-        _, out = system_step(state, read, params)
-        assert pin(out, "RDDATA_C1") == parse_word("11011011", 8).value
+        for addr_width in self.WIDTHS:
+            params, state, read = self.prepared(addr_width, registered=False)
+            _, out = system_step(state, read, params)
+            assert pin(out, "RDDATA_C1") == self.WORD, addr_width
 
     def test_registered_data_valid_one_edge_later(self):
-        params, state = self.prepared(registered=True)
-        read = make_inputs(params, rd_en_c1=HIGH, rdaddr_c1="0101")
-        state, out = system_step(state, read, params)
-        assert pin(out, "RDDATA_C1") == 0
-        _, out = system_step(state, read, params)
-        assert pin(out, "RDDATA_C1") == parse_word("11011011", 8).value
-
-
-def test_registered_timeline_is_unregistered_shifted_by_one():
-    unreg_params = Params(4, 8, registered_output=False)
-    reg_params = Params(4, 8, registered_output=True)
-    rng = random.Random(7)
-    stimulus = [random_inputs(rng, unreg_params) for _ in range(400)]
-
-    def timeline(params):
-        state = fresh_system(params)
-        outs = []
-        for inp in stimulus:
-            state, out = system_step(state, inp, params)
-            outs.append(pin(out, "RDDATA_C1"))
-        return outs
-
-    unreg = timeline(unreg_params)
-    reg = timeline(reg_params)
-    assert reg[1:] == unreg[:-1]
+        for addr_width in self.WIDTHS:
+            params, state, read = self.prepared(addr_width, registered=True)
+            state, out = system_step(state, read, params)
+            assert pin(out, "RDDATA_C1") == 0, addr_width
+            _, out = system_step(state, read, params)
+            assert pin(out, "RDDATA_C1") == self.WORD, addr_width
 
 
 def reset_storm(params):
