@@ -17,9 +17,14 @@ and the change first when it is odd.  After the pairs each side runs one
 byte totals must be the same on both sides.
 
 For each workload and end-to-end metric of BENCHMARK.json the summary
-gives each side's median, quartiles, minimum and maximum, the change's
-median relative to the parent's, and the pairs the change won, by the
-metric's direction; a tie counts for neither side.  The file keeps each
+gives each side's median, quartiles, minimum and maximum, the parent's
+interquartile range, the change's median relative to the parent's, and
+the pairs the change won, by the metric's direction; a tie counts for
+neither side.  ``gain_rule_met`` is true when the change won at least
+nine tenths of the pairs and its median is better than the parent's by
+more than the parent's interquartile range; ``within_bound`` when its
+median is worse than the parent's by no more than the metric's bound in
+BENCHMARK.json.  The file keeps each
 run's result line.  Exit status: 0 when every run was correct, 1 when one
 was not (the file is written either way), 2 when the parent revision
 cannot be exported.  Nothing under ``bench/`` is changed.
@@ -90,10 +95,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(runs: list[dict], pairs: int, metrics: dict[str, str]) -> dict:
+def summarize(runs: list[dict], pairs: int, metrics: dict[str, tuple[str, float]]) -> dict:
     """Per workload: whether every run was correct, and per metric (name ->
-    "higher" or "lower" is better) each side's spread, the change's
-    relative median and its wins."""
+    ("higher" or "lower" is better, relative bound)) each side's spread,
+    the change's relative median, its wins and the two rules it meets."""
     summary = {}
     for workload in {r["workload"] for r in runs}:
         timed = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
@@ -105,7 +110,7 @@ def summarize(runs: list[dict], pairs: int, metrics: dict[str, str]) -> dict:
         if not entry["all_correct"]:
             summary[workload] = entry
             continue
-        for metric, better in metrics.items():
+        for metric, (better, bound) in metrics.items():
             side = {
                 s: [r["result"]["metrics"][metric]["value"]
                     for r in sorted(timed, key=lambda r: r["pair"]) if r["side"] == s]
@@ -118,8 +123,14 @@ def summarize(runs: list[dict], pairs: int, metrics: dict[str, str]) -> dict:
                         f"{s}_q3": q3, f"{s}_min": min(values), f"{s}_max": max(values)}
             sign = 1 if better == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
+            row["parent_iqr"] = row["parent_q3"] - row["parent_q1"]
             row["change_vs_parent"] = row["change_median"] / row["parent_median"] - 1
             row["change_wins"] = f"{wins}/{len(side['parent'])}"
+            row["gain_rule_met"] = (
+                10 * wins >= 9 * len(side["parent"])
+                and sign * (row["change_median"] - row["parent_median"]) > row["parent_iqr"]
+            )
+            row["within_bound"] = sign * row["change_vs_parent"] >= -bound
             entry[metric] = row
         summary[workload] = entry
     return dict(sorted(summary.items()))
@@ -195,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         "method": __doc__.split("\n\n")[2].replace("\n", " "),
         "python": sys.version.split()[0],
         "summary": summarize(
-            runs, args.pairs, {m["name"]: m["better"] for m in spec["end_to_end"]}
+            runs, args.pairs,
+            {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]},
         ),
         "traced": traced_counts(runs),
         "runs": runs,

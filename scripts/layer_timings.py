@@ -27,8 +27,12 @@ would make every call reroot the memory first.
 ``system_step_sweep_a13`` is ``system_step`` over the 8,194 edges that
 follow a power-on reset at addr 13 in ``run_fuzz`` (the 8,193-edge sweep
 and one idle edge), with ``ClientInputs.quiet()`` held, so that every edge
-leaves the drive registers clear.  The text rows run the 74 corpus
-cases (37 builtins in both output modes):
+leaves the drive registers clear.  ``system_step_held`` is ``system_step``
+over 2,000 calls of one held corpus edge, the first edge of the builtin
+cases out of reset that leaves both blocks' states as they were, each
+call on the same three objects: every call after the first passes the
+input check and hits the arbiter's memo, as a replay's held edge does.
+The text rows run the 74 corpus cases (37 builtins in both output modes):
 ``parse_scenario`` per case, over each case's rendered text, and
 ``run_scenario``, ``check_assertions``, ``write_vcd`` and ``write_table``
 per exported row (5,722 rows), the exporters into an in-memory sink.
@@ -75,6 +79,7 @@ PARAMS = Params(4, 8)
 SWEEP_PARAMS = Params(13, 8)
 CYCLES = 2000
 WRITES = 4096
+HELD_STEPS = 2000
 REPEATS = 7
 REFERENCE_ITERATIONS = 2000
 
@@ -188,6 +193,28 @@ def sweep_system_calls():
     return calls
 
 
+def held_system_calls():
+    """HELD_STEPS copies of the system_step arguments of the first edge of
+    the builtin cases that has ``rst_n`` high and returns the system state
+    it was given, by value."""
+    edges = []
+    step = trace.system_step
+
+    def recording(state, inp, params):
+        post, out = step(state, inp, params)
+        edges.append(((state, inp, params), post))
+        return post, out
+
+    trace.system_step = recording
+    try:
+        for s in builtin_scenarios():
+            trace.run_scenario(s)
+    finally:
+        trace.system_step = step
+    held = next(args for args, post in edges if args[1][0] and post == args[0])
+    return [held] * HELD_STEPS
+
+
 def text_layers():
     """(name, function, argument tuples, units) of each layer of the text path."""
     cases = [
@@ -288,6 +315,8 @@ def main():
         layers.append((name, step_linearly, [(start, inputs)], len(inputs)))
     sweep = sweep_system_calls()
     layers.append(("system_step_sweep_a13", system.system_step, sweep, len(sweep)))
+    held = held_system_calls()
+    layers.append(("system_step_held", system.system_step, held, len(held)))
     layers += text_layers()
     layers.append(("import_arbsim", import_arbsim, [()], 1))
     lines = [f"{'layer':<22}{'min_us':>9}{'median_us':>11}{'x_ref':>9}\n"]

@@ -60,6 +60,11 @@ def run_scenario(s: Scenario) -> Trace:
     An input assignment at time t takes effect at the first rising edge
     whose time is >= t; assignments at equal times apply in file order, so
     a later line on the same pin wins.
+
+    A held edge, one whose arbiter state is the previous edge's object (a
+    steady ``arbiter_step`` returns its own state) under the same input
+    record, with equal outputs, has the previous edge's values: it appends
+    the previous row object and builds no row.
     """
     params, events, edges, edge_for_time = s.params, s.events, s.num_edges(), s.edge_for_time
     # Each event is mapped to its edge by the scenario's clock, so the loop
@@ -69,6 +74,8 @@ def run_scenario(s: Scenario) -> Trace:
     rows: list[tuple] = []
     interned: dict[tuple, tuple] = {}  # each distinct row: equal rows are one tuple
     idx, next_edge = 0, edge_for_time(events[0].time) if events else edges
+    # The previous edge's arbiter state, inputs, outputs and row.
+    last_arb = last_inputs = last_out = row = None
     for k in range(edges):
         while next_edge <= k:
             ev = events[idx]
@@ -76,8 +83,12 @@ def run_scenario(s: Scenario) -> Trace:
             idx += 1
             next_edge = edge_for_time(events[idx].time) if idx < len(events) else edges
         state, out = system_step(state, inputs, params)
-        row = inputs + out + _PROBES(state[0])
-        rows.append(interned.setdefault(row, row))
+        arb = state[0]
+        if arb is not last_arb or inputs is not last_inputs or out != last_out:
+            row = inputs + out + _PROBES(arb)
+            row = interned.setdefault(row, row)
+            last_arb, last_inputs, last_out = arb, inputs, out
+        rows.append(row)
     return Trace(s, tuple(rows))
 
 

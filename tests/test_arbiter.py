@@ -224,6 +224,47 @@ class TestArbiterStep:
                 assert drive.rd_en == LOW and drive.wr_en == LOW
 
 
+class TestHeldEdge:
+    """A run edge that changes no register returns its own state, and
+    ``arbiter_step`` remembers it: the same three objects again return the
+    same result without a step."""
+
+    @staticmethod
+    def held_read():
+        """An idle arbiter that has latched client1's read of address 5,
+        and the tuple of inputs that holds that read."""
+        inp = tuple(make_inputs(PARAMS, rd_en_c1=HIGH, rdaddr_c1="0101"))
+        state, _ = arbiter_step(idle_arbiter(), inp, PARAMS)
+        return state, inp
+
+    def test_a_held_steady_edge_is_a_memo_hit(self, monkeypatch):
+        state, inp = self.held_read()
+        result = arbiter_step(state, inp, PARAMS)
+        assert result[0] is state
+        calls = []
+
+        def spy(fn):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        for name in ("fsm_next", "detect_clash"):
+            monkeypatch.setattr(arbiter, name, spy(getattr(arbiter, name)))
+        assert arbiter_step(state, inp, PARAMS) is result
+        assert calls == []
+        # An equal record that is another object is stepped, to an equal result.
+        again = arbiter_step(state, tuple(list(inp)), PARAMS)
+        assert len(calls) == 2 and again == result and again[0] is state
+
+    def test_a_list_record_is_never_remembered(self):
+        # A list can change between two edges, so a steady edge on one is
+        # not stored, and the next step on it reads its new values.
+        state, inp = self.held_read()
+        inp = list(inp)
+        assert arbiter_step(state, inp, PARAMS)[0] is state
+        inp[ClientInputs._fields.index("rdaddr_c1")] = 6
+        post, ram_in = arbiter_step(state, inp, PARAMS)
+        assert post.temp_rd_addr == ram_in.rd_addr == 6
+
+
 # Each ack train is checked at three widths, with client2 at the top address.
 ACK_PARAMS = [(Params(addr_width, 8), (1 << addr_width) - 1) for addr_width in (2, 4, 6)]
 

@@ -2,6 +2,7 @@
 current package and print what they did."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -49,8 +50,8 @@ def test_layer_timings_prints_one_positive_time_per_layer():
         "system_step", "_check_widths", "arbiter_step", "fsm_next",
         "ram_step", "resolve_outputs", "random_inputs", "check_invariants",
         "fuzz_edge", "ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13",
-        "ram_read_a13", "system_step_sweep_a13", "parse_scenario", "run_scenario",
-        "check_assertions", "write_vcd", "write_table", "export_one_row",
+        "ram_read_a13", "system_step_sweep_a13", "system_step_held", "parse_scenario",
+        "run_scenario", "check_assertions", "write_vcd", "write_table", "export_one_row",
         "import_arbsim", "reference",
     ]
     for name, *cells in rows:
@@ -97,6 +98,49 @@ def test_bench_selftest_passes():
     assert "selftest: PASS" in result.stdout
 
 
+def load_script(name):
+    """A module of ``scripts/`` loaded in this process."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_applies_the_gain_rule_and_the_bound():
+    # Ten synthetic pairs per metric, parent value p and change value c:
+    # "met" wins every pair by 10 %, more than the parent's spread;
+    # "spread" wins every pair by less than the parent's spread; "worse"
+    # loses every pair by 30 %, past its bound of 25 %; "eight" wins eight
+    # pairs by half and ties two, inside its bound.
+    parent = [100.0 + i for i in range(10)]
+    cases = {
+        "met": ("higher", 0.2, parent, [p * 1.1 for p in parent]),
+        "spread": ("higher", 0.2, [100.0, 200.0] * 5, [101.0, 201.0] * 5),
+        "worse": ("lower", 0.25, parent, [p * 1.3 for p in parent]),
+        "eight": ("lower", 0.25, parent, [p / 2 for p in parent[:8]] + parent[8:]),
+    }
+    runs = []
+    for i in range(10):
+        for k, side in enumerate(("parent", "change")):
+            metrics = {metric: {"value": case[2 + k][i]} for metric, case in cases.items()}
+            runs.append({"side": side, "workload": "w", "pair": i, "trace": 0,
+                         "result": {"correct": True, "failed": 0, "metrics": metrics}})
+    summary = load_script("bench_pairs.py").summarize(
+        runs, 10, {metric: (better, bound) for metric, (better, bound, _, _) in cases.items()}
+    )["w"]
+    assert summary["all_correct"] and summary["failed"] == 0
+    assert summary["met"]["parent_iqr"] == pytest.approx(4.5)
+    assert summary["spread"]["parent_iqr"] == pytest.approx(100.0)
+    got = {metric: (summary[metric]["change_wins"], summary[metric]["gain_rule_met"],
+                    summary[metric]["within_bound"]) for metric in cases}
+    assert got == {
+        "met": ("10/10", True, True),
+        "spread": ("10/10", False, True),
+        "worse": ("0/10", False, False),
+        "eight": ("8/10", False, True),
+    }
+
+
 @pytest.mark.skipif(not in_a_git_checkout(), reason="needs git and this repository")
 def test_bench_pairs_writes_each_run_and_a_summary(tmp_path):
     out = tmp_path / "pairs.json"
@@ -115,4 +159,8 @@ def test_bench_pairs_writes_each_run_and_a_summary(tmp_path):
         row = entry[metric]
         assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"], metric
         assert row["change_wins"] in ("0/1", "1/1"), metric
+        # One pair: no parent spread, so a won pair meets the gain rule.
+        assert row["parent_iqr"] == 0, metric
+        assert row["gain_rule_met"] is (row["change_wins"] == "1/1"), metric
+        assert isinstance(row["within_bound"], bool), metric
     assert report["traced"]["fuzz-a4"]["counts_differ"] == []

@@ -618,19 +618,40 @@ class TestSharedWalk:
         return sink.getvalue()
 
     def test_only_the_replay_picks_the_probes(self, monkeypatch):
-        # Each edge's probes are picked once, by the replay; checking and
-        # two pairs of exports pick none.
-        probes, picked = arbsim.trace._PROBES, []
-        monkeypatch.setattr(arbsim.trace, "_PROBES", lambda state: picked.append(state) or probes(state))
+        # The replay picks an edge's probes at most once, and exactly once
+        # for each edge whose row is not the previous row object: a held
+        # edge reuses the previous row and picks none.  Checking and two
+        # pairs of exports pick none.
+        probes, step, picked, edges = arbsim.trace._PROBES, arbsim.trace.system_step, [], []
+
+        def stepping(*args):
+            edges.append(step(*args))
+            return edges[-1]
+
+        def picking(state):
+            picked.append((len(edges) - 1, state))
+            return probes(state)
+
+        monkeypatch.setattr(arbsim.trace, "system_step", stepping)
+        monkeypatch.setattr(arbsim.trace, "_PROBES", picking)
         s = builtin_by_name("tc07")
         trace = run_scenario(s)
-        assert len(picked) == len(trace.rows) > 0
-        assert [probes(state) for state in picked] == [row[-len(probes(picked[0])):] for row in trace.rows]
+        rows = trace.rows
+        assert len(edges) == len(rows) > 0
+        at = dict(picked)
+        assert len(at) == len(picked)
+        new_rows = {k for k, row in enumerate(rows) if k == 0 or row is not rows[k - 1]}
+        assert new_rows <= at.keys()
+        assert 0 < len(at) < len(rows)
+        n = len(probes(picked[0][1]))
+        for k, ((post, _), _) in enumerate(edges):
+            assert probes(post) == rows[k][-n:], k
+            assert at[k] is post if k in at else rows[k] is rows[k - 1], k
         check_assertions(trace, s)
         for _ in range(2):
             self.export(write_vcd, trace)
             self.export(write_table, trace)
-        assert len(picked) == len(trace.rows)
+        assert len(picked) == len(at)
         # A trace is its values: two replays are equal and hash alike.
         replayed = run_scenario(s)
         assert trace == replayed and hash(trace) == hash(replayed)
@@ -726,3 +747,39 @@ def test_distinct_rows_do_not_grow_with_run_length(registered):
         rows_long, transitions_long = distinct_rows_and_transitions(run_scenario(long))
         assert len(rows_long) == len(rows) <= 13, s.name
         assert len(transitions_long) == len(transitions) <= 16, s.name
+
+
+@pytest.mark.parametrize("registered", [False, True], ids=["unregistered", "registered"])
+def test_a_replay_steps_as_one_that_never_hits_the_memo(monkeypatch, registered):
+    # The replay holds each input record until the next event, so the
+    # arbiter's memo answers its held edges.  A replay that passes a new
+    # tuple of the same inputs on every edge never hits the memo, and steps
+    # every edge to equal states and outputs, and equal rows.
+    step, fsm = arbsim.trace.system_step, arbsim.arbiter.fsm_next
+    stepped, decided = [], []
+
+    def stepping(state, inp, params):
+        stepped.append(step(state, tuple(list(inp)) if fresh else inp, params))
+        return stepped[-1]
+
+    def deciding(*args):
+        decided.append(args)
+        return fsm(*args)
+
+    monkeypatch.setattr(arbsim.trace, "system_step", stepping)
+    monkeypatch.setattr(arbsim.arbiter, "fsm_next", deciding)
+    hits = 0
+    for base in builtin_scenarios():
+        s = replace(base, params=replace(base.params, registered_output=registered))
+        runs = []
+        for fresh in (False, True):  # read by stepping
+            stepped.clear()
+            decided.clear()
+            rows = run_scenario(s).rows
+            assert len(stepped) == len(rows), s.name
+            runs.append((list(stepped), rows, len(decided)))
+        (edges, rows, steps), (fresh_edges, fresh_rows, fresh_steps) = runs
+        assert fresh_steps == len(rows), s.name
+        assert edges == fresh_edges and rows == fresh_rows, s.name
+        hits += len(rows) - steps
+    assert hits > 0
