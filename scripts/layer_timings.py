@@ -8,7 +8,10 @@ and replay every layer's calls over that fixed stream, so each is one
 call's cost.
 Every recorded record is stepped after another was drawn, so
 ``system_step`` checks each one in full here, as it does a record that
-``random_inputs`` did not draw.  ``fuzz_edge`` is that campaign itself,
+``random_inputs`` did not draw.  ``random_inputs`` is one record taken
+from a campaign's stream (seed 0, addr 4, data 8, with reset storms), the
+stream made once before the passes: the draw of each edge without the
+making of its stream.  ``fuzz_edge`` is that campaign itself,
 ``run_fuzz`` per measured edge: the draw, the step and the invariant check
 of each edge, whose step checks no record, with the 20 edges of reset
 and sweep before the measured phase (1 % of its edges) included.
@@ -106,8 +109,9 @@ def layer_calls(stream):
     """Layer function -> its argument tuples, one per edge of the stream.
     ``system_step`` steps each recorded edge while a spy on each layer that
     it calls, where the kernel looks the layer up, records the arguments
-    of that call as the kernel makes it."""
-    rng = random.Random(0)
+    of that call as the kernel makes it.  ``random_inputs`` is timed as
+    ``next`` on one campaign's stream, one call per edge."""
+    draws = fuzz.random_inputs(random.Random(0), PARAMS, reset_storm=True)
     spied = ((system, "arbiter_step"), (arbiter, "fsm_next"), (system, "ram_step"),
              (system, "resolve_outputs"))
     originals = [getattr(owner, name) for owner, name in spied]
@@ -127,7 +131,7 @@ def layer_calls(stream):
             (post, _), out = system.system_step(state, inp, PARAMS)
             calls[system.system_step].append((state, inp, PARAMS))
             calls[system._check_widths].append((inp, PARAMS))
-            calls[fuzz.random_inputs].append((rng, PARAMS, inp[0]))
+            calls[fuzz.random_inputs].append((draws,))
             calls[fuzz.check_invariants].append((state[0], inp, post, out, PARAMS))
     finally:
         for (owner, name), fn in zip(spied, originals):
@@ -308,7 +312,8 @@ def timings(layers):
 
 def main():
     stream = record_stream()
-    layers = [(fn.__name__, fn, args, len(args)) for fn, args in layer_calls(stream).items()]
+    layers = [(fn.__name__, next if fn is fuzz.random_inputs else fn, args, len(args))
+              for fn, args in layer_calls(stream).items()]
     layers.append(("fuzz_edge", fuzz.run_fuzz, [(0, CYCLES, PARAMS, True)], CYCLES))
     names = ("ram_sweep_a13", "ram_write_a13", "ram_rewrite_a13", "ram_read_a13")
     for name, (start, inputs) in zip(names, wide_ram_passes()):

@@ -210,9 +210,9 @@ def arbiter_step(
     step 4 with nothing granted), and the RAM gets the shared quiet inputs
     for the reset pin.
 
-    A run edge that leaves every register as it was returns ``state``
-    itself, and is remembered in ``_held``: the same three objects again
-    return the same result without a step.
+    An edge that leaves every register as it was returns ``state`` itself.
+    A run edge of that kind is remembered in ``_held``: the same three
+    objects again return the same result without a step.
     """
     held_state, held_inp, held_params, held = _held[0]
     if inp is held_inp and state is held_state and params is held_params:
@@ -221,11 +221,13 @@ def arbiter_step(
      pre_wr_data, pre_ack, pre_ack1, pre_wr, pre_clash, reset_count) = state
     nx_read, nx_write, reset_count = fsm_next(pr_read, pr_write, inp, reset_count, params)
     if nx_read is RESET:
-        # fsm_next sends both channels into reset together.
+        # fsm_next sends both channels into reset together.  A held reset edge,
+        # rst_n low on registers it leaves as they were, returns its own state.
         temp_ack = pre_ack and not pre_ack1
-        return _new(ArbiterState, (
-            nx_read, nx_write, LOW, LOW, 0, 0, 0, temp_ack, temp_ack, LOW, LOW, reset_count,
-        )), _QUIET_RUN if inp[0] else _QUIET_RESET
+        post = (nx_read, nx_write, LOW, LOW, 0, 0, 0, temp_ack, temp_ack, LOW, LOW, reset_count)
+        if inp[0]:
+            return _new(ArbiterState, post), _QUIET_RUN
+        return state if state == post else _new(ArbiterState, post), _QUIET_RESET
 
     (_, rd_en_c1, wr_en_c1, rdaddr_c1, wraddr_c1, wrdata_c1,
      _, _, addr_c2, datain_c2) = inp

@@ -12,7 +12,7 @@ values are not checked.  A run is reproducible from (seed, cycles, params).
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arbiter import CLIENT1_READ, CLIENT1_WRITE, CLIENT2_READ, CLIENT2_WRITE, IDLE, RESET
 from .arbiter import ArbiterState, ClientInputs
@@ -41,24 +41,24 @@ class FuzzResult(NamedTuple):
         return self.violation is None
 
 
-def random_inputs(rng: random.Random, params: Params, rst_n: bool = HIGH) -> tuple:
-    """One edge of random stimulus: the ten input pins, a plain tuple in
-    ``ClientInputs`` field order.  ``rst_n`` must be a level (a bool), else
-    a ``ValueError`` is raised before anything is drawn."""
-    if type(rst_n) is not bool:
-        raise ValueError(f"rst_n = {rst_n!r} is not a level (a bool)")
+def random_inputs(rng: random.Random, params: Params, reset_storm: bool = False) -> Iterator[tuple]:
+    """One campaign's stimulus: an endless stream of edges, each the ten input
+    pins as a plain tuple in ``ClientInputs`` field order, drawn as it is
+    taken.  With ``reset_storm`` an edge first draws ``rst_n``, low with
+    probability 0.02; without it ``rst_n`` is high and not drawn."""
     # Drawn in field order: a level is rand() < 0.5, a bus getrandbits of
     # its width.  The order fixes every campaign's stimulus.
     rand, word = rng.random, rng.getrandbits
     a, d = params.addr_width, params.data_width
-    inp = (
-        rst_n, rand() < 0.5, rand() < 0.5, word(a), word(a), word(d),
-        rand() < 0.5, rand() < 0.5, word(a), word(d),
-    )
-    # Stored as passed, so system_step does not check it; the draw above must
-    # keep the invariant stated at system._passed.
-    _passed[0] = (inp, params)
-    return inp
+    while True:
+        inp = (
+            LOW if reset_storm and rand() < 0.02 else HIGH,
+            rand() < 0.5, rand() < 0.5, word(a), word(a), word(d),
+            rand() < 0.5, rand() < 0.5, word(a), word(d),
+        )
+        # Stored as passed, so unchecked: the draw keeps system._passed's invariant.
+        _passed[0] = (inp, params)
+        yield inp
 
 
 def check_invariants(
@@ -131,10 +131,8 @@ def run_fuzz(
     for _ in range(params.ram_depth() + 2):
         state, _ = system_step(state, warm, params)
 
-    draw = rng.random
-    for cycle in range(cycles):
-        rst_n = LOW if reset_storm and draw() < 0.02 else HIGH
-        inp = random_inputs(rng, params, rst_n)
+    # zip takes the cycle first, so no record is drawn past the last one.
+    for cycle, inp in zip(range(cycles), random_inputs(rng, params, reset_storm)):
         pre = state[0]
         state, out = system_step(state, inp, params)
         bad = check_invariants(pre, inp, state[0], out, params)

@@ -32,10 +32,10 @@ _INPUTS = [(f, r) for _, d, r, f in PINS if d == "in"]
 # params; a list made at import holds it, so storing it rebinds no module
 # name.  A record that fails is never stored, nor inputs that are not a
 # tuple: a list could change between two edges.
-# Its one writer outside this module is ``fuzz.random_inputs``, which stores
-# each record it draws, unchecked.  That is sound only while that writer
-# keeps every value in its pin's type and width: ``rst_n`` a bool (it
-# raises otherwise), every other level ``rand() < 0.5``, and every bus
+# Its one writer outside this module is the stream ``fuzz.random_inputs``,
+# which stores each record it draws, unchecked, as it yields it.  That is
+# sound only while the stream draws each value in its pin's type and width:
+# ``rst_n`` LOW or HIGH, every other level ``rand() < 0.5``, and every bus
 # ``getrandbits(width)`` of the very ``params`` it stores beside the record.
 _passed: list[tuple[tuple | None, Params | None]] = [(None, None)]
 

@@ -1,7 +1,9 @@
 """Composed system: round trips, clash bypass, reset sweep, latency constants."""
 
 import random
+import tracemalloc
 from dataclasses import replace
+from itertools import islice
 from operator import itemgetter
 
 import pytest
@@ -153,16 +155,16 @@ def test_input_check_remembers_no_inputs_that_can_change():
 @given(
     addr_width=st.integers(1, 16),
     data_width=st.integers(1, 16),
-    rst_n=st.booleans(),
+    reset_storm=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_every_drawn_record_passes_the_full_input_check(addr_width, data_width, rst_n, seed):
+def test_every_drawn_record_passes_the_full_input_check(addr_width, data_width, reset_storm,
+                                                        seed):
     # random_inputs stores each record it draws as passed, so system_step
     # never checks it: that is sound only because every draw would pass.
     params = Params(addr_width, data_width)
     rng = random.Random(seed)
-    for _ in range(20):
-        inp = random_inputs(rng, params, rst_n)
+    for inp in islice(random_inputs(rng, params, reset_storm), 50):
         drawn, drawn_params = arbsim.system._passed[0]
         assert drawn is inp and drawn_params is params
         arbsim.system._passed[0] = (None, None)
@@ -170,31 +172,64 @@ def test_every_drawn_record_passes_the_full_input_check(addr_width, data_width, 
         assert arbsim.system._passed[0][0] is inp
 
 
-def test_random_inputs_draws_no_reset_level_that_is_not_a_bool():
-    # rst_n is the one value random_inputs does not draw, so it checks it.
-    rng = random.Random(0)
-    for value in (1, None):
-        with pytest.raises(ValueError, match=rf"^rst_n = {value!r} is not a level \(a bool\)$"):
-            random_inputs(rng, Params(4, 8), rst_n=value)
-    assert rng.getstate() == random.Random(0).getstate()
-
-
 def test_a_drawn_record_is_checked_again_under_other_params_or_once_changed():
     # The draw vouches for one record object under one Params object: the
     # same record stepped at a narrower width, or an equal copy with one bad
     # value written in, is checked in full.
     wide, narrow = Params(8, 8), Params(2, 8)
-    rng = random.Random(0)
-    inp = random_inputs(rng, wide)
-    while inp[3] <= 3:  # rdaddr_c1, wider than 2 bits
-        inp = random_inputs(rng, wide)
+    stream = random_inputs(random.Random(0), wide)
+    inp = next(inp for inp in stream if inp[3] > 3)  # rdaddr_c1, wider than 2 bits
     with pytest.raises(ValueError, match=rf"^rdaddr_c1 = {inp[3]} does not fit params width 2$"):
         system_step(system_new(narrow), inp, narrow)
-    inp = random_inputs(rng, wide)
+    inp = next(stream)
     bad = list(inp)
     bad[5] = 256  # wrdata_c1, one past the widest 8-bit word
     with pytest.raises(ValueError, match="^wrdata_c1 = 256 does not fit params width 8$"):
         system_step(system_new(wide), tuple(bad), wide)
+
+
+def hand_drawn(rng, params, reset_storm):
+    """One edge's record drawn by hand from ``rng``: with ``reset_storm``
+    the level of rst_n first, low with probability 0.02, then every other
+    input pin in field order, a level as ``random() < 0.5`` and a bus as
+    ``getrandbits`` of its width."""
+    rst_n = not (reset_storm and rng.random() < 0.02)
+    rest = [rng.random() < 0.5 if role == "level" else rng.getrandbits(params.width(role))
+            for _, d, role, _ in PINS[1:] if d == "in"]
+    return (rst_n, *rest)
+
+
+@pytest.mark.parametrize("reset_storm", [False, True])
+@pytest.mark.parametrize("widths", [(1, 1), (4, 8), (13, 8), (40, 33)])
+def test_the_stream_draws_each_record_in_field_order(widths, reset_storm):
+    # The draw order fixes every campaign's stimulus, so every FuzzResult
+    # and every recorded count: the stream must draw exactly what a hand
+    # draw does, and nothing past the records taken.
+    params = Params(*widths)
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        drawn = list(islice(random_inputs(rng, params, reset_storm), 500))
+        expected = [hand_drawn(ref, params, reset_storm) for _ in range(500)]
+        assert drawn == expected, seed
+        assert [tuple(map(type, r)) for r in drawn] == [tuple(map(type, r)) for r in expected]
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_a_campaign_draws_each_record_as_it_steps_it():
+    # A campaign ten times longer peaks at the same memory: its stimulus is
+    # drawn an edge at a time, never the whole campaign ahead of its steps.
+    params = Params(4, 8)
+
+    def peak(cycles):
+        tracemalloc.start()
+        try:
+            assert run_fuzz(0, cycles, params, reset_storm=True).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # first use: caches and interned values are made here
+    assert peak(20_000) - peak(2_000) <= 4 * 1024
 
 
 @pytest.mark.parametrize("params", [Params(4, 8), Params(13, 8)], ids=["a4", "a13"])
@@ -308,6 +343,44 @@ class TestRoundTrips:
         assert pin(out, "RDDATA_C1") == 0
 
 
+def test_a_paced_client2_read_holds_its_latched_address():
+    # A client2 read latches ADDR_C2 on the edge its ack register sets; on
+    # the next edge the ack register is still set, so the channel is paced
+    # and holds the address it latched, whatever ADDR_C2 shows by then.
+    params = Params(4, 8)
+    state = fresh_system(params)
+    for addr, word in ((1, 5), (2, 9)):
+        write = make_inputs(params, wr_en_c1=HIGH, wraddr_c1=addr, wrdata_c1=word)
+        state, _ = system_step(state, write, params)
+    read = make_inputs(params, request_c2=HIGH, rd_not_write_c2=HIGH, addr_c2=1)
+    state, _ = system_step(state, read, params)
+    arb, _ = state
+    assert (arb.pr_read, arb.temp_rd_addr, arb.temp_ack) == (ChannelState.CLIENT2_READ, 1, HIGH)
+    state, out = system_step(state, read._replace(addr_c2=2), params)
+    arb, _ = state
+    assert (arb.pr_read, arb.temp_rd_addr) == (ChannelState.CLIENT2_READ, 1)
+    assert pin(out, "DATAOUT_C2") == 5
+
+
+@pytest.mark.parametrize("registered", [False, True])
+def test_a_same_edge_read_and_write_keeps_the_old_word(registered):
+    # A read and a write of one address on one edge raise the clash flag,
+    # and the RAM's read register takes the word stored before the write.
+    # Once the flag is down, both read outputs show that old word.
+    params = Params(4, 8, registered_output=registered)
+    state = fresh_system(params)
+    write = make_inputs(params, wr_en_c1=HIGH, wraddr_c1=1, wrdata_c1=5)
+    state, _ = system_step(state, write, params)
+    state, _ = system_step(state, write._replace(rd_en_c1=HIGH, rdaddr_c1=1, wrdata_c1=9),
+                           params)
+    arb, _ = state
+    assert arb.addr_clash is HIGH
+    state, out = run_cycles(state, make_inputs(params), 2, params)
+    assert (pin(out, "RDDATA_C1"), pin(out, "DATAOUT_C2")) == (5, 5)
+    _, ram = state
+    assert ram.memory[1] == 9
+
+
 class TestReadLatency:
     """Regression-locked pipeline constants for client1 reads, at the top
     address of each of three widths."""
@@ -341,8 +414,16 @@ class TestReadLatency:
 
 def reset_storm(params):
     """2,000 edges of random stimulus with rst_n low on about 2 % of them."""
-    rng = random.Random(0)
-    return [random_inputs(rng, params, rst_n=rng.random() >= 0.02) for _ in range(2000)]
+    return list(islice(random_inputs(random.Random(0), params, reset_storm=True), 2000))
+
+
+def with_drawn_reset(rng, params, p_low):
+    """``random_inputs``' stream, each record's ``rst_n`` replaced by a level
+    drawn from ``rng`` before the record, low with probability ``p_low``."""
+    stream = random_inputs(rng, params)
+    while True:
+        rst_n = rng.random() >= p_low
+        yield (rst_n, *next(stream)[1:])
 
 
 def outputs_of(params, stimulus):
@@ -553,8 +634,7 @@ def test_kernel_words_are_ints_within_their_width(seed, registered):
     params = Params(3, 6, registered_output=registered)
     rng = random.Random(seed)
     state = system_new(params)
-    for _ in range(80):
-        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+    for inp in islice(with_drawn_reset(rng, params, 0.05), 80):
         state, out = system_step(state, inp, params)
         arb, ram = state
         records = {"arbiter": arb, "ram": ram}
@@ -577,8 +657,7 @@ def test_kernel_builds_no_word(monkeypatch):
     assert run_fuzz(0, 500, params, reset_storm=True).ok
     rng = random.Random(3)
     state = system_new(params)
-    for _ in range(200):
-        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+    for inp in islice(with_drawn_reset(rng, params, 0.05), 200):
         state, _ = system_step(state, inp, params)
 
 
@@ -693,8 +772,8 @@ def test_determinism_identical_stimulus_identical_states():
     def run(rng):
         state = fresh_system(params)
         hist = []
-        for _ in range(300):
-            state, out = system_step(state, random_inputs(rng, params), params)
+        for inp in islice(random_inputs(rng, params), 300):
+            state, out = system_step(state, inp, params)
             hist.append((state, out))
         return hist
 
@@ -826,9 +905,12 @@ def test_steps_return_their_declared_record_types(monkeypatch, registered):
     rng = random.Random(11)
     state = system_new(params)
     assert type(state) is tuple and len(state) == 2
+    stream = random_inputs(rng, params)
     for _ in range(300):
-        inp = random_inputs(rng, params, rst_n=rng.random() >= 0.05)
+        rst_n = rng.random() >= 0.05
+        inp = next(stream)
         assert type(inp) is tuple and len(inp) == len(ClientInputs._fields)
+        inp = (rst_n, *inp[1:])
         state, out = system_step(state, inp, params)
         assert type(state) is tuple and len(state) == 2
         assert type(out) is tuple and len(out) == len(OUTPUTS) == 4
@@ -864,7 +946,8 @@ def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
     # build that drops or adds a field could go unnoticed.  The plain
     # tuples of an edge have no fields to count, so their shapes are
     # pinned by name: a stimulus is ten values, the outputs four and the
-    # state the pair (arbiter, ram).
+    # state the pair (arbiter, ram).  random_inputs returns a stream, so
+    # its spy records each record the stream yields.
     results = []
     plain = {"system_step": [], "random_inputs": [], "_apply_event": []}
 
@@ -877,7 +960,13 @@ def test_every_per_edge_record_has_one_value_per_field(monkeypatch, registered):
             plain.get(name, []).append(result)
             return result
 
-        monkeypatch.setattr(module, name, spying)
+        def spying_stream(*args, **kwargs):
+            for result in fn(*args, **kwargs):
+                results.append(result)
+                plain[name].append(result)
+                yield result
+
+        monkeypatch.setattr(module, name, spying_stream if name == "random_inputs" else spying)
 
     for module, name in [
         (arbsim.fuzz, "system_step"), (arbsim.fuzz, "random_inputs"),
